@@ -1,6 +1,8 @@
 """Spec file ingestion and the command-line harness."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +278,48 @@ class TestCli:
             capsys, "flat", "--family", "torus3", "--set", "C=1,D=1,A=0,B=0,E=0"
         )
         assert "\x1b[" not in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_CORPUS = Path(__file__).resolve().parent / "readme_corpus.txt"
+
+
+def readme_commands():
+    """(argv, redirect target or None) for each `projconn` line of README's sh
+    blocks, in order; pipes are dropped, so a redirect after a pipe receives
+    the unfiltered report."""
+    commands = []
+    in_sh = False
+    pending = ""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+            continue
+        if not in_sh:
+            continue
+        if line.endswith("\\"):
+            pending += line[:-1]
+            continue
+        tokens = shlex.split(pending + line, comments=True)
+        pending = ""
+        if not tokens or tokens[0] != "projconn":
+            continue
+        cut = next((p for p, t in enumerate(tokens) if t in ("|", ">")), len(tokens))
+        target = tokens[tokens.index(">") + 1] if ">" in tokens else None
+        commands.append((tokens[1:cut], target))
+    return commands
+
+
+def test_readme_commands_golden_corpus(capsys, tmp_path, monkeypatch):
+    """Every README command, run in-process in order, against a stored corpus
+    of exit codes and stdout."""
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 20
+    corpus = []
+    for argv, target in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        if target is not None:
+            (tmp_path / target).write_text(out, encoding="utf-8")
+        corpus.append(f"$ projconn {shlex.join(argv)}\n[exit {code}]\n{out}")
+    assert "".join(corpus) == README_CORPUS.read_text(encoding="utf-8")
