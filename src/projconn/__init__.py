@@ -11,7 +11,6 @@ from .parser import parse_constant, parse_expr
 from .tensor import Tensor, contract, symmetry_check, tensor_from_json, tensor_to_json
 from .connection import (
     Connection,
-    VectorFieldPoly,
     bianchi_check,
     curvature,
     equiaffine_check,
@@ -26,7 +25,6 @@ from .connection import (
 )
 from .projective import (
     OneForm,
-    ThetaField,
     divergence,
     flatness_conditions,
     inject,
@@ -37,7 +35,6 @@ from .projective import (
     trace_free_project,
     volume_normalize,
     with_one_form,
-    zero_one_form,
 )
 from .families import (
     ActionMap,

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import families, geodesic, projective
@@ -74,14 +73,24 @@ def _parse_set(option: str | None) -> dict[str, GaussianRational]:
     return values
 
 
+def _bindings(polys, assignments) -> dict:
+    """Substitution bindings for every symbol in polys whose name is assigned.
+
+    A derivative such as d(A, tau) binds through its base symbol, so it
+    takes the derivative of the assigned value.
+    """
+    bindings = {}
+    for poly in polys:
+        for sym in poly.symbols():
+            if sym.name in assignments:
+                bindings[sym.base()] = as_poly(assignments[sym.name])
+    return bindings
+
+
 def _substituted(conn, assignments: dict[str, GaussianRational]):
     if not assignments:
         return conn
-    bindings = {}
-    for _, value in conn.nonzero_entries():
-        for sym in value.symbols():
-            if sym.name in assignments and not sym.is_derived():
-                bindings[sym] = as_poly(assignments[sym.name])
+    bindings = _bindings((value for _, value in conn.nonzero_entries()), assignments)
     gamma = tuple(
         tuple(tuple(entry.subst(bindings) for entry in row) for row in plane)
         for plane in conn.gamma
@@ -261,18 +270,6 @@ def _parse_sweep(items):
     return ranges
 
 
-def _sweep_point(payload):
-    """Worker: does every condition vanish under the assignment?"""
-    conditions, assignment = payload
-    bindings = {}
-    for poly in conditions:
-        for sym in poly.symbols():
-            if sym.name in assignment and not sym.is_derived():
-                bindings[sym] = as_poly(assignment[sym.name])
-    flat = all(poly.subst(bindings).is_zero() for poly in conditions)
-    return assignment, flat
-
-
 def _cmd_conditions(args):
     conn, source = _load_connection(args)
     conditions = projective.flatness_conditions(conn)
@@ -289,15 +286,10 @@ def _cmd_conditions(args):
         grid = [{}]
         for name, lo, hi in ranges:
             grid = [dict(g, **{name: v}) for g in grid for v in range(lo, hi + 1)]
-        payloads = [(conditions, assignment) for assignment in grid]
-        workers = getattr(args, "workers", 1) or 1
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_sweep_point, payloads))
-        else:
-            outcomes = [_sweep_point(p) for p in payloads]
         sweep_results = []
-        for assignment, flat in outcomes:
+        for assignment in grid:
+            bindings = _bindings(conditions, assignment)
+            flat = all(poly.subst(bindings).is_zero() for poly in conditions)
             key = " ".join(f"{k}={v}" for k, v in assignment.items())
             sweep_results.append({"assignment": assignment, "flat": flat})
             lines.append(f"sweep {key} flat={str(flat).lower()}")
@@ -362,18 +354,23 @@ def _cmd_pullback_check(args):
     return result, lines, not ok
 
 
+def _numeric_at(conn, assignments, what: str):
+    """The connection with every symbol bound by --at, as complex numbers."""
+    conn = _substituted(conn, assignments)
+    missing = set()
+    for _, value in conn.nonzero_entries():
+        missing.update(sym.name for sym in value.symbols())
+    if missing:
+        raise EngineError(
+            f"--at must bind every symbol in {what}; missing {', '.join(sorted(missing))}"
+        )
+    return geodesic.NumericConnection.from_connection(conn, {})
+
+
 def _cmd_geodesic(args):
     conn, source = _load_connection(args)
     assignments = _parse_set(args.at)
-    point = {}
-    for _, value in conn.nonzero_entries():
-        for sym in value.symbols():
-            if sym.name not in assignments:
-                raise EngineError(
-                    f"--at must bind every symbol in the table; missing {sym.name}"
-                )
-            point[sym] = assignments[sym.name]
-    numeric = geodesic.NumericConnection.from_connection(conn, point)
+    numeric = _numeric_at(conn, assignments, "the table")
     x0 = [complex(v) for v in _parse_tuple(args.x0, conn.dim, "x0")]
     v0 = [complex(v) for v in _parse_tuple(args.v0, conn.dim, "v0")]
     path = geodesic.integrate(numeric, x0, v0, args.step, args.count)
@@ -396,13 +393,7 @@ def _cmd_geodesic(args):
         other_spec = load_spec(args.compare)
         other = other_spec.to_connection(filename=args.compare)
         other = _substituted(other, _parse_set(getattr(args, "set", None)))
-        other_point = {}
-        for _, value in other.nonzero_entries():
-            for sym in value.symbols():
-                if sym.name not in assignments:
-                    raise EngineError(f"--at is missing {sym.name} for the comparison")
-                other_point[sym] = assignments[sym.name]
-        other_numeric = geodesic.NumericConnection.from_connection(other, other_point)
+        other_numeric = _numeric_at(other, assignments, "the comparison")
         # reference trace gets twice the horizon so the probe stays interior
         reference = geodesic.integrate(other_numeric, x0, v0, args.step, 2 * args.count)
         deviation = geodesic.unparametrized_match(path, reference)
@@ -458,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conditions", help="flatness conditions, optional sweep")
     _add_connection_source(p)
     p.add_argument("--sweep", action="append", help="NAME=lo:hi integer grid")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("family", help="emit a built-in family as a spec file")
     p.add_argument("name", choices=("torus3", "torus_n", "kuga-shimura"))
@@ -504,7 +494,7 @@ _HANDLERS = {
 def _input_fingerprint(args) -> str:
     payload = {"command": args.command}
     for key, value in sorted(vars(args).items()):
-        if key in ("format", "strict", "workers", "csv"):
+        if key in ("format", "strict", "csv"):
             continue  # execution and output knobs are not inputs
         payload[key] = value
     for key in ("spec", "spec_a", "spec_b", "compare"):

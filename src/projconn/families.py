@@ -30,9 +30,10 @@ from itertools import product
 from .connection import Connection, from_named_table, totally_geodesic_restrict
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
 from .poly import as_poly
-from .projective import ThetaField, theta_of
+from .projective import theta_of
 from .rational import GaussianRational, ONE, ZERO, as_gaussian
 from .symbols import FUNCTION, PARAMETER, SymbolTable, Symbol, parameter
+from .tensor import Tensor
 
 _ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 
@@ -120,7 +121,7 @@ def kuga_shimura(with_trace: bool) -> Connection:
     return from_named_table(coords, entries)
 
 
-def kuga_shimura_theta(with_trace: bool) -> ThetaField:
+def kuga_shimura_theta(with_trace: bool) -> Tensor:
     return theta_of(kuga_shimura(with_trace))
 
 
@@ -259,36 +260,32 @@ def _invert3(m):
     return tuple(tuple(x * inv_det for x in row) for row in adj)
 
 
-def _field_value_bindings(field: ThetaField, point, coeff_values, tau):
+def _field_value_bindings(field: Tensor, point, coeff_values, tau):
     """Point bindings for every symbol occurring in the field's entries."""
     bindings = {}
-    for c, v in zip(field.coords, point):
+    for c, v in zip(torus_coords(), point):
         bindings[c] = as_gaussian(v)
-    for plane in field.table:
-        for row in plane:
-            for entry in row:
-                for sym in entry.symbols():
-                    if sym in bindings:
-                        continue
-                    if sym.kind == FUNCTION:
-                        if sym.is_derived():
-                            raise ConsistencyError(
-                                f"field entries may not contain derivatives ({sym})"
-                            )
-                        values = coeff_values.get(sym.name)
-                        if values is None or tau not in values:
-                            raise ConsistencyError(
-                                f"no value supplied for {sym.name} at tau = {tau}"
-                            )
-                        bindings[sym] = as_gaussian(values[tau])
-                    elif sym.kind == PARAMETER:
-                        raise ConsistencyError(
-                            f"parameter {sym.name} has no assigned value"
-                        )
+    for entry in field.entries:
+        for sym in entry.symbols():
+            if sym in bindings:
+                continue
+            if sym.kind == FUNCTION:
+                if sym.is_derived():
+                    raise ConsistencyError(
+                        f"field entries may not contain derivatives ({sym})"
+                    )
+                values = coeff_values.get(sym.name)
+                if values is None or tau not in values:
+                    raise ConsistencyError(
+                        f"no value supplied for {sym.name} at tau = {tau}"
+                    )
+                bindings[sym] = as_gaussian(values[tau])
+            elif sym.kind == PARAMETER:
+                raise ConsistencyError(f"parameter {sym.name} has no assigned value")
     return bindings
 
 
-def _evaluate_field(field: ThetaField, point, coeff_values, tau):
+def _evaluate_field(field: Tensor, point, coeff_values, tau):
     bindings = _field_value_bindings(field, point, coeff_values, tau)
     n = field.dim
     return [
@@ -320,7 +317,7 @@ def check_weight_rule(g: GroupElement, tau, coeff_values, weights) -> None:
 
 
 def invariance_check(
-    field: ThetaField,
+    field: Tensor,
     g: GroupElement,
     points,
     coeff_values,

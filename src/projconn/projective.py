@@ -1,212 +1,95 @@
 """Projective equivalence calculus on symmetric (1,2) fields.
 
-The divergence trace, the one-form injection J with div o J = (n+1) Id, the
-induced trace-free projection, and the resulting constructive equivalence
-test: two torsionfree connections are projectively equivalent exactly when
-their difference lies in the image of J, and the only candidate witness is
-theta = div(difference) / (n+1), so membership reduces to one exact
-residual check.  Volume normalization picks, inside a projective class,
-the unique representative whose traces sum(GG^k_{ik}) all vanish; on the
-standard chart that is the connection making dz1 ^ ... ^ dzn parallel.
+A field T^k_{ij} is a `Tensor` of variance (up, down, down), a one-form a
+`Tensor` of variance (down,).  The divergence trace, the one-form injection
+J with div o J = (n+1) Id, the induced trace-free projection, and the
+resulting constructive equivalence test: two torsionfree connections are
+projectively equivalent exactly when their difference lies in the image of
+J, and the only candidate witness is theta = div(difference) / (n+1), so
+membership reduces to one exact residual check.  Volume normalization
+picks, inside a projective class, the unique representative whose traces
+sum(GG^k_{ik}) all vanish; on the standard chart that is the connection
+making dz1 ^ ... ^ dzn parallel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .connection import Connection, weyl3
 from .errors import DimensionError, ShapeError
-from .poly import DiffPoly, ZERO_POLY, as_poly
+from .poly import DiffPoly, ZERO_POLY
+from .tensor import DOWN, Tensor, UP, contract
+
+FIELD = (UP, DOWN, DOWN)
 
 
-class ThetaField:
-    """Symmetric section of S^2 T* (x) T: components T^k_{ij} = T^k_{ji}."""
+def OneForm(coords, components) -> Tensor:
+    """The one-form sum_i components[i] dx^i on the given coordinates."""
+    components = list(components)
+    if len(components) != len(tuple(coords)):
+        raise ShapeError("one-form component count mismatch")
+    return Tensor(len(components), (DOWN,), components)
 
-    __slots__ = ("coords", "table")
 
-    def __init__(self, coords, table):
-        coords = tuple(coords)
-        n = len(coords)
-        table = tuple(
-            tuple(tuple(as_poly(v) for v in row) for row in plane) for plane in table
-        )
-        if len(table) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in table
-        ):
-            raise ShapeError("field table must be n x n x n")
-        for k, i, j in product(range(n), repeat=3):
-            if table[k][i][j] != table[k][j][i]:
-                raise ShapeError("field not symmetric in its lower slots")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "table", table)
+def theta_of(c: Connection) -> Tensor:
+    """A connection's table viewed as its offset from the flat connection."""
+    g = c.gamma
+    return Tensor.from_function(c.dim, FIELD, lambda idx: g[idx[0]][idx[1]][idx[2]])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaField is immutable")
 
-    @property
-    def dim(self):
-        return len(self.coords)
+def theta_between(c1: Connection, c2: Connection) -> Tensor:
+    if c1.coords != c2.coords:
+        raise ShapeError("connections live on different coordinates")
 
-    def __getitem__(self, idx) -> DiffPoly:
+    def entry(idx):
         k, i, j = idx
-        return self.table[k][i][j]
+        return c1.gamma[k][i][j] - c2.gamma[k][i][j]
 
-    def __eq__(self, other):
-        if not isinstance(other, ThetaField):
-            return NotImplemented
-        return self.coords == other.coords and self.table == other.table
-
-    def __hash__(self):
-        return hash((self.coords, self.table))
-
-    def is_zero(self) -> bool:
-        return all(
-            v.is_zero() for plane in self.table for row in plane for v in row
-        )
-
-    def __add__(self, other):
-        self._check(other)
-        return ThetaField(self.coords, _zip_tables(self.table, other.table, lambda a, b: a + b))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ThetaField(self.coords, _zip_tables(self.table, other.table, lambda a, b: a - b))
-
-    def __mul__(self, scalar):
-        return ThetaField(
-            self.coords,
-            tuple(
-                tuple(tuple(v * scalar for v in row) for row in plane)
-                for plane in self.table
-            ),
-        )
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if not isinstance(other, ThetaField) or other.coords != self.coords:
-            raise ShapeError("field coordinate mismatch")
+    return Tensor.from_function(c1.dim, FIELD, entry)
 
 
-def _zip_tables(a, b, op):
-    return tuple(
-        tuple(tuple(op(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(pa, pb))
-        for pa, pb in zip(a, b)
+def with_theta(c: Connection, t: Tensor) -> Connection:
+    """The connection c + T for a symmetric field T."""
+    n = c.dim
+    if t.dim != n or t.variance != FIELD:
+        raise ShapeError("field shape mismatch")
+    g = c.gamma
+    return Connection(
+        c.coords,
+        [
+            [[g[k][i][j] + t[k, i, j] for j in range(n)] for i in range(n)]
+            for k in range(n)
+        ],
     )
 
 
-class OneForm:
-    """Holomorphic one-form with polynomial components."""
-
-    __slots__ = ("coords", "components")
-
-    def __init__(self, coords, components):
-        coords = tuple(coords)
-        components = tuple(as_poly(c) for c in components)
-        if len(components) != len(coords):
-            raise ShapeError("one-form component count mismatch")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
-
-    @property
-    def dim(self):
-        return len(self.coords)
-
-    def __getitem__(self, i) -> DiffPoly:
-        return self.components[i]
-
-    def component(self, coord_name: str) -> DiffPoly:
-        for c, v in zip(self.coords, self.components):
-            if c.name == coord_name:
-                return v
-        raise ShapeError(f"unknown coordinate {coord_name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.coords == other.coords and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.coords, self.components))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __mul__(self, scalar):
-        return OneForm(self.coords, [c * scalar for c in self.components])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1)
-
-    def __add__(self, other):
-        if not isinstance(other, OneForm) or other.coords != self.coords:
-            raise ShapeError("one-form coordinate mismatch")
-        return OneForm(
-            self.coords, [a + b for a, b in zip(self.components, other.components)]
-        )
-
-
-def zero_one_form(coords) -> OneForm:
-    return OneForm(coords, [ZERO_POLY] * len(tuple(coords)))
-
-
-def theta_of(c: Connection) -> ThetaField:
-    """A connection's table viewed as its offset from the flat connection."""
-    return ThetaField(c.coords, c.gamma)
-
-
-def theta_between(c1: Connection, c2: Connection) -> ThetaField:
-    if c1.coords != c2.coords:
-        raise ShapeError("connections live on different coordinates")
-    return ThetaField(c1.coords, _zip_tables(c1.gamma, c2.gamma, lambda a, b: a - b))
-
-
-def with_theta(c: Connection, t: ThetaField) -> Connection:
-    if c.coords != t.coords:
-        raise ShapeError("field coordinate mismatch")
-    return Connection(c.coords, _zip_tables(c.gamma, t.table, lambda a, b: a + b))
-
-
-def divergence(t: ThetaField) -> OneForm:
+def divergence(t: Tensor) -> Tensor:
     """(div T)_j = sum_k T^k_{kj}."""
-    n = t.dim
-    components = []
-    for j in range(n):
-        total = ZERO_POLY
-        for k in range(n):
-            total = total + t[k, k, j]
-        components.append(total)
-    return OneForm(t.coords, components)
+    return contract(t, 0, 1)
 
 
-def inject(f: OneForm) -> ThetaField:
+def inject(f: Tensor) -> Tensor:
     """J(theta)^k_{ij} = theta_i delta^k_j + theta_j delta^k_i."""
-    n = f.dim
-    table = [[[ZERO_POLY] * n for _ in range(n)] for _ in range(n)]
-    for k, i, j in product(range(n), repeat=3):
+
+    def entry(idx):
+        k, i, j = idx
         value = ZERO_POLY
         if k == j:
             value = value + f[i]
         if k == i:
             value = value + f[j]
-        table[k][i][j] = value
-    return ThetaField(f.coords, table)
+        return value
+
+    return Tensor.from_function(f.dim, FIELD, entry)
 
 
-def trace_free_project(t: ThetaField) -> ThetaField:
+def trace_free_project(t: Tensor) -> Tensor:
     """Projection onto kernel(div) along image(J); idempotent."""
-    n = t.dim
-    correction = inject(divergence(t) * Fraction(1, n + 1))
-    return t - correction
+    return t - inject(divergence(t) * Fraction(1, t.dim + 1))
 
 
-def with_one_form(c: Connection, f: OneForm) -> Connection:
+def with_one_form(c: Connection, f: Tensor) -> Connection:
     """The projectively equivalent connection c + J(theta)."""
     return with_theta(c, inject(f))
 
@@ -218,8 +101,7 @@ def projective_equiv(c1: Connection, c2: Connection):
     in the image of J exactly when the residual against J(theta) vanishes.
     """
     diff = theta_between(c1, c2)
-    n = diff.dim
-    theta = divergence(diff) * Fraction(1, n + 1)
+    theta = divergence(diff) * Fraction(1, diff.dim + 1)
     if (diff - inject(theta)).is_zero():
         return theta
     return None
@@ -232,7 +114,7 @@ def volume_normalize(c: Connection) -> Connection:
     standard chart says the coordinate volume form is parallel; applied
     twice it is the identity.
     """
-    return Connection(c.coords, trace_free_project(theta_of(c)).table)
+    return with_one_form(c, divergence(theta_of(c)) * Fraction(-1, c.dim + 1))
 
 
 def is_projectively_flat(c: Connection) -> bool:

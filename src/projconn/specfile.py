@@ -17,7 +17,7 @@ expression grammar is the one of the parser module.  Blank lines and
 from __future__ import annotations
 
 from .connection import Connection, from_named_table
-from .errors import ParseError, SpecFileError
+from .errors import EngineError, ParseError, SpecFileError
 from .parser import parse_expr
 from .poly import DiffPoly
 from .symbols import FUNCTION, PARAMETER, SymbolTable
@@ -69,7 +69,7 @@ class ConnectionSpec:
                 ) from exc
         try:
             return from_named_table(coords, entries)
-        except Exception as exc:
+        except EngineError as exc:
             raise SpecFileError(str(exc), filename) from exc
 
 

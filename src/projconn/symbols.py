@@ -173,6 +173,3 @@ class SymbolTable:
 
     def lookup(self, name: str) -> Symbol | None:
         return self._by_name.get(name)
-
-    def names(self):
-        return sorted(self._by_name)

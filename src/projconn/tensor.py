@@ -153,10 +153,6 @@ def symmetry_check(t: Tensor, slots, mode: str) -> bool:
     return swapped == t.map(lambda e: -e)
 
 
-def is_zero(t: Tensor) -> bool:
-    return t.is_zero()
-
-
 def tensor_to_json(t: Tensor, coord_names) -> dict:
     """JSON form with zero entries omitted; keys join coordinate names by '.'."""
     coord_names = list(coord_names)

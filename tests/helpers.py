@@ -10,6 +10,7 @@ from projconn.poly import DiffPoly, as_poly
 from projconn.projective import OneForm
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable
+from projconn.tensor import Tensor
 
 
 def rand_fraction(rng, span=5, max_den=4) -> Fraction:
@@ -54,6 +55,37 @@ def rand_torsionfree(rng, coords, symbols=None, max_terms=2, max_exp=2) -> Conne
     return from_table(coords, entries)
 
 
-def rand_one_form(rng, coords, symbols=None, max_terms=2, max_exp=2) -> OneForm:
+def deg2_poly(rng, symbols) -> DiffPoly:
+    """Random polynomial of total degree <= 2 in the given symbols."""
+    monomials = [()]
+    monomials += [((s, 1),) for s in symbols]
+    monomials += [((s, 2),) for s in symbols]
+    for a in range(len(symbols)):
+        for b in range(a + 1, len(symbols)):
+            sa, sb = sorted((symbols[a], symbols[b]), key=lambda s: s.sort_key)
+            monomials.append(((sa, 1), (sb, 1)))
+    total = as_poly(0)
+    for mono in rng.sample(monomials, k=rng.randint(1, 3)):
+        term = as_poly(GaussianRational(rand_fraction(rng, 3)))
+        for sym, exp in mono:
+            term = term * as_poly(sym) ** exp
+        total = total + term
+    return total
+
+
+def rand_deg2_table(rng, coords) -> Connection:
+    """Random table shaped like acceptance criterion 06: each symmetric slot
+    filled with probability 0.4 by a polynomial of total degree <= 2."""
+    n = len(coords)
+    entries = {}
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.4:
+                    entries[(k, i, j)] = deg2_poly(rng, list(coords))
+    return from_table(coords, entries)
+
+
+def rand_one_form(rng, coords, symbols=None, max_terms=2, max_exp=2) -> Tensor:
     pool = list(symbols if symbols is not None else coords)
     return OneForm(coords, [rand_poly(rng, pool, max_terms, max_exp) for _ in coords])

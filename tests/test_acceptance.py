@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 import golden
-from projconn.connection import curvature, from_table, ricci, trace_r, weyl3
+from projconn.connection import curvature, ricci, trace_r, weyl3
 from projconn.families import (
     GroupElement,
     kuga_shimura,
@@ -25,7 +25,7 @@ from projconn.families import (
     transported_values,
 )
 from projconn.geodesic import NumericConnection, integrate, unparametrized_match
-from projconn.poly import DiffPoly, as_poly
+from projconn.poly import as_poly
 from projconn.projective import (
     divergence,
     flatness_conditions,
@@ -39,31 +39,19 @@ from projconn.projective import (
 from projconn.rational import GaussianRational
 from projconn.symbols import function, parameter
 
-from helpers import coords_named, rand_fraction, rand_one_form, rand_torsionfree
+from helpers import (
+    coords_named,
+    rand_deg2_table,
+    rand_fraction,
+    rand_one_form,
+    rand_torsionfree,
+)
 
 
 def report(number: int, ok: bool, label: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number:02d} {status}: {label}")
     assert ok, f"criterion {number}: {label}"
-
-
-def deg2_poly(rng, symbols) -> DiffPoly:
-    """Random polynomial of total degree <= 2 in the given symbols."""
-    monomials = [()]
-    monomials += [((s, 1),) for s in symbols]
-    monomials += [((s, 2),) for s in symbols]
-    for a in range(len(symbols)):
-        for b in range(a + 1, len(symbols)):
-            sa, sb = sorted((symbols[a], symbols[b]), key=lambda s: s.sort_key)
-            monomials.append(((sa, 1), (sb, 1)))
-    total = as_poly(0)
-    for mono in rng.sample(monomials, k=rng.randint(1, 3)):
-        term = as_poly(GaussianRational(rand_fraction(rng, 3)))
-        for sym, exp in mono:
-            term = term * as_poly(sym) ** exp
-        total = total + term
-    return total
 
 
 def test_criterion_01_golden_curvature():
@@ -151,13 +139,7 @@ def test_criterion_06_weyl_projective_invariance():
     coords = coords_named("x", "y", "z")
     ok = True
     for _ in range(100):
-        entries = {}
-        for k in range(3):
-            for i in range(3):
-                for j in range(i, 3):
-                    if rng.random() < 0.4:
-                        entries[(k, i, j)] = deg2_poly(rng, list(coords))
-        conn = from_table(coords, entries)
+        conn = rand_deg2_table(rng, coords)
         theta = rand_one_form(rng, coords)
         ok = ok and weyl3(with_one_form(conn, theta)) == weyl3(conn)
     elapsed = time.perf_counter() - started
@@ -212,12 +194,12 @@ def test_criterion_09_trace_elimination():
     theta = projective_equiv(raw, killed)
     ok = theta is not None
     if ok:
-        ok = theta.component("tau") == E / 2
-        ok = ok and theta.component("z1").is_zero()
-        ok = ok and theta.component("z2").is_zero()
+        ok = theta[0] == E / 2
+        ok = ok and theta[1].is_zero()
+        ok = ok and theta[2].is_zero()
     normalized = volume_normalize(raw)
     witness = projective_equiv(raw, normalized)
-    ok = ok and witness is not None and witness.component("tau") == E / 2
+    ok = ok and witness is not None and witness[0] == E / 2
     ok = ok and volume_normalize(raw) == volume_normalize(killed)
     for i in range(3):
         total = as_poly(0)

@@ -7,7 +7,6 @@ import pytest
 
 import golden
 from projconn.connection import (
-    VectorFieldPoly,
     bianchi_check,
     curvature,
     equiaffine_check,
@@ -30,12 +29,27 @@ from projconn.poly import ZERO_POLY, as_poly
 from projconn.symbols import parameter
 from projconn.tensor import DOWN, Tensor, UP
 
-from helpers import coords_named, rand_torsionfree
+from helpers import coords_named, rand_deg2_table, rand_torsionfree
 
 
 @pytest.fixture(scope="module")
 def family():
     return torus3()
+
+
+# Tables on which weyl3 is checked against the Ricci-only form: both
+# families plus random tables shaped like acceptance criterion 06.
+WEYL_CASES = {
+    "torus3": torus3,
+    "kuga-shimura": lambda: kuga_shimura(with_trace=True),
+    "kuga-shimura-no-trace": lambda: kuga_shimura(with_trace=False),
+    **{
+        f"random-{seed}": lambda seed=seed: rand_deg2_table(
+            random.Random(seed), coords_named("x", "y", "z")
+        )
+        for seed in range(20240960, 20240984)
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +166,13 @@ class TestGoldenWeyl:
         for l, i, j, k in W.indices():
             assert W[l, i, j, k] == -W[l, j, i, k]
 
-    def test_ricci_only_form_recomputed_independently(self, family):
+    @pytest.mark.parametrize("case", list(WEYL_CASES))
+    def test_ricci_only_form_recomputed_independently(self, case):
         """Cross-check against an in-test transcription of the Ricci form."""
-        R = curvature(family)
-        ric = ricci(family)
-        W = weyl3(family)
+        conn = WEYL_CASES[case]()
+        R = curvature(conn)
+        ric = ricci(conn)
+        W = weyl3(conn)
         from fractions import Fraction
 
         for l, i, j, k in W.indices():
@@ -213,20 +229,20 @@ class TestBianchi:
 
 class TestLieDerivative:
     def test_constant_field_on_constant_table(self, family):
-        X = VectorFieldPoly([0, 1, 0])  # d/dz1
+        X = Tensor(3, (UP,), [0, 1, 0])  # d/dz1
         assert lie_derivative(family, X).is_zero()
 
     def test_linear_field_on_flat(self):
         coords = coords_named("x", "y")
         x, y = coords
         conn = flat_connection(coords)
-        X = VectorFieldPoly([as_poly(x), 0])
+        X = Tensor(2, (UP,), [as_poly(x), 0])
         assert lie_derivative(conn, X).is_zero()
 
     def test_fiber_coefficient_derivative(self):
         # expanded by hand: only the transport term X^m d_m G^k_{ij} survives
         conn = kuga_shimura(with_trace=False)
-        X = VectorFieldPoly([1, 0, 0])  # d/dtau
+        X = Tensor(3, (UP,), [1, 0, 0])  # d/dtau
         L = lie_derivative(conn, X)
         A = conn.gamma[1][0][0]  # the formal A(tau)
         (a_sym,) = A.symbols()
@@ -239,8 +255,8 @@ class TestLieDerivative:
         coords = coords_named("x", "y", "z")
         for _ in range(5):
             conn = rand_torsionfree(rng, coords)
-            X = VectorFieldPoly(
-                [as_poly(coords[0]) ** 2, as_poly(coords[1]), as_poly(1)]
+            X = Tensor(
+                3, (UP,), [as_poly(coords[0]) ** 2, as_poly(coords[1]), as_poly(1)]
             )
             L = lie_derivative(conn, X)
             for k, i, j in L.indices():

@@ -24,13 +24,13 @@ from projconn.families import (
 )
 from projconn.poly import as_poly
 from projconn.projective import (
-    ThetaField,
     divergence,
     is_projectively_flat,
     projective_equiv,
 )
 from projconn.rational import GaussianRational, I, ONE, ZERO
 from projconn.symbols import function, parameter
+from projconn.tensor import DOWN, Tensor, UP
 
 from helpers import rand_fraction
 
@@ -120,9 +120,9 @@ class TestKugaShimura:
         theta = projective_equiv(kuga_shimura(True), kuga_shimura(False))
         assert theta is not None
         c_sym = function("C", ("tau",))
-        assert theta.component("tau") == as_poly(c_sym) / 2
-        assert theta.component("z1").is_zero()
-        assert theta.component("z2").is_zero()
+        assert theta[0] == as_poly(c_sym) / 2
+        assert theta[1].is_zero()
+        assert theta[2].is_zero()
 
     def test_weights(self):
         coeffs = {w.symbol.name: w.weight for w in kuga_shimura_coefficients(True)}
@@ -252,14 +252,11 @@ class TestInvariance:
     def test_wrong_slot_not_invariant(self):
         """A coefficient moved to a half-weight slot fails under inversion."""
         rng = random.Random(20240831)
-        base_field = kuga_shimura_theta(False)
-        coords = base_field.coords
         a_sym = function("A", ("tau",))
-        table = [
-            [[as_poly(0) for _ in range(3)] for _ in range(3)] for _ in range(3)
-        ]
-        table[1][1][1] = as_poly(a_sym)  # pretend A sits at G^z1_{z1 z1}
-        wrong = ThetaField(coords, table)
+        # pretend A sits at G^z1_{z1 z1}
+        wrong = Tensor.from_function(
+            3, (UP, DOWN, DOWN), lambda idx: as_poly(a_sym if idx == (1, 1, 1) else 0)
+        )
         g = GroupElement(0, -1, 1, 0)
         points = _random_points(rng, 4, g)
         base = {"A": {p[0]: GaussianRational(rand_fraction(rng, 3), 1) for p in points}}

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from projconn import specfile
 from projconn.cli import main
 from projconn.errors import SpecFileError
 from projconn.families import torus3
@@ -94,6 +95,14 @@ class TestSpecFile:
         with pytest.raises(SpecFileError):
             load_spec("/nonexistent/path.conn")
 
+    def test_programming_errors_are_not_relabelled(self, monkeypatch):
+        def broken(coords, entries):
+            raise TypeError("a bug, not bad input")
+
+        monkeypatch.setattr(specfile, "from_named_table", broken)
+        with pytest.raises(TypeError):
+            parse_spec(TORUS_SPEC).to_connection()
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -110,6 +119,18 @@ def no_color(monkeypatch):
 def torus_file(tmp_path):
     path = tmp_path / "torus.conn"
     path.write_text(TORUS_SPEC, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def derivative_file(tmp_path):
+    """A table whose only entry is a derivative of a function symbol."""
+    path = tmp_path / "derivative.conn"
+    path.write_text(
+        "dim = 3\ncoords = tau, z1, z2\nfunctions = A(tau)\n"
+        "[gamma]\nz1.tau.tau = d(A, tau)\n",
+        encoding="utf-8",
+    )
     return str(path)
 
 
@@ -214,7 +235,7 @@ class TestCli:
         assert code == 0
         assert "C^2 - 2*C*D + D^2" in out
 
-    def test_conditions_sweep_deterministic_across_workers(self, capsys, torus_file):
+    def test_conditions_sweep_deterministic(self, capsys, torus_file):
         argv = [
             "conditions",
             torus_file,
@@ -225,11 +246,28 @@ class TestCli:
             "--sweep",
             "D=-1:1",
         ]
-        _, sequential, _ = run_cli(capsys, *argv)
-        _, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
-        assert sequential == parallel
-        assert "sweep C=-1 D=-1 flat=true" in sequential
-        assert "sweep C=-1 D=1 flat=false" in sequential
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+        assert "sweep C=-1 D=-1 flat=true" in first
+        assert "sweep C=-1 D=1 flat=false" in first
+
+    def test_set_binds_derivatives(self, capsys, derivative_file):
+        code, out, _ = run_cli(capsys, "normalize", derivative_file, "--set", "A=1")
+        assert code == 0
+        assert "d(A, tau)" not in out
+        assert out.endswith("[gamma]\n")
+
+    def test_geodesic_at_binds_derivatives_like_set(self, capsys, derivative_file):
+        argv = ["--format", "json", "geodesic", derivative_file, "--x0", "0,0,0",
+                "--v0", "1,0,0", "--count", "10"]
+        ends = []
+        for binding in (["--at", "A=1"], ["--set", "A=1"]):
+            code, out, err = run_cli(capsys, *argv, *binding)
+            assert code == 0, err
+            ends.append(json.loads(out)["result"]["end_position"])
+        assert ends[0] == ends[1]
+        assert ends[0][1] == [0.0, 0.0]
 
     def test_pullback_check(self, capsys):
         code, out, _ = run_cli(
