@@ -37,10 +37,8 @@ from .projective import (
     with_one_form,
 )
 from .families import (
-    ActionMap,
     GroupElement,
     WeightedCoefficient,
-    action_map,
     invariance_check,
     kuga_shimura,
     kuga_shimura_coefficients,
@@ -49,6 +47,5 @@ from .families import (
     torus_n,
     transported_values,
 )
-from .geodesic import GeodesicPath, NumericConnection, integrate, unparametrized_match
 
 __version__ = "0.1.0"

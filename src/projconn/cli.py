@@ -16,15 +16,15 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
-from . import families, geodesic, projective
+from . import families, projective
 from .connection import Connection, curvature, ricci, weyl3
 from .errors import EngineError
 from .parser import parse_constant
 from .poly import as_poly
 from .rational import GaussianRational
 from .specfile import load_spec, render_spec, spec_of_connection
+from .symbols import COORDINATE
 from .tensor import Tensor, tensor_to_json
 
 SCHEMA = 1
@@ -77,12 +77,16 @@ def _bindings(polys, assignments) -> dict:
     """Substitution bindings for every symbol in polys whose name is assigned.
 
     A derivative such as d(A, tau) binds through its base symbol, so it
-    takes the derivative of the assigned value.
+    takes the derivative of the assigned value.  Coordinates are never
+    bound: substituting one before differentiating would describe a
+    different connection.
     """
     bindings = {}
     for poly in polys:
         for sym in poly.symbols():
             if sym.name in assignments:
+                if sym.kind == COORDINATE:
+                    raise EngineError(f"{sym.name!r} is a coordinate and cannot be assigned")
                 bindings[sym.base()] = as_poly(assignments[sym.name])
     return bindings
 
@@ -312,12 +316,6 @@ def _parse_tuple(option: str, count: int, label: str):
     return [parse_constant(p) for p in parts]
 
 
-def _random_rational(rng, span=6) -> Fraction:
-    num = rng.randint(-span, span)
-    den = rng.randint(1, 4)
-    return Fraction(num, den)
-
-
 def _cmd_pullback_check(args):
     import random
 
@@ -331,7 +329,7 @@ def _cmd_pullback_check(args):
     points = families.orbit_safe_points(g, args.points, rng)
     base = {
         w.symbol.name: {
-            p[0]: GaussianRational(_random_rational(rng), _random_rational(rng))
+            p[0]: GaussianRational(families.random_rational(rng), families.random_rational(rng))
             for p in points
         }
         for w in weights
@@ -356,6 +354,8 @@ def _cmd_pullback_check(args):
 
 def _numeric_at(conn, assignments, what: str):
     """The connection with every symbol bound by --at, as complex numbers."""
+    from . import geodesic
+
     conn = _substituted(conn, assignments)
     missing = set()
     for _, value in conn.nonzero_entries():
@@ -368,6 +368,8 @@ def _numeric_at(conn, assignments, what: str):
 
 
 def _cmd_geodesic(args):
+    from . import geodesic  # the only subcommand that needs numpy
+
     conn, source = _load_connection(args)
     assignments = _parse_set(args.at)
     numeric = _numeric_at(conn, assignments, "the table")

@@ -25,26 +25,21 @@ leaves the family invariant exactly for the cube factor on A and B.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
-from .connection import Connection, from_named_table, totally_geodesic_restrict
+from .connection import Connection, from_named_table, from_table, totally_geodesic_restrict
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
 from .poly import as_poly
 from .projective import theta_of
 from .rational import GaussianRational, ONE, ZERO, as_gaussian
-from .symbols import FUNCTION, PARAMETER, SymbolTable, Symbol, parameter
+from .symbols import FUNCTION, PARAMETER, Symbol, coordinate, function, parameter
 from .tensor import Tensor
 
 _ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
-
-
-def _torus_symbols(names=("A", "B", "C", "D", "E")):
-    return {n: parameter(n) for n in names}
+_KUGA_SHIMURA_WEIGHTS = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
 
 
 def torus_coords():
-    table = SymbolTable()
-    return tuple(table.coordinate(n) for n in ("tau", "z1", "z2"))
+    return tuple(coordinate(n) for n in ("tau", "z1", "z2"))
 
 
 def torus3(A=None, B=None, C=None, D=None, E=None) -> Connection:
@@ -58,12 +53,11 @@ def torus3(A=None, B=None, C=None, D=None, E=None) -> Connection:
         G^z2_{z2 z2} = D  G^t_{t z2} = D/2  G^z2_{z1 z2} = D/2
         G^t_{tt} = E      G^z1_{z1 t} = E/2 G^z2_{z2 t} = E/2
     """
-    syms = _torus_symbols()
-    A = as_poly(syms["A"] if A is None else A)
-    B = as_poly(syms["B"] if B is None else B)
-    C = as_poly(syms["C"] if C is None else C)
-    D = as_poly(syms["D"] if D is None else D)
-    E = as_poly(syms["E"] if E is None else E)
+    A = as_poly(parameter("A") if A is None else A)
+    B = as_poly(parameter("B") if B is None else B)
+    C = as_poly(parameter("C") if C is None else C)
+    D = as_poly(parameter("D") if D is None else D)
+    E = as_poly(parameter("E") if E is None else E)
     coords = torus_coords()
     half = Fraction(1, 2)
     return from_named_table(
@@ -90,14 +84,9 @@ def torus_n(n: int, A=None, B=None, C=None, D=None, E=None) -> Connection:
     if n < 4:
         raise ConstructionError("torus_n needs n >= 4; use torus3 below that")
     base = torus3(A, B, C, D, E)
-    table = SymbolTable()
     names = ["tau", "z1", "z2"] + [f"z{i}" for i in range(4, n + 1)]
-    coords = tuple(table.coordinate(name) for name in names)
-    entries = {}
-    for (k, i, j), value in base.nonzero_entries():
-        key = f"{base.coords[k].name}.{base.coords[i].name}.{base.coords[j].name}"
-        entries[key] = value
-    return from_named_table(coords, entries)
+    coords = tuple(coordinate(name) for name in names)
+    return from_table(coords, dict(base.nonzero_entries()))
 
 
 def restrict_to_torus3(c: Connection) -> Connection:
@@ -107,18 +96,14 @@ def restrict_to_torus3(c: Connection) -> Connection:
 def kuga_shimura(with_trace: bool) -> Connection:
     """Fibered family with formal coefficients A(tau), B(tau) and optionally
     the trace part C(tau)."""
-    table = SymbolTable()
-    coords = tuple(table.coordinate(name) for name in ("tau", "z1", "z2"))
-    A = table.function("A", ("tau",))
-    B = table.function("B", ("tau",))
-    entries = {"z1.tau.tau": as_poly(A), "z2.tau.tau": as_poly(B)}
+    A, B, C = (as_poly(function(n, ("tau",))) for n in "ABC")
+    entries = {"z1.tau.tau": A, "z2.tau.tau": B}
     if with_trace:
-        C = as_poly(table.function("C", ("tau",)))
         half = Fraction(1, 2)
         entries["tau.tau.tau"] = C
         entries["z1.z1.tau"] = C * half
         entries["z2.z2.tau"] = C * half
-    return from_named_table(coords, entries)
+    return from_named_table(torus_coords(), entries)
 
 
 def kuga_shimura_theta(with_trace: bool) -> Tensor:
@@ -140,27 +125,27 @@ class WeightedCoefficient:
     def __setattr__(self, name, value):
         raise AttributeError("WeightedCoefficient is immutable")
 
-    def automorphy_exponent(self) -> int:
-        """Integer exponent 2w of the factor (c tau + d)."""
-        return int(self.weight * 2)
+    def transport(self, den: GaussianRational, value) -> GaussianRational:
+        """The value at gamma tau: (c tau + d)^(2w) * value(tau)."""
+        return den ** int(self.weight * 2) * as_gaussian(value)
 
 
 def kuga_shimura_coefficients(with_trace: bool = True):
     """The weighted coefficients of the fibered family."""
-    conn = kuga_shimura(with_trace)
-    by_name = {}
-    for (_, _, _), value in conn.nonzero_entries():
-        for sym in value.symbols():
-            by_name.setdefault(sym.name, sym.base())
-    weights = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
+    names = "ABC" if with_trace else "AB"
     return tuple(
-        WeightedCoefficient(by_name[n], weights[n]) for n in sorted(by_name)
+        WeightedCoefficient(function(n, ("tau",)), _KUGA_SHIMURA_WEIGHTS[n]) for n in names
     )
 
 
 class GroupElement:
     """Pair (gamma, lambda): gamma = (a b; c d) with ad - bc = 1 and a
-    translation part lambda = (m, n, k, l)."""
+    translation part lambda = (m, n, k, l), acting on points (tau, z1, z2) by
+
+        (tau, z1, z2) -> ((a tau + b)/(c tau + d),
+                          (z1 + m tau + n)/(c tau + d),
+                          (z2 + k tau + l)/(c tau + d))
+    """
 
     __slots__ = ("a", "b", "c", "d", "m", "n", "k", "l")
 
@@ -175,96 +160,56 @@ class GroupElement:
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
 
-    def is_identity(self) -> bool:
-        return (
-            self.a.is_one()
-            and self.d.is_one()
-            and all(v.is_zero() for v in (self.b, self.c, self.m, self.n, self.k, self.l))
-        )
-
     def __repr__(self):
         return (
             f"GroupElement(gamma=({self.a},{self.b},{self.c},{self.d}), "
             f"lambda=({self.m},{self.n},{self.k},{self.l}))"
         )
 
-
-class ActionMap:
-    """Action of one group element on points (tau, z1, z2):
-
-        (tau, z1, z2) -> ((a tau + b)/(c tau + d),
-                          (z1 + m tau + n)/(c tau + d),
-                          (z2 + k tau + l)/(c tau + d))
-
-    Supports exact point evaluation and the exact Jacobian matrix."""
-
-    __slots__ = ("g",)
-
-    def __init__(self, g: GroupElement):
-        object.__setattr__(self, "g", g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ActionMap is immutable")
-
-    def _denominator(self, tau: GaussianRational) -> GaussianRational:
-        den = self.g.c * tau + self.g.d
+    def moebius(self, tau) -> tuple:
+        """(c tau + d, gamma tau); PoleError where c tau + d vanishes."""
+        tau = as_gaussian(tau)
+        den = self.c * tau + self.d
         if den.is_zero():
             raise PoleError(f"pole of the action at tau = {tau}")
-        return den
+        return den, (self.a * tau + self.b) / den
 
     def apply(self, point):
+        """Exact image of one point (tau, z1, z2)."""
         tau, z1, z2 = (as_gaussian(p) for p in point)
-        g = self.g
-        den = self._denominator(tau)
+        den, image = self.moebius(tau)
         return (
-            (g.a * tau + g.b) / den,
-            (z1 + g.m * tau + g.n) / den,
-            (z2 + g.k * tau + g.l) / den,
+            image,
+            (z1 + self.m * tau + self.n) / den,
+            (z2 + self.k * tau + self.l) / den,
         )
 
     def jacobian(self, point):
-        """Rows are differentials of the image coordinates:
+        """(J, J^-1) at one point.  Rows of J are differentials of the image
+        coordinates, with u = c z1 - m d + n c and v = c z2 - k d + l c:
 
             d tau' = d tau / (c tau + d)^2
-            d z1'  = d z1 / (c tau + d) - (c z1 - m d + n c)/(c tau + d)^2 d tau
-            d z2'  = d z2 / (c tau + d) - (c z2 - k d + l c)/(c tau + d)^2 d tau
+            d z1'  = d z1 / (c tau + d) - u/(c tau + d)^2 d tau
+            d z2'  = d z2 / (c tau + d) - v/(c tau + d)^2 d tau
+
+        J is lower triangular, so J^-1 has the closed form below.
         """
         tau, z1, z2 = (as_gaussian(p) for p in point)
-        g = self.g
-        den = self._denominator(tau)
-        den2 = den * den
-        inv2 = den2.inverse()
+        den, _ = self.moebius(tau)
+        u = self.c * z1 - self.m * self.d + self.n * self.c
+        v = self.c * z2 - self.k * self.d + self.l * self.c
         inv1 = den.inverse()
-        row_tau = (inv2, ZERO, ZERO)
-        row_z1 = (-(g.c * z1 - g.m * g.d + g.n * g.c) * inv2, inv1, ZERO)
-        row_z2 = (-(g.c * z2 - g.k * g.d + g.l * g.c) * inv2, ZERO, inv1)
-        return (row_tau, row_z1, row_z2)
+        inv2 = inv1 * inv1
+        jac = ((inv2, ZERO, ZERO), (-u * inv2, inv1, ZERO), (-v * inv2, ZERO, inv1))
+        jac_inv = ((den * den, ZERO, ZERO), (u * den, den, ZERO), (v * den, ZERO, den))
+        return jac, jac_inv
 
 
-def action_map(g: GroupElement) -> ActionMap:
-    return ActionMap(g)
-
-
-def _invert3(m):
-    """Exact inverse of a 3x3 matrix over Q(i) (adjugate / determinant)."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det.is_zero():
-        raise ShapeError("singular Jacobian")
-    inv_det = det.inverse()
-    adj = (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-    return tuple(tuple(x * inv_det for x in row) for row in adj)
-
-
-def _field_value_bindings(field: Tensor, point, coeff_values, tau):
-    """Point bindings for every symbol occurring in the field's entries."""
-    bindings = {}
-    for c, v in zip(torus_coords(), point):
-        bindings[c] = as_gaussian(v)
+def _field_values(field: Tensor, point, coeff_values):
+    """The field's entries at one point (tau, z1, z2), flat in
+    field.indices() order; function symbols take their values at tau."""
+    tau = point[0]
+    bindings = dict(zip(torus_coords(), point))
     for entry in field.entries:
         for sym in entry.symbols():
             if sym in bindings:
@@ -282,38 +227,7 @@ def _field_value_bindings(field: Tensor, point, coeff_values, tau):
                 bindings[sym] = as_gaussian(values[tau])
             elif sym.kind == PARAMETER:
                 raise ConsistencyError(f"parameter {sym.name} has no assigned value")
-    return bindings
-
-
-def _evaluate_field(field: Tensor, point, coeff_values, tau):
-    bindings = _field_value_bindings(field, point, coeff_values, tau)
-    n = field.dim
-    return [
-        [[field[k, i, j].evaluate(bindings) for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]
-
-
-def check_weight_rule(g: GroupElement, tau, coeff_values, weights) -> None:
-    """Validate value(gamma tau) = (c tau + d)^(2w) value(tau) at one point."""
-    tau = as_gaussian(tau)
-    den = g.c * tau + g.d
-    if den.is_zero():
-        raise PoleError(f"pole of the action at tau = {tau}")
-    image = (g.a * tau + g.b) / den
-    for coeff in weights:
-        values = coeff_values.get(coeff.symbol.name)
-        if values is None:
-            raise ConsistencyError(f"no values supplied for {coeff.symbol.name}")
-        if tau not in values or image not in values:
-            raise ConsistencyError(
-                f"{coeff.symbol.name} needs values at both tau = {tau} and its image"
-            )
-        expected = den ** coeff.automorphy_exponent() * as_gaussian(values[tau])
-        if as_gaussian(values[image]) != expected:
-            raise ConsistencyError(
-                f"{coeff.symbol.name} violates the weight-{coeff.weight} rule at tau = {tau}"
-            )
+    return [entry.evaluate(bindings) for entry in field.entries]
 
 
 def invariance_check(
@@ -327,37 +241,50 @@ def invariance_check(
 
     coeff_values maps a coefficient name to {tau value: coefficient value},
     supplying each weighted coefficient at both tau and its image; the
-    weight rule is validated first.  Returns True when the pullback of the
-    field through the action equals the field at every supplied point.
+    weight rule value(gamma tau) = (c tau + d)^(2w) value(tau) is validated
+    first.  Returns True when the pullback of the field through the action
+    equals the field at every supplied point.
     """
     if weights is None:
-        weights = kuga_shimura_coefficients()
         weights = tuple(
-            w for w in weights if any(w.symbol.name == n for n in coeff_values)
+            w for w in kuga_shimura_coefficients() if w.symbol.name in coeff_values
         )
-    amap = action_map(g)
-    n = field.dim
-    if n != 3:
+    if field.dim != 3:
         raise ShapeError("the action is defined on three coordinates")
     for point in points:
         point = tuple(as_gaussian(p) for p in point)
         tau = point[0]
-        check_weight_rule(g, tau, coeff_values, weights)
-        image = amap.apply(point)
-        jac = amap.jacobian(point)
-        jac_inv = _invert3(jac)
-        at_image = _evaluate_field(field, image, coeff_values, image[0])
-        at_point = _evaluate_field(field, point, coeff_values, tau)
-        for k, i, j in product(range(n), repeat=3):
+        den, image_tau = g.moebius(tau)
+        for coeff in weights:
+            name = coeff.symbol.name
+            values = coeff_values.get(name)
+            if values is None:
+                raise ConsistencyError(f"no values supplied for {name}")
+            if tau not in values or image_tau not in values:
+                raise ConsistencyError(
+                    f"{name} needs values at both tau = {tau} and its image"
+                )
+            if as_gaussian(values[image_tau]) != coeff.transport(den, values[tau]):
+                raise ConsistencyError(
+                    f"{name} violates the weight-{coeff.weight} rule at tau = {tau}"
+                )
+        jac, jac_inv = g.jacobian(point)
+        at_image = _field_values(field, g.apply(point), coeff_values)
+        at_point = _field_values(field, point, coeff_values)
+        for flat, (k, i, j) in enumerate(field.indices()):
             pulled = ZERO
-            for kp, ip, jp in product(range(n), repeat=3):
-                value = at_image[kp][ip][jp]
+            for value, (kp, ip, jp) in zip(at_image, field.indices()):
                 if value.is_zero():
                     continue
                 pulled = pulled + jac_inv[k][kp] * value * jac[ip][i] * jac[jp][j]
-            if pulled != at_point[k][i][j]:
+            if pulled != at_point[flat]:
                 return False
     return True
+
+
+def random_rational(rng, span=6, max_den=4) -> Fraction:
+    """A random rational num/den with |num| <= span and 1 <= den <= max_den."""
+    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
 def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
@@ -367,31 +294,30 @@ def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
     automorphy factor, and tau values colliding with another sample's
     image (both would constrain otherwise arbitrary coefficient values).
     """
-    from fractions import Fraction as _F
 
     def draw():
-        return _F(rng.randint(-span, span), rng.randint(1, max_den))
+        return GaussianRational(
+            random_rational(rng, span, max_den), random_rational(rng, span, max_den)
+        )
 
     points = []
     taus = set()
     images = set()
     while len(points) < count:
-        tau = GaussianRational(draw(), draw())
+        tau = draw()
         if tau in taus:
             continue
-        den = g.c * tau + g.d
-        if den.is_zero():
+        try:
+            den, image = g.moebius(tau)
+        except PoleError:
             continue
-        image = (g.a * tau + g.b) / den
         if image == tau and den != ONE:
             continue
         if image != tau and (image in taus or tau in images):
             continue
         images.add(image)
         taus.add(tau)
-        points.append(
-            (tau, GaussianRational(draw(), draw()), GaussianRational(draw(), draw()))
-        )
+        points.append((tau, draw(), draw()))
     return points
 
 
@@ -406,17 +332,14 @@ def transported_values(g: GroupElement, points, base_values, weights=None):
     out = {name: dict(vals) for name, vals in base_values.items()}
     for point in points:
         tau = as_gaussian(point[0])
-        den = g.c * tau + g.d
-        if den.is_zero():
-            raise PoleError(f"pole of the action at tau = {tau}")
-        image = (g.a * tau + g.b) / den
+        den, image = g.moebius(tau)
         for name, values in out.items():
             if tau not in values:
                 raise ConsistencyError(f"missing base value of {name} at tau = {tau}")
             coeff = by_name.get(name)
             if coeff is None:
                 raise ConsistencyError(f"no weight declared for {name}")
-            transported = den ** coeff.automorphy_exponent() * as_gaussian(values[tau])
+            transported = coeff.transport(den, values[tau])
             existing = values.get(image)
             if existing is not None and as_gaussian(existing) != transported:
                 raise ConsistencyError(

@@ -12,7 +12,9 @@ Integers are decimal digit runs; rationals arise from '/' which divides by a
 positive integer only.  'i' is the imaginary unit and cannot be declared.
 'd' and 'dN' directly followed by '(' are derivative markers; 'dN' requires
 exactly N coordinate arguments.  Every other identifier must be declared in
-the supplied symbol table.  Errors carry the byte offset into the input.
+the supplied symbol table.  Parentheses nest at most MAX_DEPTH levels deep,
+which keeps the descent well inside Python's recursion limit.  Errors carry
+the byte offset into the input.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .symbols import COORDINATE, FUNCTION, Symbol, SymbolTable
 _TOKEN = _re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,]))")
 
 _DERIV_MARKER = _re.compile(r"^d([0-9]*)$")
+
+MAX_DEPTH = 100
 
 
 class _Token:
@@ -72,6 +76,7 @@ class _Parser:
         self.table = table
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -157,8 +162,12 @@ class _Parser:
             self.advance()
             return DiffPoly.constant(int(tok.text))
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_DEPTH:
+                self.error(f"parentheses nested deeper than {MAX_DEPTH} levels")
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return value
         if tok.kind == "ident":

@@ -14,7 +14,6 @@ constants of Q(i); there is no rational-function field here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import EvalError, KindError, SubstError
 from .rational import GaussianRational, ZERO, ONE, as_gaussian
@@ -51,33 +50,16 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _cmp_monomials(a: Monomial, b: Monomial) -> int:
+_LAST = ((float("inf"),),)  # sorts after every (sort_key, -exponent) pair
+
+
+def _monomial_key(mono: Monomial):
     """Lexicographic order on symbols with exponents descending.
 
-    The constant monomial sorts last; absent symbols count as exponent 0.
+    The constant monomial sorts last; absent symbols count as exponent 0,
+    which the sentinel after the last pair encodes.
     """
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        if ia >= len(a):
-            sb, _ = b[ib]
-            return 1  # a exhausted: a has exponent 0 on sb, b wins
-        if ib >= len(b):
-            return -1
-        sa, ea = a[ia]
-        sb, eb = b[ib]
-        if sa == sb:
-            if ea != eb:
-                return -1 if ea > eb else 1
-            ia += 1
-            ib += 1
-        elif sa.sort_key < sb.sort_key:
-            return -1  # a carries the smaller symbol with positive exponent
-        else:
-            return 1
-    return 0
-
-
-_MONOMIAL_KEY = cmp_to_key(_cmp_monomials)
+    return tuple((sym.sort_key, -exp) for sym, exp in mono) + (_LAST,)
 
 
 class DiffPoly:
@@ -97,9 +79,6 @@ class DiffPoly:
     def __setattr__(self, name, value):
         raise AttributeError("DiffPoly is immutable")
 
-    def __reduce__(self):
-        return (DiffPoly, (self._terms,))
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -117,7 +96,7 @@ class DiffPoly:
 
     def sorted_terms(self):
         """Terms in the canonical display order."""
-        return sorted(self._terms.items(), key=lambda kv: _MONOMIAL_KEY(kv[0]))
+        return sorted(self._terms.items(), key=lambda kv: _monomial_key(kv[0]))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -142,7 +121,7 @@ class DiffPoly:
         """(monomial, coefficient) of the canonically first term."""
         if not self._terms:
             return _EMPTY, ZERO
-        mono = min(self._terms, key=_MONOMIAL_KEY)
+        mono = min(self._terms, key=_monomial_key)
         return mono, self._terms[mono]
 
     def monic(self) -> "DiffPoly":

@@ -41,12 +41,7 @@ def theta_of(c: Connection) -> Tensor:
 def theta_between(c1: Connection, c2: Connection) -> Tensor:
     if c1.coords != c2.coords:
         raise ShapeError("connections live on different coordinates")
-
-    def entry(idx):
-        k, i, j = idx
-        return c1.gamma[k][i][j] - c2.gamma[k][i][j]
-
-    return Tensor.from_function(c1.dim, FIELD, entry)
+    return theta_of(c1) - theta_of(c2)
 
 
 def with_theta(c: Connection, t: Tensor) -> Connection:

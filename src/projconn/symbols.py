@@ -60,9 +60,6 @@ class Symbol:
     def __setattr__(self, name, value):
         raise AttributeError("Symbol is immutable")
 
-    def __reduce__(self):
-        return (Symbol, (self.name, self.kind, self.depends_on, self.deriv))
-
     @property
     def sort_key(self):
         return self._key

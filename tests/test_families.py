@@ -10,7 +10,6 @@ from projconn.errors import ConsistencyError, ConstructionError, PoleError
 from projconn.families import (
     GroupElement,
     WeightedCoefficient,
-    action_map,
     invariance_check,
     kuga_shimura,
     kuga_shimura_coefficients,
@@ -132,7 +131,8 @@ class TestKugaShimura:
             "C": Fraction(1),
         }
         for w in kuga_shimura_coefficients(True):
-            assert w.automorphy_exponent() == int(2 * w.weight)
+            den = GaussianRational(Fraction(2, 3), 1)
+            assert w.transport(den, ONE) == den ** int(2 * w.weight)
 
     def test_bad_weight_rejected(self):
         with pytest.raises(ConstructionError):
@@ -146,35 +146,47 @@ class TestGroupElement:
 
     def test_identity_map(self):
         g = GroupElement(1, 0, 0, 1)
-        amap = action_map(g)
         point = (rational(2), rational(1, 3), rational(-1))
-        assert amap.apply(point) == point
-        jac = amap.jacobian(point)
+        assert g.apply(point) == point
+        jac, _ = g.jacobian(point)
         for r in range(3):
             for c in range(3):
                 assert jac[r][c] == (ONE if r == c else ZERO)
 
     def test_unipotent_translation(self):
         g = GroupElement(1, 1, 0, 1)
-        amap = action_map(g)
-        image = amap.apply((I, ZERO, ZERO))
+        image = g.apply((I, ZERO, ZERO))
         assert image == (I + ONE, ZERO, ZERO)
-        jac = amap.jacobian((I, ZERO, ZERO))
+        jac, _ = g.jacobian((I, ZERO, ZERO))
         assert jac[0][0] == ONE  # d tau pullback coefficient
 
     def test_order_four_element(self):
         g = GroupElement(0, -1, 1, 0)
-        amap = action_map(g)
-        tau_image = amap.apply((I, ZERO, ZERO))[0]
+        tau_image = g.apply((I, ZERO, ZERO))[0]
         assert tau_image == I  # -1/i = i
-        jac = amap.jacobian((I, ZERO, ZERO))
+        jac, _ = g.jacobian((I, ZERO, ZERO))
         # d tau factor 1/(c tau + d)^2 = 1/i^2 = -1
         assert jac[0][0] == GaussianRational(-1)
 
     def test_pole_detected(self):
         g = GroupElement(0, -1, 1, 0)
         with pytest.raises(PoleError):
-            action_map(g).apply((ZERO, ZERO, ZERO))
+            g.apply((ZERO, ZERO, ZERO))
+
+    def test_closed_form_inverse_jacobian(self):
+        rng = random.Random(20240832)
+        elements = [
+            GroupElement(0, -1, 1, 0, 1, 2, 3, 4),
+            GroupElement(2, 1, 1, 1, Fraction(1, 2), -1, 0, 3),
+            GroupElement(1, 0, I, 1, 0, Fraction(-2, 3), I, 1),
+        ]
+        for g in elements:
+            for point in orbit_safe_points(g, 5, rng):
+                jac, jac_inv = g.jacobian(point)
+                for r in range(3):
+                    for c in range(3):
+                        product = sum((jac_inv[r][m] * jac[m][c] for m in range(3)), ZERO)
+                        assert product == (ONE if r == c else ZERO)
 
 
 def _random_points(rng, count, g):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from projconn.errors import ParseError
-from projconn.parser import parse_constant, parse_expr
+from projconn.parser import MAX_DEPTH, parse_constant, parse_expr
 from projconn.poly import as_poly
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable
@@ -126,3 +126,10 @@ class TestErrors:
     def test_constant_with_free_symbol(self, table):
         with pytest.raises(ParseError):
             parse_constant("C + 1")
+
+    def test_nesting_limit(self, table):
+        ok = "(" * MAX_DEPTH + "C" + ")" * MAX_DEPTH
+        assert parse_expr(ok, table) == parse_expr("C", table)
+        with pytest.raises(ParseError) as info:
+            parse_expr("1 + " + "(" * (MAX_DEPTH + 1) + "C" + ")" * (MAX_DEPTH + 1), table)
+        assert info.value.offset == 4 + MAX_DEPTH

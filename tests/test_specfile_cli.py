@@ -1,11 +1,15 @@
 """Spec file ingestion and the command-line harness."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import projconn
 from projconn import specfile
 from projconn.cli import main
 from projconn.errors import SpecFileError
@@ -131,6 +135,14 @@ def derivative_file(tmp_path):
         "[gamma]\nz1.tau.tau = d(A, tau)\n",
         encoding="utf-8",
     )
+    return str(path)
+
+
+@pytest.fixture
+def coordinate_file(tmp_path):
+    """A table whose only entry depends on a coordinate."""
+    path = tmp_path / "coordinate.conn"
+    path.write_text("dim = 2\ncoords = x, y\n[gamma]\nx.x.y = x\n", encoding="utf-8")
     return str(path)
 
 
@@ -268,6 +280,39 @@ class TestCli:
             ends.append(json.loads(out)["result"]["end_position"])
         assert ends[0] == ends[1]
         assert ends[0][1] == [0.0, 0.0]
+
+    def test_set_rejects_coordinates(self, capsys, coordinate_file):
+        code, out, _ = run_cli(capsys, "curvature", coordinate_file)
+        assert code == 0
+        assert "R(x,y)x = (1) d_x" in out
+        code, out, err = run_cli(capsys, "curvature", coordinate_file, "--set", "x=0")
+        assert code == 2
+        assert out == ""
+        assert "'x' is a coordinate" in err
+
+    def test_geodesic_at_rejects_coordinates(self, capsys, coordinate_file):
+        code, out, err = run_cli(capsys, "geodesic", coordinate_file, "--at", "x=1",
+                                 "--x0", "0,0", "--v0", "1,1", "--count", "10")
+        assert code == 2
+        assert out == ""
+        assert "'x' is a coordinate" in err
+
+    def test_deep_nesting_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.conn"
+        nested = "(" * 1500 + "x" + ")" * 1500
+        path.write_text(f"dim = 3\ncoords = x, y, z\n[gamma]\nx.x.x = {nested}\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "curvature", str(path))
+        assert code == 2
+        assert out == ""
+        assert "nested deeper than" in err and "byte offset" in err
+
+    def test_import_leaves_numpy_out(self):
+        src = str(Path(projconn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        check = "import projconn.cli, sys; assert 'numpy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
     def test_pullback_check(self, capsys):
         code, out, _ = run_cli(
