@@ -8,7 +8,7 @@ from .rational import GaussianRational, as_gaussian
 from .symbols import Symbol, SymbolTable, coordinate, function, parameter
 from .poly import DiffPoly, as_poly
 from .parser import parse_constant, parse_expr
-from .tensor import Tensor, contract, symmetry_check, tensor_from_json, tensor_to_json
+from .tensor import Tensor, contract, symmetry_check, tensor_to_json
 from .connection import (
     Connection,
     bianchi_check,

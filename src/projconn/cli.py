@@ -5,7 +5,6 @@ family, pullback-check, geodesic.  Reports go to stdout as text (default)
 or JSON (--format json) and are byte-identical across runs for identical
 inputs; timing and diagnostics go to stderr.  Exit codes: 0 on success,
 1 for negative analysis results under --strict, 2 on input errors.
-Set PROJCONN_COLOR=0 to disable ANSI colors in text output.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
 import time
 
@@ -28,33 +27,7 @@ from .symbols import COORDINATE
 from .tensor import Tensor, tensor_to_json
 
 SCHEMA = 1
-
-
-def _color_enabled() -> bool:
-    if os.environ.get("PROJCONN_COLOR", "") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
-def _bool_text(value: bool) -> str:
-    text = "true" if value else "false"
-    if _color_enabled():
-        code = "32" if value else "31"
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
-
-
-def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise EngineError(str(exc)) from exc
+MAX_SWEEP_POINTS = 10_000
 
 
 def _parse_set(option: str | None) -> dict[str, GaussianRational]:
@@ -73,79 +46,78 @@ def _parse_set(option: str | None) -> dict[str, GaussianRational]:
     return values
 
 
-def _bindings(polys, assignments) -> dict:
-    """Substitution bindings for every symbol in polys whose name is assigned.
+def _bindings(conns, assignments) -> dict:
+    """Substitution bindings of the assigned names, checked against conns.
 
-    A derivative such as d(A, tau) binds through its base symbol, so it
-    takes the derivative of the assigned value.  Coordinates are never
-    bound: substituting one before differentiating would describe a
-    different connection.
+    Each name must be a parameter or function symbol of one of the
+    connections.  A derivative such as d(A, tau) binds through its base
+    symbol, so it takes the derivative of the assigned value.  Coordinates
+    are never bound: substituting one before differentiating would describe
+    a different connection.
     """
+    known = {}
+    for conn in conns:
+        for _, value in conn.nonzero_entries():
+            known.update((sym.name, sym.base()) for sym in value.symbols())
+    known.update((c.name, c) for conn in conns for c in conn.coords)
     bindings = {}
-    for poly in polys:
-        for sym in poly.symbols():
-            if sym.name in assignments:
-                if sym.kind == COORDINATE:
-                    raise EngineError(f"{sym.name!r} is a coordinate and cannot be assigned")
-                bindings[sym.base()] = as_poly(assignments[sym.name])
+    for name, value in assignments.items():
+        sym = known.get(name)
+        if sym is None:
+            raise EngineError(
+                f"no parameter or function symbol named {name!r} occurs in the input"
+            )
+        if sym.kind == COORDINATE:
+            raise EngineError(f"{name!r} is a coordinate and cannot be assigned")
+        bindings[sym] = as_poly(value)
     return bindings
 
 
-def _substituted(conn, assignments: dict[str, GaussianRational]):
+def _bound(conns, assignments):
+    """The connections with the assigned names substituted."""
     if not assignments:
-        return conn
-    bindings = _bindings((value for _, value in conn.nonzero_entries()), assignments)
-    gamma = tuple(
-        tuple(tuple(entry.subst(bindings) for entry in row) for row in plane)
-        for plane in conn.gamma
-    )
-    return Connection(conn.coords, gamma)
+        return conns
+    bindings = _bindings(conns, assignments)
+    return [
+        Connection(conn.coords, tuple(
+            tuple(tuple(entry.subst(bindings) for entry in row) for row in plane)
+            for plane in conn.gamma
+        ))
+        for conn in conns
+    ]
 
 
-def _family_connection(name: str, args) -> tuple:
-    assignments = _parse_set(getattr(args, "set", None))
-
-    def value_of(pname):
-        return assignments.get(pname)
-
+def _family(name, args):
     if name == "torus3":
-        conn = families.torus3(*(value_of(p) for p in "ABCDE"))
-        title = "translation-invariant family, dim 3"
-    elif name == "torus_n":
-        n = getattr(args, "n", None)
-        if n is None:
+        return families.torus3()
+    if name == "torus_n":
+        if args.n is None:
             raise EngineError("torus_n needs --n")
-        conn = families.torus_n(n, *(value_of(p) for p in "ABCDE"))
-        title = f"translation-invariant family, dim {n}"
-    elif name == "kuga-shimura":
-        conn = families.kuga_shimura(with_trace=not getattr(args, "no_trace", False))
-        conn = _substituted(conn, assignments)
-        title = "fibered family with tau-dependent coefficients"
-    else:
-        raise EngineError(f"unknown family {name!r}")
-    return conn, title
-
-
-def _load_connection(args):
-    """Connection from a spec file or --family, with --set substitutions."""
-    family = getattr(args, "family", None)
-    spec_path = getattr(args, "spec", None)
-    if family:
-        conn, _ = _family_connection(family, args)
-        return conn, f"family:{family}"
-    if not spec_path:
+        return families.torus_n(args.n)
+    if name == "kuga-shimura":
+        return families.kuga_shimura(with_trace=not args.no_trace)
+    if name is None:
         raise EngineError("give a spec file or --family")
-    spec = load_spec(spec_path)
-    conn = spec.to_connection(filename=spec_path)
-    conn = _substituted(conn, _parse_set(getattr(args, "set", None)))
-    return conn, spec_path
+    raise EngineError(f"unknown family {name!r}")
+
+
+def _load(args, *paths):
+    """The connections of the spec files at paths, a missing path standing
+    for --family, after the --set substitutions; plus their source labels."""
+    family = getattr(args, "family", None) or getattr(args, "name", None)
+    conns = [
+        load_spec(path).to_connection(filename=path) if path else _family(family, args)
+        for path in paths
+    ]
+    sources = [path or f"family:{family}" for path in paths]
+    return _bound(conns, _parse_set(getattr(args, "set", None))), sources
 
 
 def _tensor_lines(t: Tensor, names, label: str) -> list[str]:
-    """Human-readable nonzero components.
+    """Human-readable nonzero components of a (1,3) or (0,2) tensor.
 
-    (1,3) and (1,2) tensors are shown per argument tuple with the output
-    direction spelled out; antisymmetric first arguments are printed once.
+    (1,3) tensors are shown per argument tuple with the output direction
+    spelled out; antisymmetric first arguments are printed once.
     """
     lines = []
     if t.variance == ("up", "down", "down", "down"):
@@ -162,41 +134,28 @@ def _tensor_lines(t: Tensor, names, label: str) -> list[str]:
                             f"{label}({names[i]},{names[j]}){names[k]} = "
                             + " + ".join(parts)
                         )
-        if not lines:
-            lines.append(f"{label} = 0")
-        else:
+        if lines:
             lines.append("(first two arguments antisymmetric; zero components omitted)")
-    elif t.variance == ("down", "down"):
+    else:
         for i in range(t.dim):
             for j in range(t.dim):
                 if not t[i, j].is_zero():
                     lines.append(f"{label}({names[i]},{names[j]}) = {t[i, j]}")
-        if not lines:
-            lines.append(f"{label} = 0")
-    else:
-        for idx in t.indices():
-            if not t[idx].is_zero():
-                key = ".".join(names[i] for i in idx)
-                lines.append(f"{label}[{key}] = {t[idx]}")
-        if not lines:
-            lines.append(f"{label} = 0")
-    return lines
+    return lines or [f"{label} = 0"]
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_tensor(args, which: str):
-    conn, source = _load_connection(args)
-    if which == "curvature":
-        t = curvature(conn)
-        label = "R"
-    elif which == "ricci":
-        t = ricci(conn)
-        label = "Ricci"
-    else:
-        t = weyl3(conn)
-        label = "W"
+def _cmd_tensor(args):
+    (conn,), (source,) = _load(args, args.spec)
+    # looked up per call, so that wrappers installed around the engine see it
+    compute, label = {
+        "curvature": (curvature, "R"),
+        "ricci": (ricci, "Ricci"),
+        "weyl": (weyl3, "W"),
+    }[args.command]
+    t = compute(conn)
     names = conn.coord_names()
     result = {
         "source": source,
@@ -205,54 +164,41 @@ def _cmd_tensor(args, which: str):
         "tensor": tensor_to_json(t, names),
         "zero": t.is_zero(),
     }
-    lines = [f"{which} of {source} (dim {conn.dim}, coords {' '.join(names)})"]
+    lines = [f"{args.command} of {source} (dim {conn.dim}, coords {' '.join(names)})"]
     lines += _tensor_lines(t, names, label)
     return result, lines, False
 
 
 def _cmd_flat(args):
-    conn, source = _load_connection(args)
+    (conn,), (source,) = _load(args, args.spec)
     flat = projective.is_projectively_flat(conn)
     result = {"source": source, "projectively_flat": flat}
-    lines = [f"projectively flat: {_bool_text(flat)}"]
+    lines = [f"projectively flat: {str(flat).lower()}"]
     return result, lines, not flat
 
 
 def _cmd_equiv(args):
-    spec_a = load_spec(args.spec_a)
-    spec_b = load_spec(args.spec_b)
-    a = spec_a.to_connection(filename=args.spec_a)
-    b = spec_b.to_connection(filename=args.spec_b)
-    witness = projective.projective_equiv(a, b)
-    names = a.coord_names()
-    if witness is None:
-        result = {"equivalent": False}
-        lines = [f"projectively equivalent: {_bool_text(False)}"]
-        return result, lines, True
-    result = {
-        "equivalent": True,
-        "witness": {names[i]: str(witness[i]) for i in range(a.dim)},
-    }
-    lines = [f"projectively equivalent: {_bool_text(True)}"]
-    for i, name in enumerate(names):
-        lines.append(f"theta({name}) = {witness[i]}")
-    return result, lines, False
+    (a, b), _ = _load(args, args.spec_a, args.spec_b)
+    theta = projective.projective_equiv(a, b)
+    equivalent = theta is not None
+    result = {"equivalent": equivalent}
+    lines = [f"projectively equivalent: {str(equivalent).lower()}"]
+    if equivalent:
+        witness = {name: str(theta[i]) for i, name in enumerate(a.coord_names())}
+        result["witness"] = witness
+        lines += [f"theta({name}) = {value}" for name, value in witness.items()]
+    return result, lines, not equivalent
 
 
 def _cmd_normalize(args):
-    conn, source = _load_connection(args)
+    (conn,), (source,) = _load(args, args.spec)
     normalized = projective.volume_normalize(conn)
-    witness = projective.projective_equiv(conn, normalized)
-    names = conn.coord_names()
+    theta = projective.projective_equiv(conn, normalized)
+    witness = {name: str(theta[i]) for i, name in enumerate(conn.coord_names())}
     spec = spec_of_connection(normalized, title="volume-normalized connection")
-    result = {
-        "source": source,
-        "witness": {names[i]: str(witness[i]) for i in range(conn.dim)},
-        "gamma": dict(sorted(spec.gamma.items())),
-    }
-    lines = [f"# volume-normalized from {source}" ]
-    for i, name in enumerate(names):
-        lines.append(f"# witness theta({name}) = {witness[i]}")
+    result = {"source": source, "witness": witness, "gamma": dict(sorted(spec.gamma.items()))}
+    lines = [f"# volume-normalized from {source}"]
+    lines += [f"# witness theta({name}) = {value}" for name, value in witness.items()]
     lines.append(render_spec(spec).rstrip("\n"))
     return result, lines, False
 
@@ -271,11 +217,16 @@ def _parse_sweep(items):
         if hi < lo:
             raise EngineError(f"empty sweep range in {item!r}")
         ranges.append((name.strip(), lo, hi))
+    if math.prod(hi - lo + 1 for _, lo, hi in ranges) > MAX_SWEEP_POINTS:
+        raise EngineError(f"the sweep grid exceeds the bound of {MAX_SWEEP_POINTS} points")
     return ranges
 
 
 def _cmd_conditions(args):
-    conn, source = _load_connection(args)
+    ranges = _parse_sweep(args.sweep)
+    (conn,), (source,) = _load(args, args.spec)
+    # names checked once against the connection; the conditions may lack some
+    symbols = {sym.name: sym for sym in _bindings([conn], {name: 0 for name, _, _ in ranges})}
     conditions = projective.flatness_conditions(conn)
     result = {
         "source": source,
@@ -285,14 +236,13 @@ def _cmd_conditions(args):
     lines = [f"flatness conditions of {source}: {len(conditions)} distinct up to scale"]
     for pos, poly in enumerate(conditions, start=1):
         lines.append(f"{pos}: {poly}")
-    ranges = _parse_sweep(getattr(args, "sweep", None))
     if ranges:
         grid = [{}]
         for name, lo, hi in ranges:
             grid = [dict(g, **{name: v}) for g in grid for v in range(lo, hi + 1)]
         sweep_results = []
         for assignment in grid:
-            bindings = _bindings(conditions, assignment)
+            bindings = {symbols[k]: as_poly(v) for k, v in assignment.items()}
             flat = all(poly.subst(bindings).is_zero() for poly in conditions)
             key = " ".join(f"{k}={v}" for k, v in assignment.items())
             sweep_results.append({"assignment": assignment, "flat": flat})
@@ -302,7 +252,11 @@ def _cmd_conditions(args):
 
 
 def _cmd_family(args):
-    conn, title = _family_connection(args.name, args)
+    (conn,), _ = _load(args, None)
+    if args.name == "kuga-shimura":
+        title = "fibered family with tau-dependent coefficients"
+    else:
+        title = f"translation-invariant family, dim {conn.dim}"
     spec = spec_of_connection(conn, title=title, tag=args.name)
     text = render_spec(spec)
     result = {"name": args.name, "spec": text}
@@ -347,32 +301,31 @@ def _cmd_pullback_check(args):
     lines = [
         f"group element gamma=({args.gamma}) lambda=({args.lam or '0,0,0,0'})",
         f"checked {args.points} exact rational points (seed {args.seed})",
-        f"invariance: {_bool_text(ok)}",
+        f"invariance: {str(ok).lower()}",
     ]
     return result, lines, not ok
-
-
-def _numeric_at(conn, assignments, what: str):
-    """The connection with every symbol bound by --at, as complex numbers."""
-    from . import geodesic
-
-    conn = _substituted(conn, assignments)
-    missing = set()
-    for _, value in conn.nonzero_entries():
-        missing.update(sym.name for sym in value.symbols())
-    if missing:
-        raise EngineError(
-            f"--at must bind every symbol in {what}; missing {', '.join(sorted(missing))}"
-        )
-    return geodesic.NumericConnection.from_connection(conn, {})
 
 
 def _cmd_geodesic(args):
     from . import geodesic  # the only subcommand that needs numpy
 
-    conn, source = _load_connection(args)
-    assignments = _parse_set(args.at)
-    numeric = _numeric_at(conn, assignments, "the table")
+    if args.compare and 2 * args.step * args.count > geodesic.MAX_HORIZON:
+        raise EngineError(
+            "--compare integrates the reference trace over twice the horizon, so "
+            f"step * count must not exceed {geodesic.MAX_HORIZON / 2:g}"
+        )
+    paths = (args.spec, args.compare) if args.compare else (args.spec,)
+    conns, (source, *_) = _load(args, *paths)
+    conns = _bound(conns, _parse_set(args.at))
+    missing = {
+        sym.name for c in conns for _, value in c.nonzero_entries() for sym in value.symbols()
+    }
+    if missing:
+        raise EngineError(
+            f"--at must bind every symbol in the tables; missing {', '.join(sorted(missing))}"
+        )
+    conn = conns[0]
+    numeric, *other = [geodesic.NumericConnection.from_connection(c, {}) for c in conns]
     x0 = [complex(v) for v in _parse_tuple(args.x0, conn.dim, "x0")]
     v0 = [complex(v) for v in _parse_tuple(args.v0, conn.dim, "v0")]
     path = geodesic.integrate(numeric, x0, v0, args.step, args.count)
@@ -392,12 +345,8 @@ def _cmd_geodesic(args):
         lines.append(f"csv written to {args.csv}")
     negative = False
     if args.compare:
-        other_spec = load_spec(args.compare)
-        other = other_spec.to_connection(filename=args.compare)
-        other = _substituted(other, _parse_set(getattr(args, "set", None)))
-        other_numeric = _numeric_at(other, assignments, "the comparison")
         # reference trace gets twice the horizon so the probe stays interior
-        reference = geodesic.integrate(other_numeric, x0, v0, args.step, 2 * args.count)
+        reference = geodesic.integrate(other[0], x0, v0, args.step, 2 * args.count)
         deviation = geodesic.unparametrized_match(path, reference)
         result["compare"] = args.compare
         result["deviation"] = f"{deviation:.6e}"
@@ -405,7 +354,7 @@ def _cmd_geodesic(args):
         if args.tol is not None:
             within = deviation < args.tol
             result["within_tol"] = within
-            lines.append(f"within tolerance {args.tol:g}: {_bool_text(within)}")
+            lines.append(f"within tolerance {args.tol:g}: {str(within).lower()}")
             negative = not within
     return result, lines, negative
 
@@ -413,8 +362,8 @@ def _cmd_geodesic(args):
 # -- dispatch -------------------------------------------------------------------
 
 
-def _add_connection_source(p, file_required=False):
-    p.add_argument("spec", nargs=None if file_required else "?", help="connection spec file")
+def _add_connection_source(p):
+    p.add_argument("spec", nargs="?", help="connection spec file")
     p.add_argument("--family", help="use a built-in family instead of a file")
     p.add_argument("--n", type=int, help="dimension for torus_n")
     p.add_argument("--no-trace", action="store_true", help="drop the trace part of kuga-shimura")
@@ -437,26 +386,32 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("curvature", "ricci", "weyl"):
         p = sub.add_parser(name, help=f"compute the {name} tensor")
         _add_connection_source(p)
+        p.set_defaults(run=_cmd_tensor)
 
     p = sub.add_parser("flat", help="decide projective flatness (dim 3)")
     _add_connection_source(p)
+    p.set_defaults(run=_cmd_flat)
 
     p = sub.add_parser("equiv", help="projective equivalence witness")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
+    p.set_defaults(run=_cmd_equiv)
 
     p = sub.add_parser("normalize", help="volume normalization")
     _add_connection_source(p)
+    p.set_defaults(run=_cmd_normalize)
 
     p = sub.add_parser("conditions", help="flatness conditions, optional sweep")
     _add_connection_source(p)
     p.add_argument("--sweep", action="append", help="NAME=lo:hi integer grid")
+    p.set_defaults(run=_cmd_conditions)
 
     p = sub.add_parser("family", help="emit a built-in family as a spec file")
     p.add_argument("name", choices=("torus3", "torus_n", "kuga-shimura"))
     p.add_argument("--n", type=int)
     p.add_argument("--no-trace", action="store_true")
     p.add_argument("--set", help="comma-separated NAME=value substitutions")
+    p.set_defaults(run=_cmd_family)
 
     p = sub.add_parser("pullback-check", help="exact equivariance of the fibered family")
     p.add_argument("--gamma", required=True, help="a,b,c,d with ad-bc=1")
@@ -464,10 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--no-trace", action="store_true")
+    p.set_defaults(run=_cmd_pullback_check)
 
     p = sub.add_parser("geodesic", help="integrate a geodesic, optionally compare")
-    _add_connection_source(p, file_required=False)
-    p.add_argument("--at", help="NAME=value for every symbol in the table", default="")
+    _add_connection_source(p)
+    p.add_argument("--at", help="NAME=value substitutions, like --set", default="")
     p.add_argument("--x0", required=True, help="initial position, comma separated")
     p.add_argument("--v0", required=True, help="initial velocity, comma separated")
     p.add_argument("--step", type=float, default=1e-3)
@@ -475,35 +431,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the sampled path to this file")
     p.add_argument("--compare", help="second spec file for trace comparison")
     p.add_argument("--tol", type=float, help="tolerance for the comparison verdict")
+    p.set_defaults(run=_cmd_geodesic)
 
     return parser
-
-
-_HANDLERS = {
-    "curvature": lambda args: _cmd_tensor(args, "curvature"),
-    "ricci": lambda args: _cmd_tensor(args, "ricci"),
-    "weyl": lambda args: _cmd_tensor(args, "weyl"),
-    "flat": _cmd_flat,
-    "equiv": _cmd_equiv,
-    "normalize": _cmd_normalize,
-    "conditions": _cmd_conditions,
-    "family": _cmd_family,
-    "pullback-check": _cmd_pullback_check,
-    "geodesic": _cmd_geodesic,
-}
 
 
 def _input_fingerprint(args) -> str:
     payload = {"command": args.command}
     for key, value in sorted(vars(args).items()):
-        if key in ("format", "strict", "csv"):
+        if key in ("format", "strict", "csv", "run"):
             continue  # execution and output knobs are not inputs
         payload[key] = value
     for key in ("spec", "spec_a", "spec_b", "compare"):
         path = getattr(args, key, None)
         if path:
-            payload[f"file:{key}"] = _read_file(path)
-    return _digest(payload)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    payload[f"file:{key}"] = fh.read()
+            except OSError as exc:
+                raise EngineError(str(exc)) from exc
+    blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -512,7 +460,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         digest = _input_fingerprint(args)
-        result, lines, negative = _HANDLERS[args.command](args)
+        result, lines, negative = args.run(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

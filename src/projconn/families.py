@@ -4,8 +4,9 @@ Families
 --------
 torus3          three-dimensional translation-invariant family with constant
                 parameters A..E in coordinates (tau, z1, z2)
-torus_n         its n-dimensional extension (n >= 4) whose restriction to
-                {tau, z1, z2} is totally geodesic and equals torus3
+torus_n         its n-dimensional extension (4 <= n <= MAX_TORUS_DIM) whose
+                restriction to {tau, z1, z2} is totally geodesic and equals
+                torus3
 kuga_shimura    the fibered family over a curve: coefficients are formal
                 functions A(tau), B(tau) and, when the trace part is kept,
                 C(tau)
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import Connection, from_named_table, from_table, totally_geodesic_restrict
+from .connection import Connection, from_named_table, from_table
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
 from .poly import as_poly
 from .projective import theta_of
@@ -36,6 +37,8 @@ from .tensor import Tensor
 
 _ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 _KUGA_SHIMURA_WEIGHTS = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
+
+MAX_TORUS_DIM = 12  # curvature has n^4 entries: about 1 s at n = 12
 
 
 def torus_coords():
@@ -79,18 +82,16 @@ def torus3(A=None, B=None, C=None, D=None, E=None) -> Connection:
 
 
 def torus_n(n: int, A=None, B=None, C=None, D=None, E=None) -> Connection:
-    """The n-dimensional extension, n >= 4; extra coordinates z4..zn carry
-    only trivial symbols, so {tau, z1, z2} is totally geodesic."""
+    """The n-dimensional extension, 4 <= n <= MAX_TORUS_DIM; extra coordinates
+    z4..zn carry only trivial symbols, so {tau, z1, z2} is totally geodesic."""
     if n < 4:
         raise ConstructionError("torus_n needs n >= 4; use torus3 below that")
+    if n > MAX_TORUS_DIM:
+        raise ConstructionError(f"torus_n takes n <= {MAX_TORUS_DIM}")
     base = torus3(A, B, C, D, E)
     names = ["tau", "z1", "z2"] + [f"z{i}" for i in range(4, n + 1)]
     coords = tuple(coordinate(name) for name in names)
     return from_table(coords, dict(base.nonzero_entries()))
-
-
-def restrict_to_torus3(c: Connection) -> Connection:
-    return totally_geodesic_restrict(c, ("tau", "z1", "z2"))
 
 
 def kuga_shimura(with_trace: bool) -> Connection:

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DivergenceError, ShapeError
 from .rational import as_gaussian
 
+MAX_HORIZON = 10
+_MATCH_PAIRS = 2**16  # point-segment pairs held by one temporary of the match
+
 
 class NumericConnection:
     """Constant complex Christoffel coefficients, symmetric in (i, j)."""
@@ -95,13 +98,13 @@ def _acceleration(gamma, v):
 
 
 def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> GeodesicPath:
-    """Classical fixed-step RK4 over the horizon step * count (<= 10)."""
+    """Classical fixed-step RK4 over the horizon step * count (<= MAX_HORIZON)."""
     if step <= 0:
         raise ShapeError("step must be positive")
     if count < 1:
         raise ShapeError("count must be a positive integer")
-    if step * count > 10:
-        raise ShapeError("horizon step * count exceeds the bound of 10")
+    if step * count > MAX_HORIZON:
+        raise ShapeError(f"horizon step * count exceeds the bound of {MAX_HORIZON}")
     x = np.asarray(x0, dtype=complex)
     v = np.asarray(v0, dtype=complex)
     if x.shape != (c.dim,) or v.shape != (c.dim,):
@@ -139,8 +142,9 @@ def _as_real_points(z: np.ndarray) -> np.ndarray:
 def unparametrized_match(p: GeodesicPath, q: GeodesicPath) -> float:
     """Max over samples of p of the distance to q's piecewise-linear trace.
 
-    Distances are Euclidean after identifying C^n with R^(2n).  The caller
-    compares the returned deviation to its tolerance.
+    Distances are Euclidean after identifying C^n with R^(2n).  Samples of p
+    are processed in blocks, so memory stays bounded for long paths.  The
+    caller compares the returned deviation to its tolerance.
     """
     if len(p) == 0 or len(q) == 0:
         raise ShapeError("paths must contain samples")
@@ -154,13 +158,18 @@ def unparametrized_match(p: GeodesicPath, q: GeodesicPath) -> float:
     deltas = qq[1:] - starts
     lengths_sq = np.sum(deltas * deltas, axis=1)
     lengths_sq[lengths_sq == 0] = 1.0
-    # point-to-segment distances, all pairs at once
-    diff = pp[:, None, :] - starts[None, :, :]
-    t = np.sum(diff * deltas[None, :, :], axis=2) / lengths_sq[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    nearest = starts[None, :, :] + t[:, :, None] * deltas[None, :, :]
-    dist = np.linalg.norm(pp[:, None, :] - nearest, axis=2)
-    return float(np.max(np.min(dist, axis=1)))
+    block = max(1, _MATCH_PAIRS // len(starts))
+    deviation = 0.0
+    for lo in range(0, len(pp), block):
+        # point-to-segment distances, all pairs of one block at once
+        chunk = pp[lo:lo + block, None, :]
+        diff = chunk - starts[None, :, :]
+        t = np.sum(diff * deltas[None, :, :], axis=2) / lengths_sq[None, :]
+        t = np.clip(t, 0.0, 1.0)
+        nearest = starts[None, :, :] + t[:, :, None] * deltas[None, :, :]
+        dist = np.linalg.norm(chunk - nearest, axis=2)
+        deviation = max(deviation, float(np.max(np.min(dist, axis=1))))
+    return deviation
 
 
 def write_csv(fileobj, path: GeodesicPath, coord_names) -> None:

@@ -13,8 +13,8 @@ positive integer only.  'i' is the imaginary unit and cannot be declared.
 'd' and 'dN' directly followed by '(' are derivative markers; 'dN' requires
 exactly N coordinate arguments.  Every other identifier must be declared in
 the supplied symbol table.  Parentheses nest at most MAX_DEPTH levels deep,
-which keeps the descent well inside Python's recursion limit.  Errors carry
-the byte offset into the input.
+which keeps the descent well inside Python's recursion limit, and exponents
+are at most MAX_EXPONENT.  Errors carry the byte offset into the input.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ _TOKEN = _re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,]))")
 _DERIV_MARKER = _re.compile(r"^d([0-9]*)$")
 
 MAX_DEPTH = 100
+MAX_EXPONENT = 64
 
 
 class _Token:
@@ -141,8 +142,11 @@ class _Parser:
                 exp_tok = self.peek()
                 if exp_tok.kind != "int":
                     self.error("exponent must be a nonnegative integer")
+                exponent = int(exp_tok.text)
+                if exponent > MAX_EXPONENT:
+                    self.error(f"exponent exceeds the bound of {MAX_EXPONENT}", exp_tok)
                 self.advance()
-                value = value ** int(exp_tok.text)
+                value = value ** exponent
             elif tok.kind == "op" and tok.text == "/":
                 self.advance()
                 div_tok = self.peek()

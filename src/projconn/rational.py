@@ -23,12 +23,11 @@ def _frac(x) -> Fraction:
 class GaussianRational:
     """Immutable element of Q(i)."""
 
-    __slots__ = ("re", "im", "_hash")
+    __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
-        object.__setattr__(self, "_hash", hash((self.re, self.im)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -37,9 +36,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_one(self) -> bool:
-        return self.re == 1 and not self.im
 
     def is_real(self) -> bool:
         return not self.im
@@ -112,7 +108,7 @@ class GaussianRational:
     def __hash__(self):
         if not self.im:
             return hash(self.re)
-        return self._hash
+        return hash((self.re, self.im))
 
     def __bool__(self):
         return not self.is_zero()

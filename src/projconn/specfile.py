@@ -168,13 +168,11 @@ def load_spec(path) -> ConnectionSpec:
     return parse_spec(text, filename=str(path))
 
 
-def spec_of_connection(conn: Connection, title="", tag="", params=(), functions=()) -> ConnectionSpec:
-    """Spec document describing an existing connection.
-
-    Free parameters and function symbols are collected from the table when
-    not given explicitly."""
-    params = set(params)
-    functions = {name: deps for name, deps in functions}
+def spec_of_connection(conn: Connection, title="", tag="") -> ConnectionSpec:
+    """Spec document describing an existing connection; its parameters and
+    function symbols are those the table mentions."""
+    params = set()
+    functions = {}
     for _, value in conn.nonzero_entries():
         for sym in value.symbols():
             if sym.kind == PARAMETER:

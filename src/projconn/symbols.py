@@ -85,9 +85,6 @@ class Symbol:
         index[coord_name] = index.get(coord_name, 0) + 1
         return Symbol(self.name, self.kind, self.depends_on, tuple(index.items()))
 
-    def deriv_order(self) -> int:
-        return sum(o for _, o in self.deriv)
-
     def __eq__(self, other):
         if not isinstance(other, Symbol):
             return NotImplemented

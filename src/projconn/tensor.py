@@ -51,10 +51,6 @@ class Tensor:
         entries = [fn(idx) for idx in product(range(dim), repeat=len(variance))]
         return cls(dim, variance, entries)
 
-    @classmethod
-    def zero(cls, dim, variance) -> "Tensor":
-        return cls(dim, variance, [ZERO_POLY] * dim ** len(tuple(variance)))
-
     @property
     def arity(self) -> int:
         return len(self.variance)
@@ -165,27 +161,3 @@ def tensor_to_json(t: Tensor, coord_names) -> dict:
             continue
         entries[".".join(coord_names[i] for i in idx)] = str(value)
     return {"variance": list(t.variance), "entries": entries}
-
-
-def tensor_from_json(data: dict, coord_names, table) -> Tensor:
-    """Inverse of tensor_to_json; expressions parsed against the table."""
-    from .parser import parse_expr
-
-    coord_names = list(coord_names)
-    dim = len(coord_names)
-    variance = tuple(data["variance"])
-    lookup = {name: i for i, name in enumerate(coord_names)}
-    entries = {}
-    for key, text in data.get("entries", {}).items():
-        parts = key.split(".")
-        if len(parts) != len(variance):
-            raise ShapeError(f"entry key {key!r} does not match the variance")
-        try:
-            idx = tuple(lookup[p] for p in parts)
-        except KeyError as exc:
-            raise ShapeError(f"unknown coordinate in key {key!r}") from exc
-        entries[idx] = parse_expr(text, table)
-
-    return Tensor.from_function(
-        dim, variance, lambda idx: entries.get(idx, ZERO_POLY)
-    )

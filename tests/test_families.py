@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from projconn.connection import curvature, flat_connection, weyl3
+from projconn.connection import curvature, flat_connection, totally_geodesic_restrict, weyl3
 from projconn.errors import ConsistencyError, ConstructionError, PoleError
 from projconn.families import (
     GroupElement,
@@ -15,7 +15,6 @@ from projconn.families import (
     kuga_shimura_coefficients,
     kuga_shimura_theta,
     orbit_safe_points,
-    restrict_to_torus3,
     torus3,
     torus_n,
     torus_coords,
@@ -71,11 +70,11 @@ class TestTorus3:
 class TestTorusN:
     def test_restriction_recovers_torus3(self):
         conn = torus_n(4)
-        assert restrict_to_torus3(conn) == torus3()
+        assert totally_geodesic_restrict(conn, ("tau", "z1", "z2")) == torus3()
 
     def test_restriction_of_nonflat_sample_is_nonflat(self):
         conn = torus_n(4, A=1, B=2, C=5, D=6, E=0)
-        sub = restrict_to_torus3(conn)
+        sub = totally_geodesic_restrict(conn, ("tau", "z1", "z2"))
         assert not is_projectively_flat(sub)
 
     def test_zero_parameters_flat_in_dim5(self):

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,13 @@ from projconn.geodesic import (
     unparametrized_match,
     write_csv,
 )
+
+
+def random_path(count, seed):
+    """A path through random points of C^3; only its positions matter here."""
+    rng = np.random.default_rng(seed)
+    positions = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
+    return GeodesicPath(np.arange(count, dtype=float), positions, np.zeros((count, 3), complex))
 
 
 def numeric_torus(A, B, C, D, E):
@@ -138,6 +146,28 @@ class TestMatch:
             q = integrate(reference, np.zeros(3), np.ones(3), 1e-3, 600)
             assert unparametrized_match(p, q) < 1e-6
             hits += 1
+
+    def test_blocked_match_equals_all_pairs(self):
+        # 1,000 reference samples: the probe is matched in five blocks
+        p, q = random_path(300, 11), random_path(1000, 12)
+        pp = np.concatenate([p.positions.real, p.positions.imag], axis=1)
+        qq = np.concatenate([q.positions.real, q.positions.imag], axis=1)
+        starts, deltas = qq[:-1], qq[1:] - qq[:-1]
+        diff = pp[:, None, :] - starts[None, :, :]
+        t = np.sum(diff * deltas[None, :, :], axis=2) / np.sum(deltas * deltas, axis=1)
+        nearest = starts[None, :, :] + np.clip(t, 0.0, 1.0)[:, :, None] * deltas[None, :, :]
+        dist = np.linalg.norm(pp[:, None, :] - nearest, axis=2)
+        assert unparametrized_match(p, q) == float(np.max(np.min(dist, axis=1)))
+
+    def test_match_memory_is_bounded(self):
+        p, q = random_path(2000, 13), random_path(4000, 14)
+        tracemalloc.start()
+        try:
+            unparametrized_match(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_empty_path_rejected(self):
         empty = GeodesicPath(

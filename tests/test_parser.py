@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from projconn.errors import ParseError
-from projconn.parser import MAX_DEPTH, parse_constant, parse_expr
+from projconn.parser import MAX_DEPTH, MAX_EXPONENT, parse_constant, parse_expr
 from projconn.poly import as_poly
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable
@@ -133,3 +133,11 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_expr("1 + " + "(" * (MAX_DEPTH + 1) + "C" + ")" * (MAX_DEPTH + 1), table)
         assert info.value.offset == 4 + MAX_DEPTH
+
+    def test_exponent_limit(self, table):
+        C = parse_expr("C", table)
+        assert parse_expr(f"C^{MAX_EXPONENT}", table) == C ** MAX_EXPONENT
+        with pytest.raises(ParseError) as info:
+            parse_expr(f"C * C^{MAX_EXPONENT + 1}", table)
+        assert info.value.offset == 6
+        assert "exponent exceeds" in str(info.value)

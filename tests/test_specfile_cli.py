@@ -297,6 +297,64 @@ class TestCli:
         assert out == ""
         assert "'x' is a coordinate" in err
 
+    @pytest.mark.parametrize("source, assignments, name", [
+        ("file", "c=5,d=5,A=1,B=2,E=0", "'c'"),
+        ("family", "Q=1,C=5,D=5", "'Q'"),
+    ])
+    def test_set_rejects_unknown_names(self, capsys, torus_file, source, assignments, name):
+        where = [torus_file] if source == "file" else ["--family", "torus3"]
+        code, out, err = run_cli(capsys, "flat", *where, "--set", assignments)
+        assert code == 2
+        assert out == ""
+        assert f"no parameter or function symbol named {name}" in err
+
+    def test_sweep_names_checked_against_the_connection(self, capsys, torus_file):
+        # E occurs in the table but in no flatness condition
+        code, out, _ = run_cli(capsys, "conditions", torus_file, "--set", "A=1,B=2",
+                               "--sweep", "C=1:1", "--sweep", "D=0:1", "--sweep", "E=0:1")
+        assert code == 0
+        assert "sweep C=1 D=1 E=1 flat=true" in out
+        assert "sweep C=1 D=0 E=0 flat=false" in out
+        code, out, err = run_cli(capsys, "conditions", torus_file, "--sweep", "F=0:1")
+        assert code == 2
+        assert out == ""
+        assert "'F'" in err
+
+    def test_sweep_grid_bound(self, capsys, torus_file):
+        code, out, err = run_cli(capsys, "conditions", torus_file,
+                                 "--sweep", "C=1:73", "--sweep", "D=1:137")
+        assert code == 2
+        assert out == ""
+        assert "bound of 10000 points" in err
+
+    def test_torus_n_bound(self, capsys):
+        code, _, _ = run_cli(capsys, "family", "torus_n", "--n", "12")
+        assert code == 0
+        code, out, err = run_cli(capsys, "curvature", "--family", "torus_n", "--n", "13")
+        assert code == 2
+        assert out == ""
+        assert "n <= 12" in err
+
+    def test_exponent_bound(self, capsys, tmp_path):
+        path = tmp_path / "power.conn"
+        path.write_text("dim = 3\ncoords = x, y, z\nparams = A\n[gamma]\nx.x.x = A^65\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "curvature", str(path))
+        assert code == 2
+        assert out == ""
+        assert "exponent exceeds the bound of 64 (byte offset 2)" in err
+
+    def test_geodesic_compare_horizon(self, capsys, torus_file, torus_e0_file):
+        argv = ["geodesic", torus_file, "--at", "A=1/2,B=-1/3,C=1/4,D=-1/5,E=1/2",
+                "--x0", "0,0,0", "--v0", "1/10,1/10,1/10", "--compare", torus_e0_file]
+        code, out, err = run_cli(capsys, *argv, "--step", "1e-2", "--count", "600")
+        assert code == 2
+        assert out == ""
+        assert "twice the horizon" in err and "must not exceed 5" in err
+        code, out, err = run_cli(capsys, *argv, "--step", "5e-2", "--count", "100")
+        assert code == 0, err
+        assert "(horizon 5)" in out
+
     def test_deep_nesting_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.conn"
         nested = "(" * 1500 + "x" + ")" * 1500
