@@ -14,7 +14,18 @@ positive integer only.  'i' is the imaginary unit and cannot be declared.
 exactly N coordinate arguments.  Every other identifier must be declared in
 the supplied symbol table.  Parentheses nest at most MAX_DEPTH levels deep,
 which keeps the descent well inside Python's recursion limit, and exponents
-are at most MAX_EXPONENT.  Errors carry the byte offset into the input.
+are at most MAX_EXPONENT.
+
+The size of what an expression builds is bounded while it expands.  Before
+each product (a '*' or a step of the square-and-multiply behind '^') the
+operands' term counts n and m must satisfy n * m <= MAX_TERMS, which bounds
+both the work of the step and the terms of its result; a sum may hold at
+most MAX_TERMS terms too.  An integer literal, every product and the parsed
+result (sums and divisions grow coefficients as well) have coefficients of
+at most MAX_COEFF_BITS bits, measured on the (a + b*i)/d form of each
+coefficient.  Curvature is quadratic in the connection, so the cap stays
+far below Python's 4,300-digit limit on int-to-str conversion even after
+several doublings.  Errors carry the byte offset into the input.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 import re as _re
 
 from .errors import ParseError
-from .poly import DiffPoly
+from .poly import ONE_POLY, DiffPoly
 from .rational import GaussianRational
 from .symbols import COORDINATE, FUNCTION, Symbol, SymbolTable
 
@@ -32,6 +43,11 @@ _DERIV_MARKER = _re.compile(r"^d([0-9]*)$")
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 64
+MAX_TERMS = 1_000
+MAX_COEFF_BITS = 1024
+# a literal with more digits than 2**MAX_COEFF_BITS is refused before int(),
+# so that no literal reaches the int-conversion limit
+_MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
 
 
 class _Token:
@@ -99,13 +115,45 @@ class _Parser:
             self.error(f"expected {op!r}")
         return self.advance()
 
+    def integer(self, tok: _Token) -> int:
+        """The value of an integer token of at most MAX_COEFF_BITS bits."""
+        if len(tok.text) <= _MAX_DIGITS:
+            value = int(tok.text)
+            if value.bit_length() <= MAX_COEFF_BITS:
+                return value
+        self.error(f"integer exceeds the bound of {MAX_COEFF_BITS} bits", tok)
+
+    def bits_bounded(self, value: DiffPoly, tok: _Token) -> DiffPoly:
+        """value, unless a coefficient has more than MAX_COEFF_BITS bits."""
+        if any(c.bit_height() > MAX_COEFF_BITS for c in value.terms().values()):
+            self.error(f"a coefficient exceeds the bound of {MAX_COEFF_BITS} bits", tok)
+        return value
+
+    def product(self, x: DiffPoly, y: DiffPoly, tok: _Token) -> DiffPoly:
+        """x * y, refused before it is formed when it pairs too many terms."""
+        if len(x.terms()) * len(y.terms()) > MAX_TERMS:
+            self.error(f"expansion exceeds the bound of {MAX_TERMS} terms", tok)
+        return self.bits_bounded(x * y, tok)
+
+    def power(self, base: DiffPoly, exponent: int, tok: _Token) -> DiffPoly:
+        """base ** exponent by square-and-multiply, each step a checked product."""
+        result = None
+        while True:
+            if exponent & 1:
+                result = base if result is None else self.product(result, base, tok)
+            exponent >>= 1
+            if not exponent:
+                return ONE_POLY if result is None else result
+            base = self.product(base, base, tok)
+
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> DiffPoly:
+        start = self.peek()
         value = self.expr()
         if self.peek().kind != "end":
             self.error("trailing input after expression")
-        return value
+        return self.bits_bounded(value, start)
 
     def expr(self) -> DiffPoly:
         sign = 1
@@ -120,6 +168,8 @@ class _Parser:
                 self.advance()
                 rhs = self.term()
                 value = value - rhs if tok.text == "-" else value + rhs
+                if len(value.terms()) > MAX_TERMS:
+                    self.error(f"sum exceeds the bound of {MAX_TERMS} terms", tok)
             else:
                 return value
 
@@ -129,7 +179,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                value = value * self.factor()
+                value = self.product(value, self.factor(), tok)
             else:
                 return value
 
@@ -142,18 +192,18 @@ class _Parser:
                 exp_tok = self.peek()
                 if exp_tok.kind != "int":
                     self.error("exponent must be a nonnegative integer")
-                exponent = int(exp_tok.text)
+                exponent = self.integer(exp_tok)
                 if exponent > MAX_EXPONENT:
                     self.error(f"exponent exceeds the bound of {MAX_EXPONENT}", exp_tok)
                 self.advance()
-                value = value ** exponent
+                value = self.power(value, exponent, tok)
             elif tok.kind == "op" and tok.text == "/":
                 self.advance()
                 div_tok = self.peek()
                 if div_tok.kind != "int":
                     self.error("divisor must be a positive integer")
                 self.advance()
-                divisor = int(div_tok.text)
+                divisor = self.integer(div_tok)
                 if divisor == 0:
                     self.error("division by zero", div_tok)
                 value = value / divisor
@@ -164,7 +214,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return DiffPoly.constant(int(tok.text))
+            return DiffPoly.constant(self.integer(tok))
         if tok.kind == "op" and tok.text == "(":
             if self.depth == MAX_DEPTH:
                 self.error(f"parentheses nested deeper than {MAX_DEPTH} levels")

@@ -131,11 +131,6 @@ class DiffPoly:
         _, lead = self.leading()
         return self * lead.inverse()
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self._terms)
-
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):

@@ -1,77 +1,120 @@
 """Exact arithmetic in Q(i), the coefficient field of the whole engine.
 
-A GaussianRational is re + im*i with both parts arbitrary-precision
-rationals.  Fraction already stores reduced form with positive denominator,
-so structural equality of the two parts is field equality.
+A GaussianRational is (a + b*i)/d stored as three Python ints in canonical
+form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1).  Equality of the
+triples is field equality.  Every field operation is int arithmetic plus
+one three-argument gcd, and its result is built without __init__ and its
+coercion.  The real and imaginary parts are exposed as Fractions (.re, .im)
+for display and export.  Like Fraction, the class keeps its state in private
+slots that nothing rebinds after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-_RationalLike = (int, Fraction)
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _parts(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, reduced."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"not a rational value: {x!r}")
 
 
 class GaussianRational:
     """Immutable element of Q(i)."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        ra, rd = _parts(re)
+        ia, id_ = _parts(im)
+        d = lcm(rd, id_)
+        # both parts are reduced, so scaling them to the common
+        # denominator leaves gcd(a, b, d) == 1
+        self._a = ra * (d // rd)
+        self._b = ia * (d // id_)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
-    def is_real(self) -> bool:
-        return not self.im
+    def bit_height(self) -> int:
+        """Bit length of the largest of |a|, |b| and d."""
+        return max(self._a.bit_length(), self._b.bit_length(), self._d.bit_length())
 
     # -- ring / field operations --------------------------------------------
 
     def __add__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = as_gaussian(other)
+        d, f = self._d, other._d
+        if d == f:
+            a, b = self._a + other._a, self._b + other._b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            a = self._a * f + other._a * d
+            b = self._b * f + other._b * d
+            d *= f
+        return _reduced(a, b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = as_gaussian(other)
+        d, f = self._d, other._d
+        if d == f:
+            a, b = self._a - other._a, self._b - other._b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            a = self._a * f - other._a * d
+            b = self._b * f - other._b * d
+            d *= f
+        return _reduced(a, b, d)
 
     def __rsub__(self, other):
         return as_gaussian(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = as_gaussian(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return GaussianRational(a * c)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        if type(other) is not GaussianRational:
+            other = as_gaussian(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if not b and not e:
+            re, im = a * c, 0
+        else:
+            re, im = a * c - b * e, a * e + b * c
+        if d == 1:
+            return _make(re, im, 1)
+        return _reduced(re, im, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other):
         return self * as_gaussian(other).inverse()
@@ -93,22 +136,23 @@ class GaussianRational:
             n >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, _RationalLike):
-            return not self.im and self.re == other
+        if type(other) is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._b:
+            # equal to the hash of the int or Fraction of the same value
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -116,19 +160,46 @@ class GaussianRational:
     # -- conversion / display -------------------------------------------------
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        im = "i" if abs(self.im) == 1 else f"{abs(self.im)}*i"
-        if not self.re:
-            return im if self.im > 0 else f"-{im}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {im}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        im_text = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        if not re:
+            return im_text if im > 0 else f"-{im_text}"
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {im_text}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple already in canonical form."""
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple with d > 0, brought to canonical form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
 
 
 ZERO = GaussianRational(0)
@@ -140,6 +211,8 @@ def as_gaussian(x) -> GaussianRational:
     """Coerce an int, Fraction or GaussianRational into Q(i)."""
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, _RationalLike):
-        return GaussianRational(x)
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(i)")

@@ -1,12 +1,20 @@
 """Expression parsing, round trips and error reporting."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from projconn.errors import ParseError
-from projconn.parser import MAX_DEPTH, MAX_EXPONENT, parse_constant, parse_expr
+from projconn.parser import (
+    MAX_COEFF_BITS,
+    MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_TERMS,
+    parse_constant,
+    parse_expr,
+)
 from projconn.poly import as_poly
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable
@@ -141,3 +149,53 @@ class TestErrors:
             parse_expr(f"C * C^{MAX_EXPONENT + 1}", table)
         assert info.value.offset == 6
         assert "exponent exceeds" in str(info.value)
+
+    def test_expansion_budget_checked_before_the_product(self, table):
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_expr("(A+B+C+D+E)^40", table)
+        assert time.perf_counter() - started < 1
+        assert info.value.offset == 11
+        assert f"bound of {MAX_TERMS} terms" in str(info.value)
+
+    def test_product_pairs_at_most_max_terms(self, table):
+        # 40 * 25 == MAX_TERMS term pairs is allowed, 40 * 26 is not
+        a_sum = "+".join(f"C^{k}" for k in range(1, 41))
+        b_sum = "+".join(f"D^{k}" for k in range(1, 26))
+        assert len(parse_expr(f"({a_sum})*({b_sum})", table).terms()) == MAX_TERMS
+        with pytest.raises(ParseError) as info:
+            parse_expr(f"({a_sum})*({b_sum}+E)", table)
+        assert info.value.offset == len(a_sum) + 2
+
+    def test_sum_bound(self, table):
+        terms = [f"C^{j}*D^{k}" for j in range(1, 33) for k in range(1, 33)]
+        ok = "+".join(terms[:MAX_TERMS])
+        assert len(parse_expr(ok, table).terms()) == MAX_TERMS
+        with pytest.raises(ParseError) as info:
+            parse_expr(ok + "+E", table)
+        assert info.value.offset == len(ok)
+        assert "sum exceeds" in str(info.value)
+
+    def test_literal_bound(self, table):
+        largest = str(2**MAX_COEFF_BITS - 1)
+        assert parse_constant(largest) == GaussianRational(2**MAX_COEFF_BITS - 1)
+        for text in (str(2**MAX_COEFF_BITS), "1" * 5000):
+            with pytest.raises(ParseError) as info:
+                parse_expr("C + " + text, table)
+            assert info.value.offset == 4
+            assert f"bound of {MAX_COEFF_BITS} bits" in str(info.value)
+        for op in "^/":
+            with pytest.raises(ParseError) as info:
+                parse_expr(f"C{op}" + "9" * 5000, table)
+            assert info.value.offset == 2
+
+    def test_coefficient_bits_bound(self, table):
+        with pytest.raises(ParseError) as info:
+            parse_expr("10^64^64^2", table)
+        assert info.value.offset == 5
+        assert f"bound of {MAX_COEFF_BITS} bits" in str(info.value)
+        # a sum of unit fractions grows the denominator past the cap
+        primes = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        with pytest.raises(ParseError) as info:
+            parse_expr("C + " + "+".join(f"1/{p}" for p in primes), table)
+        assert info.value.offset == 0

@@ -238,7 +238,7 @@ class TestFlatness:
         conds = flatness_conditions(generic)
         # snapshot established by the first correct run, then frozen
         assert len(conds) == 18
-        assert {p.total_degree() for p in conds} == {2}
+        assert {sum(e for _, e in m) for p in conds for m in p.terms()} == {2}
 
 
 class TestWeylInvariance:

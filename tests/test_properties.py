@@ -1,18 +1,26 @@
-"""Generated input ends in a result or an input error, never in a traceback.
+"""Properties checked on generated input.
 
-Expressions go into parse_expr, gamma sections into parse_spec and
+Generated input ends in a result or an input error, never in a traceback:
+expressions go into parse_expr, gamma sections into parse_spec and
 to_connection, and --set values into the CLI; each run must return, raise
 EngineError, or exit with 0, 1 or 2.
+
+The exact kernel agrees with simple reference models: Q(i) arithmetic with a
+pair of Fractions, equal values with equal hashes and display, DiffPoly with
+the ring axioms and the Leibniz rule, and parsing with display.
 """
 
 import contextlib
 import io
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from projconn.cli import main
 from projconn.errors import EngineError
 from projconn.parser import parse_expr
+from projconn.poly import as_poly
+from projconn.rational import GaussianRational
 from projconn.specfile import parse_spec
 from projconn.symbols import SymbolTable
 
@@ -73,3 +81,122 @@ def test_cli_set_value_ends_in_exit_code(value):
         except SystemExit as exc:  # argparse rejected the command line
             code = exc.code
     assert code in (0, 1, 2)
+
+
+# -- Q(i) against a Fraction-pair model --------------------------------------
+
+LARGE = 2**300
+integers = st.integers(-LARGE, LARGE) | st.integers(-6, 6)
+fractions = st.builds(Fraction, integers, st.integers(1, LARGE) | st.integers(1, 6))
+rationals = integers | fractions
+gaussians = st.builds(GaussianRational, rationals, rationals | st.just(0))
+
+
+def model(x):
+    return (x.re, x.im)
+
+
+def model_mul(p, q):
+    (a, b), (c, d) = p, q
+    return (a * c - b * d, a * d + b * c)
+
+
+def model_inverse(p):
+    a, b = p
+    n = a * a + b * b
+    return (a / n, -b / n)
+
+
+@FAST
+@given(gaussians, gaussians)
+def test_field_operations_match_fraction_pairs(x, y):
+    (a, b), (c, d) = model(x), model(y)
+    assert model(x + y) == (a + c, b + d)
+    assert model(x - y) == (a - c, b - d)
+    assert model(-x) == (-a, -b)
+    assert model(x * y) == model_mul((a, b), (c, d))
+    assert x.is_zero() == (a == 0 and b == 0)
+    if not y.is_zero():
+        assert model(y.inverse()) == model_inverse((c, d))
+        assert model(x / y) == model_mul((a, b), model_inverse((c, d)))
+
+
+@FAST
+@given(gaussians, rationals)
+def test_mixed_operands_coerce(x, q):
+    a, b = model(x)
+    assert model(x + q) == model(q + x) == (a + q, b)
+    assert model(x - q) == (a - q, b)
+    assert model(q - x) == (q - a, -b)
+    assert model(x * q) == model(q * x) == (a * q, b * q)
+
+
+@FAST
+@given(gaussians, gaussians)
+def test_equal_values_hash_and_display_alike(x, y):
+    assume(not y.is_zero())
+    for z in ((x + y) - y, (x * y) / y, GaussianRational(x.re, x.im)):
+        assert z == x
+        assert hash(z) == hash(x)
+        assert str(z) == str(x)
+        assert (z.re, z.im) == (x.re, x.im)
+
+
+@FAST
+@given(rationals)
+def test_real_values_hash_like_rationals(q):
+    assert GaussianRational(q) == q
+    assert hash(GaussianRational(q)) == hash(q)
+    assert hash(GaussianRational(q, 0) * 1) == hash(q)
+
+
+# -- DiffPoly: ring axioms, Leibniz rule, parse of display ------------------
+
+RING = table()
+RING_SYMBOLS = [RING.lookup(n) for n in ("x", "y", "A", "B", "f")]
+RING_SYMBOLS.append(RING.lookup("f").derivative("x"))
+X = RING.lookup("x")
+
+small = st.integers(-9, 9)
+coefficients = st.builds(
+    GaussianRational, st.builds(Fraction, small, st.integers(1, 4)), st.sampled_from([0, 0, 1, -2])
+)
+monomials = st.dictionaries(st.sampled_from(RING_SYMBOLS), st.integers(1, 3), max_size=3)
+
+
+def _poly(terms):
+    total = as_poly(0)
+    for coeff, mono in terms:
+        term = as_poly(coeff)
+        for sym, exp in mono.items():
+            term = term * as_poly(sym) ** exp
+        total = total + term
+    return total
+
+
+polys = st.lists(st.tuples(coefficients, monomials), max_size=4).map(_poly)
+RING_CHECKS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+
+@RING_CHECKS
+@given(polys, polys, polys)
+def test_ring_axioms(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p - p == as_poly(0)
+
+
+@RING_CHECKS
+@given(polys, polys)
+def test_diff_leibniz_rule(p, q):
+    assert (p * q).diff(X) == p.diff(X) * q + p * q.diff(X)
+    assert (p + q).diff(X) == p.diff(X) + q.diff(X)
+
+
+@RING_CHECKS
+@given(polys)
+def test_parse_of_display_is_identity(p):
+    assert parse_expr(str(p), RING) == p

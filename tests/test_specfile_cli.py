@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -112,11 +113,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture(autouse=True)
-def no_color(monkeypatch):
-    monkeypatch.setenv("PROJCONN_COLOR", "0")
 
 
 @pytest.fixture
@@ -343,6 +339,22 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert "exponent exceeds the bound of 64 (byte offset 2)" in err
+
+    @pytest.mark.parametrize("entry, command, message", [
+        ("(A+B+C+D+E)^40", "curvature", "bound of 1000 terms"),
+        ("10^64^64^2", "normalize", "bound of 1024 bits"),
+        ("1" * 5000, "curvature", "bound of 1024 bits"),
+    ], ids=["power-of-sum", "power-chain", "long-literal"])
+    def test_expansion_budget(self, capsys, tmp_path, entry, command, message):
+        path = tmp_path / "big.conn"
+        path.write_text("dim = 3\ncoords = x, y, z\nparams = A, B, C, D, E\n[gamma]\n"
+                        f"x.x.x = {entry}\n", encoding="utf-8")
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(path))
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_geodesic_compare_horizon(self, capsys, torus_file, torus_e0_file):
         argv = ["geodesic", torus_file, "--at", "A=1/2,B=-1/3,C=1/4,D=-1/5,E=1/2",
