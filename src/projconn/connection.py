@@ -10,8 +10,14 @@ Component conventions, fixed once and pinned by the golden tests:
 
 so R(X,Y)Z has components R^l_{XYZ}, TrR(X,Y) = Ricci(Y,X) - Ricci(X,Y)
 holds identically, and a connection is equiaffine exactly when Ricci is
-symmetric.  The dimension-3 Weyl projective tensor is evaluated in its TrR
-form; the tests check it against the Ricci-only form.  Curvature, Ricci,
+symmetric.  `curvature` evaluates R as S^l_{ijk} - S^l_{jik} with
+
+    S^l_{ijk} = d_i G^l_{jk} + sum_m G^l_{im} G^m_{jk},
+
+built in one pass over the nonzero Christoffel entries, so every derivative
+and every product is formed once and an empty entry costs nothing.  The
+dimension-3 Weyl projective tensor is evaluated in its TrR form; the tests
+check it against the Ricci-only form.  Curvature, Ricci,
 Weyl and Lie derivatives are `Tensor`s, and a vector field is a `Tensor` of
 variance (up,).
 """
@@ -162,16 +168,38 @@ def from_named_table(coords, entries) -> Connection:
 def curvature(c: Connection) -> Tensor:
     """Curvature tensor R^l_{ijk}, antisymmetric in (i, j)."""
     n = c.dim
-    g = c.gamma
+    coords = c.coords
+    # rows[m]: the nonzero G^m_{jk} with j <= k
+    rows = [[] for _ in range(n)]
+    for (m, j, k), g in c.nonzero_entries():
+        rows[m].append((j, k, g))
+    s = {}  # S^l_{ijk} for i != j; S^l_{iik} drops out of R
 
-    def entry(idx):
-        l, i, j, k = idx
-        value = g[l][j][k].diff(c.coords[i]) - g[l][i][k].diff(c.coords[j])
-        for m in range(n):
-            value = value + g[l][i][m] * g[m][j][k] - g[l][j][m] * g[m][i][k]
-        return value
+    def accumulate(l, i, j, k, value):
+        # G^m_{jk} = G^m_{kj}, so each term lands on both lower orders
+        for a, b in ((j, k), (k, j)) if j != k else ((j, k),):
+            if a != i:
+                cur = s.get((l, i, a, b))
+                s[l, i, a, b] = value if cur is None else cur + value
 
-    return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+    for l, row in enumerate(rows):
+        for j, k, g in row:
+            for i, x in enumerate(coords):
+                d = g.diff(x)
+                if d:
+                    accumulate(l, i, j, k, d)
+        for a, b, g in row:
+            for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
+                for j, k, h in rows[m]:
+                    accumulate(l, i, j, k, g * h)
+
+    entries = [ZERO_POLY] * n**4
+    for l, i, j, k in {(l, min(i, j), max(i, j), k) for l, i, j, k in s}:
+        value = s.get((l, i, j, k), ZERO_POLY) - s.get((l, j, i, k), ZERO_POLY)
+        if value:
+            entries[((l * n + i) * n + j) * n + k] = value
+            entries[((l * n + j) * n + i) * n + k] = -value
+    return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
 def ricci(c: Connection) -> Tensor:
@@ -186,16 +214,19 @@ def trace_r(c: Connection) -> Tensor:
 
 def _weyl3_from(r: Tensor, ric: Tensor, trr: Tensor) -> Tensor:
     n = r.dim
+    pairs = list(product(range(n), repeat=2))
+    quarter = {ij: trr[ij] * Fraction(1, 4) for ij in pairs}
+    half = {ij: ric[ij] * Fraction(1, 2) + trr[ij] * Fraction(1, 8) for ij in pairs}
 
     def entry(idx):
         l, i, j, k = idx
         value = r[idx]
         if l == k:
-            value = value - trr[i, j] * Fraction(1, 4)
+            value = value - quarter[i, j]
         if l == i:
-            value = value - ric[j, k] * Fraction(1, 2) - trr[j, k] * Fraction(1, 8)
+            value = value - half[j, k]
         if l == j:
-            value = value + ric[i, k] * Fraction(1, 2) + trr[i, k] * Fraction(1, 8)
+            value = value + half[i, k]
         return value
 
     return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)

@@ -210,14 +210,15 @@ class DiffPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = ONE_POLY
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return ONE_POLY if result is None else result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, DiffPoly):

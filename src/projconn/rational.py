@@ -127,14 +127,15 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return ONE if result is None else result
+            base = base * base
 
     # -- comparison / hashing -----------------------------------------------
 

@@ -1,8 +1,10 @@
 """Dense multi-index tensors of polynomials with variance-aware contraction.
 
 Entries are stored row-major over index tuples in {0..n-1}^arity; reports
-and the JSON form use coordinate names instead of numbers.  Dimensions stay
-small (n <= 6) so dense storage wins over any sparse scheme.
+and the JSON form use coordinate names instead of numbers.  Storage stays
+dense, so indexing is plain arithmetic; the sparsity of the inputs is used
+where tensors are built instead: `curvature` iterates only over the nonzero
+Christoffel entries.
 """
 
 from __future__ import annotations

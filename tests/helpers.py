@@ -10,7 +10,7 @@ from projconn.poly import DiffPoly, as_poly
 from projconn.projective import OneForm
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable
-from projconn.tensor import Tensor
+from projconn.tensor import DOWN, Tensor, UP
 
 
 def rand_fraction(rng, span=5, max_den=4) -> Fraction:
@@ -42,15 +42,18 @@ def coords_named(*names):
     return tuple(table.coordinate(n) for n in names)
 
 
-def rand_torsionfree(rng, coords, symbols=None, max_terms=2, max_exp=2) -> Connection:
-    """Random symmetric Christoffel table with polynomial entries."""
+def rand_torsionfree(
+    rng, coords, symbols=None, max_terms=2, max_exp=2, fill=0.5
+) -> Connection:
+    """Random symmetric Christoffel table with polynomial entries; each
+    symmetric slot is drawn with probability `fill`."""
     n = len(coords)
     pool = list(symbols if symbols is not None else coords)
     entries = {}
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                if rng.random() < 0.5:
+                if rng.random() < fill:
                     entries[(k, i, j)] = rand_poly(rng, pool, max_terms, max_exp)
     return from_table(coords, entries)
 
@@ -89,3 +92,20 @@ def rand_deg2_table(rng, coords) -> Connection:
 def rand_one_form(rng, coords, symbols=None, max_terms=2, max_exp=2) -> Tensor:
     pool = list(symbols if symbols is not None else coords)
     return OneForm(coords, [rand_poly(rng, pool, max_terms, max_exp) for _ in coords])
+
+
+def naive_curvature(conn) -> Tensor:
+    """Dense oracle: every R^l_{ijk} from the defining formula, looping over
+    all n^4 entries and all m with no use of sparsity or symmetry."""
+    n = conn.dim
+    g = conn.gamma
+    coords = conn.coords
+
+    def entry(idx):
+        l, i, j, k = idx
+        value = g[l][j][k].diff(coords[i]) - g[l][i][k].diff(coords[j])
+        for m in range(n):
+            value = value + g[l][i][m] * g[m][j][k] - g[l][j][m] * g[m][i][k]
+        return value
+
+    return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)

@@ -24,12 +24,12 @@ from projconn.errors import (
     DimensionError,
     NotTotallyGeodesicError,
 )
-from projconn.families import kuga_shimura, torus3
+from projconn.families import kuga_shimura, torus3, torus_n
 from projconn.poly import ZERO_POLY, as_poly
-from projconn.symbols import parameter
+from projconn.symbols import function, parameter
 from projconn.tensor import DOWN, Tensor, UP
 
-from helpers import coords_named, rand_deg2_table, rand_torsionfree
+from helpers import coords_named, naive_curvature, rand_deg2_table, rand_torsionfree
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,65 @@ class TestGoldenWeyl:
                 for k in range(3):
                     total = total + W[k, i, j, k]
                 assert total.is_zero()
+
+
+ORACLE_FAMILIES = {
+    **{f"torus_n-{n}": lambda n=n: torus_n(n) for n in range(4, 9)},
+    "torus3": torus3,
+    "kuga-shimura": lambda: kuga_shimura(with_trace=True),
+    "kuga-shimura-no-trace": lambda: kuga_shimura(with_trace=False),
+    "flat": lambda: flat_connection(coords_named("x", "y", "z")),
+}
+
+
+def assert_matches_dense_oracle(conn):
+    R = curvature(conn)
+    assert R == naive_curvature(conn)
+    for l, i, j, k in R.indices():
+        assert R[l, i, j, k] == -R[l, j, i, k]
+    return R
+
+
+class TestCurvatureOracle:
+    """The sparse kernel against the dense n^5 formula, entry by entry."""
+
+    @pytest.mark.parametrize("fill", [0.1, 0.4, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_random_tables(self, dim, fill):
+        rng = random.Random(f"{dim}:{fill}")
+        coords = coords_named(*(f"x{i}" for i in range(dim)))
+        for _ in range(3):
+            assert_matches_dense_oracle(rand_torsionfree(rng, coords, fill=fill))
+
+    def test_function_symbols(self):
+        # d_i of f(x0, x1) yields the derived symbols f_x0, f_x1
+        rng = random.Random(20241007)
+        coords = coords_named("x0", "x1", "x2")
+        pool = [
+            *coords,
+            function("f", ("x0", "x1")),
+            function("h", ("x2",)),
+            parameter("A"),
+        ]
+        for fill in (0.4, 1.0):
+            for _ in range(4):
+                conn = rand_torsionfree(rng, coords, symbols=pool, fill=fill)
+                assert_matches_dense_oracle(conn)
+
+    def test_cancelling_products(self):
+        # every G^l_{jk} = A + x0: S^l_{ijk} = d_i(A + x0) + 3 (A + x0)^2, so
+        # R^l_{ijk} = [i = 0] - [j = 0] and the products cancel wherever
+        # i and j are both nonzero
+        coords = coords_named("x0", "x1", "x2")
+        p = as_poly(parameter("A")) + as_poly(coords[0])
+        conn = from_table(coords, {idx: p for idx in product(range(3), repeat=3)})
+        R = assert_matches_dense_oracle(conn)
+        for l, i, j, k in R.indices():
+            assert R[l, i, j, k] == as_poly(int(i == 0) - int(j == 0))
+
+    @pytest.mark.parametrize("case", list(ORACLE_FAMILIES))
+    def test_families(self, case):
+        assert_matches_dense_oracle(ORACLE_FAMILIES[case]())
 
 
 class TestBianchi:

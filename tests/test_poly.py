@@ -26,6 +26,25 @@ def P(x):
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (5, 3)])
+    def test_power_multiplies_by_repeated_squaring(self, monkeypatch, n, products):
+        p = P(C) + P(D) * I
+        calls = []
+        mul = DiffPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(DiffPoly, "__mul__", counting)
+        value = p**n
+        assert len(calls) == products
+        monkeypatch.undo()
+        expected = P(1)
+        for _ in range(n):
+            expected = expected * p
+        assert value == expected
+
     def test_binomial_square(self):
         lhs = (P(C) + P(D)) * (P(C) + P(D))
         rhs = P(C) ** 2 + 2 * P(C) * P(D) + P(D) ** 2

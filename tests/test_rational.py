@@ -44,6 +44,26 @@ def test_power_negative_exponent():
     assert x**0 == ONE
 
 
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (5, 3)])
+def test_power_multiplies_by_repeated_squaring(monkeypatch, n, products):
+    calls = []
+    mul = GaussianRational.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counting)
+    x = GaussianRational(Fraction(2, 3), 1)
+    value = x**n
+    assert len(calls) == products
+    monkeypatch.undo()
+    expected = ONE
+    for _ in range(n):
+        expected = expected * x
+    assert value == expected
+
+
 def test_field_axioms_random():
     rng = random.Random(20240811)
     for _ in range(200):
