@@ -79,10 +79,7 @@ def _bound(conns, assignments):
         return conns
     bindings = _bindings(conns, assignments)
     return [
-        Connection(conn.coords, tuple(
-            tuple(tuple(entry.subst(bindings) for entry in row) for row in plane)
-            for plane in conn.gamma
-        ))
+        Connection(conn.coords, conn.table.map(lambda e: e.subst(bindings)))
         for conn in conns
     ]
 

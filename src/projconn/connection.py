@@ -1,5 +1,9 @@
 """Torsionfree affine connections as symmetric Christoffel tables.
 
+A `Connection` is its coordinates plus one (up, down, down) `Tensor`,
+`table`, with table[k, i, j] = G^k_{ij}; `gamma` is a read-only view of it
+as nested tuples gamma[k][i][j], sliced from `table.entries` when read.
+
 Component conventions, fixed once and pinned by the golden tests:
 
     R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik}
@@ -35,48 +39,43 @@ from .errors import (
 )
 from .poly import ZERO_POLY, as_poly
 from .symbols import COORDINATE, FUNCTION, Symbol
-from .tensor import DOWN, Tensor, UP, contract
+from .tensor import DOWN, Tensor, UP, contract, symmetry_check
+
+
+FIELD = (UP, DOWN, DOWN)
 
 
 class Connection:
-    """Dimension, ordered coordinates, and the symmetric table G^k_{ij}."""
+    """Ordered coordinates and the symmetric Christoffel table G^k_{ij}."""
 
-    __slots__ = ("coords", "gamma")
+    __slots__ = ("coords", "table")
 
-    def __init__(self, coords, gamma):
+    def __init__(self, coords, table):
         coords = tuple(coords)
         for c in coords:
             if c.kind != COORDINATE:
                 raise ConstructionError(f"{c!r} is not a coordinate symbol")
-        n = len(coords)
-        gamma = tuple(
-            tuple(tuple(as_poly(g) for g in row) for row in plane) for plane in gamma
-        )
-        if len(gamma) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in gamma
-        ):
-            raise ConstructionError("Christoffel table must be n x n x n")
-        for k, i, j in product(range(n), repeat=3):
-            if gamma[k][i][j] != gamma[k][j][i]:
-                raise ConstructionError(
-                    "Christoffel table not symmetric in its lower indices"
-                )
+        shape = (len(coords), FIELD)
+        if not isinstance(table, Tensor) or (table.dim, table.variance) != shape:
+            raise ConstructionError("Christoffel table must be an n-dim (up, down, down) Tensor")
+        if not symmetry_check(table, (1, 2), "symmetric"):
+            raise ConstructionError(
+                "Christoffel table not symmetric in its lower indices"
+            )
         declared = {c.name for c in coords}
-        for plane in gamma:
-            for row in plane:
-                for entry in row:
-                    for sym in entry.symbols():
-                        if sym.kind == COORDINATE and sym.name not in declared:
-                            raise ConstructionError(
-                                f"entry mentions undeclared coordinate {sym.name!r}"
-                            )
-                        if sym.kind == FUNCTION and not set(sym.depends_on) <= declared:
-                            raise ConstructionError(
-                                f"function {sym.name!r} depends on coordinates "
-                                "outside this chart"
-                            )
+        for entry in table.entries:
+            for sym in entry.symbols():
+                if sym.kind == COORDINATE and sym.name not in declared:
+                    raise ConstructionError(
+                        f"entry mentions undeclared coordinate {sym.name!r}"
+                    )
+                if sym.kind == FUNCTION and not set(sym.depends_on) <= declared:
+                    raise ConstructionError(
+                        f"function {sym.name!r} depends on coordinates "
+                        "outside this chart"
+                    )
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
@@ -84,6 +83,13 @@ class Connection:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    @property
+    def gamma(self):
+        """Read-only nested view of the table: gamma[k][i][j] is G^k_{ij}."""
+        n, e = self.dim, self.table.entries
+        rows = [e[r:r + n] for r in range(0, n**3, n)]
+        return tuple(tuple(rows[k * n:(k + 1) * n]) for k in range(n))
 
     def coord_names(self):
         return [c.name for c in self.coords]
@@ -97,19 +103,16 @@ class Connection:
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented
-        return self.coords == other.coords and self.gamma == other.gamma
+        return self.coords == other.coords and self.table == other.table
 
     def __hash__(self):
-        return hash((self.coords, self.gamma))
+        return hash((self.coords, self.table))
 
     def nonzero_entries(self):
         """Nonzero (k, i, j) entries with i <= j."""
-        n = self.dim
-        for k, i in product(range(n), repeat=2):
-            for j in range(i, n):
-                g = self.gamma[k][i][j]
-                if not g.is_zero():
-                    yield (k, i, j), g
+        for (k, i, j), g in zip(self.table.indices(), self.table.entries):
+            if i <= j and not g.is_zero():
+                yield (k, i, j), g
 
 
 def flat_connection(coords) -> Connection:
@@ -121,29 +124,26 @@ def from_table(coords, entries) -> Connection:
     """Build a connection from a partial table keyed by (k, i, j) indices.
 
     Missing entries are zero; an entry may be given in either lower-index
-    order but conflicting values for (i, j) and (j, i) are rejected.
+    order but conflicting values for (i, j) and (j, i) are rejected, and so
+    is an index outside range(n).
     """
     coords = tuple(coords)
     n = len(coords)
-    table = [[[None] * n for _ in range(n)] for _ in range(n)]
+    table = [None] * n**3
     for (k, i, j), value in entries.items():
+        if not {k, i, j} <= set(range(n)):
+            raise ConstructionError(f"index ({k}, {i}, {j}) outside range({n})")
         value = as_poly(value)
         for a, b in ((i, j), (j, i)):
-            cur = table[k][a][b]
-            if cur is not None and cur != value:
+            flat = (k * n + a) * n + b
+            if table[flat] is not None and table[flat] != value:
                 raise ConstructionError(
                     f"conflicting symmetric entries for ({k}, {i}, {j})"
                 )
-            table[k][a][b] = value
-    gamma = tuple(
-        tuple(
-            tuple(table[k][i][j] if table[k][i][j] is not None else ZERO_POLY
-                  for j in range(n))
-            for i in range(n)
-        )
-        for k in range(n)
+            table[flat] = value
+    return Connection(
+        coords, Tensor(n, FIELD, [ZERO_POLY if e is None else e for e in table])
     )
-    return Connection(coords, gamma)
 
 
 def from_named_table(coords, entries) -> Connection:
@@ -156,12 +156,9 @@ def from_named_table(coords, entries) -> Connection:
         if len(parts) != 3:
             raise ConstructionError(f"gamma key {key!r} must look like k.i.j")
         try:
-            k, i, j = (index[p] for p in parts)
+            resolved[tuple(index[p] for p in parts)] = value
         except KeyError:
             raise ConstructionError(f"unknown coordinate in gamma key {key!r}") from None
-        if (k, i, j) in resolved and resolved[(k, i, j)] != as_poly(value):
-            raise ConstructionError(f"duplicate gamma key {key!r}")
-        resolved[(k, i, j)] = as_poly(value)
     return from_table(coords, resolved)
 
 
@@ -276,7 +273,7 @@ def lie_derivative(c: Connection, field: Tensor) -> Tensor:
     if field.dim != c.dim or field.variance != (UP,):
         raise ShapeError("vector field shape mismatch")
     n = c.dim
-    g = c.gamma
+    g = c.table
     coords = c.coords
     dX = [
         [field[m].diff(coords[i]) for m in range(n)] for i in range(n)
@@ -286,12 +283,12 @@ def lie_derivative(c: Connection, field: Tensor) -> Tensor:
         k, i, j = idx
         value = field[k].diff(coords[j]).diff(coords[i])
         for m in range(n):
-            value = value + field[m] * g[k][i][j].diff(coords[m])
-            value = value + g[k][m][j] * dX[i][m] + g[k][i][m] * dX[j][m]
-            value = value - g[m][i][j] * dX[m][k]
+            value = value + field[m] * g[k, i, j].diff(coords[m])
+            value = value + g[k, m, j] * dX[i][m] + g[k, i, m] * dX[j][m]
+            value = value - g[m, i, j] * dX[m][k]
         return value
 
-    return Tensor.from_function(n, (UP, DOWN, DOWN), entry)
+    return Tensor.from_function(n, FIELD, entry)
 
 
 def totally_geodesic_restrict(c: Connection, keep) -> Connection:
@@ -307,16 +304,15 @@ def totally_geodesic_restrict(c: Connection, keep) -> Connection:
     dropped = [i for i in range(c.dim) if i not in kept]
     for i, j in product(order, repeat=2):
         for k in dropped:
-            if not c.gamma[k][i][j].is_zero():
+            if not c.table[k, i, j].is_zero():
                 raise NotTotallyGeodesicError(
                     f"G^{c.coords[k].name}_{{{c.coords[i].name},{c.coords[j].name}}}"
                     " is nonzero"
                 )
-    coords = tuple(c.coords[i] for i in order)
-    gamma = tuple(
-        tuple(tuple(c.gamma[k][i][j] for j in order) for i in order) for k in order
+    table = Tensor.from_function(
+        len(order), FIELD, lambda idx: c.table[tuple(order[a] for a in idx)]
     )
     try:
-        return Connection(coords, gamma)
+        return Connection((c.coords[i] for i in order), table)
     except ConstructionError as exc:
         raise NotTotallyGeodesicError(str(exc)) from None

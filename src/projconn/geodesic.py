@@ -53,13 +53,8 @@ class NumericConnection:
         result is constant-coefficient by construction.
         """
         point = {sym: as_gaussian(v) for sym, v in assignment.items()}
-        n = conn.dim
-        gamma = np.zeros((n, n, n), dtype=complex)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    gamma[k, i, j] = complex(conn.gamma[k][i][j].evaluate(point))
-        return cls(gamma)
+        values = [complex(e.evaluate(point)) for e in conn.table.entries]
+        return cls(np.array(values, dtype=complex).reshape((conn.dim,) * 3))
 
 
 class GeodesicPath:

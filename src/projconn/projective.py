@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import Connection, weyl3
+from .connection import FIELD, Connection, weyl3
 from .errors import DimensionError, ShapeError
 from .poly import DiffPoly, ZERO_POLY
-from .tensor import DOWN, Tensor, UP, contract
-
-FIELD = (UP, DOWN, DOWN)
+from .tensor import DOWN, Tensor, contract
 
 
 def OneForm(coords, components) -> Tensor:
@@ -34,29 +32,13 @@ def OneForm(coords, components) -> Tensor:
 
 def theta_of(c: Connection) -> Tensor:
     """A connection's table viewed as its offset from the flat connection."""
-    g = c.gamma
-    return Tensor.from_function(c.dim, FIELD, lambda idx: g[idx[0]][idx[1]][idx[2]])
+    return c.table
 
 
 def theta_between(c1: Connection, c2: Connection) -> Tensor:
     if c1.coords != c2.coords:
         raise ShapeError("connections live on different coordinates")
-    return theta_of(c1) - theta_of(c2)
-
-
-def with_theta(c: Connection, t: Tensor) -> Connection:
-    """The connection c + T for a symmetric field T."""
-    n = c.dim
-    if t.dim != n or t.variance != FIELD:
-        raise ShapeError("field shape mismatch")
-    g = c.gamma
-    return Connection(
-        c.coords,
-        [
-            [[g[k][i][j] + t[k, i, j] for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ],
-    )
+    return c1.table - c2.table
 
 
 def divergence(t: Tensor) -> Tensor:
@@ -86,7 +68,7 @@ def trace_free_project(t: Tensor) -> Tensor:
 
 def with_one_form(c: Connection, f: Tensor) -> Connection:
     """The projectively equivalent connection c + J(theta)."""
-    return with_theta(c, inject(f))
+    return Connection(c.coords, c.table + inject(f))
 
 
 def projective_equiv(c1: Connection, c2: Connection):

@@ -4,7 +4,7 @@ Entries are stored row-major over index tuples in {0..n-1}^arity; reports
 and the JSON form use coordinate names instead of numbers.  Storage stays
 dense, so indexing is plain arithmetic; the sparsity of the inputs is used
 where tensors are built instead: `curvature` iterates only over the nonzero
-Christoffel entries.
+Christoffel entries, and `contract` adds only nonzero addends.
 """
 
 from __future__ import annotations
@@ -132,7 +132,9 @@ def contract(t: Tensor, up: int, down: int) -> Tensor:
                 full[slot] = value
             full[up] = k
             full[down] = k
-            total = total + t[tuple(full)]
+            addend = t[tuple(full)]
+            if addend:
+                total = total + addend
         return total
 
     return Tensor.from_function(t.dim, variance, entry)

@@ -7,6 +7,7 @@ import pytest
 
 import golden
 from projconn.connection import (
+    Connection,
     bianchi_check,
     curvature,
     equiaffine_check,
@@ -82,6 +83,76 @@ class TestConstruction:
         assert conn.gamma[1][0][0] == as_poly(A)
         nonzero = list(conn.nonzero_entries())
         assert nonzero == [((1, 0, 0), as_poly(A))]
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (3, 0, 0), (0, 0, 5), (0, -1, 2)])
+    def test_index_outside_range_rejected(self, key):
+        with pytest.raises(ConstructionError, match="outside range"):
+            from_table(coords_named("x", "y", "z"), {key: as_poly(1)})
+
+    def test_equal_tables_equal_hashes(self):
+        coords = coords_named("x", "y", "z")
+        A = as_poly(parameter("A"))
+        built = [
+            from_table(coords, {(2, 0, 1): A, (1, 1, 1): 3}),
+            from_table(coords, {(2, 1, 0): A, (1, 1, 1): 3}),
+            from_named_table(coords, {"z.y.x": A, "y.y.y": 3}),
+        ]
+        assert built[0] == built[1] == built[2]
+        assert len({hash(c) for c in built}) == 1
+        assert built[0].gamma[2][1][0] == A
+
+
+class TestConstructorChecks:
+    """Each rejection of Connection(coords, table)."""
+
+    coords = coords_named("x", "y", "z")
+
+    def field(self, dim=3, variance=(UP, DOWN, DOWN), entries=None):
+        return Tensor(dim, variance, [0] * dim ** len(variance) if entries is None else entries)
+
+    def test_accepts_a_symmetric_field(self):
+        conn = Connection(self.coords, self.field())
+        assert conn == flat_connection(self.coords)
+        assert conn.table == self.field()
+
+    @pytest.mark.parametrize(
+        "dim, variance",
+        [(2, (UP, DOWN, DOWN)), (4, (UP, DOWN, DOWN)), (3, (DOWN, DOWN, DOWN)),
+         (3, (UP, DOWN, UP)), (3, (UP, DOWN)), (3, (UP, DOWN, DOWN, DOWN))],
+    )
+    def test_wrong_shape_rejected(self, dim, variance):
+        with pytest.raises(ConstructionError, match="Tensor"):
+            Connection(self.coords, self.field(dim, variance))
+
+    def test_nested_tuples_rejected(self):
+        with pytest.raises(ConstructionError, match="Tensor"):
+            Connection(self.coords, flat_connection(self.coords).gamma)
+
+    def test_asymmetric_lower_indices_rejected(self):
+        entries = [0] * 27
+        entries[(0 * 3 + 1) * 3 + 2] = 1  # G^x_{yz} = 1 but G^x_{zy} = 0
+        with pytest.raises(ConstructionError, match="symmetric"):
+            Connection(self.coords, self.field(entries=entries))
+
+    def test_non_coordinate_symbol_rejected(self):
+        coords = (self.coords[0], parameter("y"), self.coords[2])
+        with pytest.raises(ConstructionError, match="not a coordinate"):
+            Connection(coords, self.field())
+
+    def test_undeclared_coordinate_rejected(self):
+        (w,) = coords_named("w")
+        with pytest.raises(ConstructionError, match="undeclared coordinate 'w'"):
+            Connection(self.coords, self.field(entries=[w] + [0] * 26))
+
+    def test_function_outside_chart_rejected(self):
+        f = function("f", ("x", "w"))
+        with pytest.raises(ConstructionError, match="outside this chart"):
+            Connection(self.coords, self.field(entries=[f] + [0] * 26))
+
+    def test_function_inside_chart_accepted(self):
+        f = as_poly(function("f", ("x", "z")))
+        conn = Connection(self.coords, self.field(entries=[f] + [0] * 26))
+        assert conn.gamma[0][0][0] == f
 
 
 class TestGoldenCurvature:
@@ -328,6 +399,14 @@ class TestTotallyGeodesic:
         conn = flat_connection(coords)
         sub = totally_geodesic_restrict(conn, ("x0", "x2", "x4"))
         assert sub == flat_connection((coords[0], coords[2], coords[4]))
+
+    def test_kept_entries_carry_over(self):
+        coords = coords_named("x0", "x1", "x2", "x3")
+        A = as_poly(parameter("A"))
+        table = {(0, 0, 2): A, (2, 2, 2): coords[0], (1, 1, 2): 5, (3, 3, 0): 7}
+        sub = totally_geodesic_restrict(from_table(coords, table), ("x2", "x0"))
+        expected = from_table((coords[0], coords[2]), {(0, 0, 1): A, (1, 1, 1): coords[0]})
+        assert sub == expected
 
     def test_violation_rejected(self):
         coords = coords_named("x1", "x2", "x3", "x4")
