@@ -213,7 +213,10 @@ def _parse_sweep(items):
             raise EngineError(f"--sweep bounds must be integers in {item!r}") from None
         if hi < lo:
             raise EngineError(f"empty sweep range in {item!r}")
-        ranges.append((name.strip(), lo, hi))
+        name = name.strip()
+        if any(name == seen for seen, _, _ in ranges):
+            raise EngineError(f"--sweep names {name!r} more than once")
+        ranges.append((name, lo, hi))
     if math.prod(hi - lo + 1 for _, lo, hi in ranges) > MAX_SWEEP_POINTS:
         raise EngineError(f"the sweep grid exceeds the bound of {MAX_SWEEP_POINTS} points")
     return ranges
@@ -270,6 +273,8 @@ def _parse_tuple(option: str, count: int, label: str):
 def _cmd_pullback_check(args):
     import random
 
+    if args.points < 1:
+        raise EngineError(f"--points must be at least 1, got {args.points}")
     gamma = _parse_tuple(args.gamma, 4, "gamma")
     lam = _parse_tuple(args.lam, 4, "lambda") if args.lam else [0, 0, 0, 0]
     g = families.GroupElement(*gamma, *lam)

@@ -210,23 +210,23 @@ def trace_r(c: Connection) -> Tensor:
 
 
 def _weyl3_from(r: Tensor, ric: Tensor, trr: Tensor) -> Tensor:
+    """W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/4 - d^l_i H_{jk} + d^l_j H_{ik},
+    with H = Ricci/2 + TrR/8, on flat offsets."""
     n = r.dim
-    pairs = list(product(range(n), repeat=2))
-    quarter = {ij: trr[ij] * Fraction(1, 4) for ij in pairs}
-    half = {ij: ric[ij] * Fraction(1, 2) + trr[ij] * Fraction(1, 8) for ij in pairs}
-
-    def entry(idx):
-        l, i, j, k = idx
-        value = r[idx]
-        if l == k:
-            value = value - quarter[i, j]
-        if l == i:
-            value = value - half[j, k]
-        if l == j:
-            value = value + half[i, k]
-        return value
-
-    return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+    quarter = [x * Fraction(1, 4) for x in trr.entries]
+    half = [a * Fraction(1, 2) + b * Fraction(1, 8) for a, b in zip(ric.entries, trr.entries)]
+    entries = list(r.entries)
+    for l, a, b in product(range(n), repeat=3):
+        pair = a * n + b
+        if quarter[pair]:  # l == k: (l, a, b, l)
+            f = ((l * n + a) * n + b) * n + l
+            entries[f] = entries[f] - quarter[pair]
+        if half[pair]:  # l == i: (l, l, a, b), and l == j: (l, a, l, b)
+            f = ((l * n + l) * n + a) * n + b
+            entries[f] = entries[f] - half[pair]
+            f = ((l * n + a) * n + l) * n + b
+            entries[f] = entries[f] + half[pair]
+    return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
 def weyl3(c: Connection) -> Tensor:

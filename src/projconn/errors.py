@@ -21,6 +21,10 @@ class SubstError(EngineError):
     """Inconsistent substitution request (derivative bound without its base)."""
 
 
+class DegreeError(EngineError):
+    """A monomial exponent beyond the packed-monomial bound MAX_DEGREE."""
+
+
 class ParseError(EngineError):
     """Syntax or declaration error in an expression.
 

@@ -294,6 +294,8 @@ def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
     Skips poles, tau values fixed by the action with a nontrivial
     automorphy factor, and tau values colliding with another sample's
     image (both would constrain otherwise arbitrary coefficient values).
+    A rejected tau stays rejected, so once every candidate tau has been
+    drawn and fewer than count are accepted, ConsistencyError is raised.
     """
 
     def draw():
@@ -301,11 +303,20 @@ def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
             random_rational(rng, span, max_den), random_rational(rng, span, max_den)
         )
 
+    rationals = {Fraction(a, b) for a in range(-span, span + 1) for b in range(1, max_den + 1)}
+    candidates = len(rationals) ** 2
     points = []
     taus = set()
     images = set()
+    tried = set()
     while len(points) < count:
+        if len(tried) == candidates:
+            raise ConsistencyError(
+                f"only {len(points)} of {count} points: every one of the "
+                f"{candidates} candidate tau values has been tried"
+            )
         tau = draw()
+        tried.add(tau)
         if tau in taus:
             continue
         try:

@@ -25,14 +25,16 @@ result (sums and divisions grow coefficients as well) have coefficients of
 at most MAX_COEFF_BITS bits, measured on the (a + b*i)/d form of each
 coefficient.  Curvature is quadratic in the connection, so the cap stays
 far below Python's 4,300-digit limit on int-to-str conversion even after
-several doublings.  Errors carry the byte offset into the input.
+several doublings.  A product whose exponent would pass the ring's bound
+MAX_DEGREE (projconn.poly) is refused too.  Errors carry the byte offset
+into the input.
 """
 
 from __future__ import annotations
 
 import re as _re
 
-from .errors import ParseError
+from .errors import DegreeError, ParseError
 from .poly import ONE_POLY, DiffPoly
 from .rational import GaussianRational
 from .symbols import COORDINATE, FUNCTION, Symbol, SymbolTable
@@ -125,15 +127,19 @@ class _Parser:
 
     def bits_bounded(self, value: DiffPoly, tok: _Token) -> DiffPoly:
         """value, unless a coefficient has more than MAX_COEFF_BITS bits."""
-        if any(c.bit_height() > MAX_COEFF_BITS for c in value.terms().values()):
+        if any(c.bit_height() > MAX_COEFF_BITS for c in value.coefficients()):
             self.error(f"a coefficient exceeds the bound of {MAX_COEFF_BITS} bits", tok)
         return value
 
     def product(self, x: DiffPoly, y: DiffPoly, tok: _Token) -> DiffPoly:
         """x * y, refused before it is formed when it pairs too many terms."""
-        if len(x.terms()) * len(y.terms()) > MAX_TERMS:
+        if len(x) * len(y) > MAX_TERMS:
             self.error(f"expansion exceeds the bound of {MAX_TERMS} terms", tok)
-        return self.bits_bounded(x * y, tok)
+        try:
+            value = x * y
+        except DegreeError as exc:
+            self.error(str(exc), tok)
+        return self.bits_bounded(value, tok)
 
     def power(self, base: DiffPoly, exponent: int, tok: _Token) -> DiffPoly:
         """base ** exponent by square-and-multiply, each step a checked product."""
@@ -168,7 +174,7 @@ class _Parser:
                 self.advance()
                 rhs = self.term()
                 value = value - rhs if tok.text == "-" else value + rhs
-                if len(value.terms()) > MAX_TERMS:
+                if len(value) > MAX_TERMS:
                     self.error(f"sum exceeds the bound of {MAX_TERMS} terms", tok)
             else:
                 return value

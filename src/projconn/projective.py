@@ -48,17 +48,15 @@ def divergence(t: Tensor) -> Tensor:
 
 def inject(f: Tensor) -> Tensor:
     """J(theta)^k_{ij} = theta_i delta^k_j + theta_j delta^k_i."""
-
-    def entry(idx):
-        k, i, j = idx
-        value = ZERO_POLY
-        if k == j:
-            value = value + f[i]
-        if k == i:
-            value = value + f[j]
-        return value
-
-    return Tensor.from_function(f.dim, FIELD, entry)
+    n, theta = f.dim, f.entries
+    entries = [ZERO_POLY] * n**3
+    for k in range(n):
+        for m in range(n):
+            # (k, m, k) and (k, k, m) hold theta_m; both are (k, k, k) when m == k
+            entries[(k * n + m) * n + k] = theta[m]
+            entries[(k * n + k) * n + m] = theta[m]
+        entries[(k * n + k) * n + k] = theta[k] + theta[k]
+    return Tensor(n, FIELD, entries)
 
 
 def trace_free_project(t: Tensor) -> Tensor:

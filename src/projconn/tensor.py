@@ -2,14 +2,18 @@
 
 Entries are stored row-major over index tuples in {0..n-1}^arity; reports
 and the JSON form use coordinate names instead of numbers.  Storage stays
-dense, so indexing is plain arithmetic; the sparsity of the inputs is used
-where tensors are built instead: `curvature` iterates only over the nonzero
-Christoffel entries, and `contract` adds only nonzero addends.
+dense, so indexing is plain arithmetic, and the kernels (`contract`,
+`swap_slots`, `symmetry_check`) walk precomputed flat offsets instead of
+building index tuples.  The sparsity of the inputs is used where tensors
+are built: `curvature` iterates only over the nonzero Christoffel entries,
+and `contract` adds only nonzero addends.  `Tensor.__init__` is the one
+way a tensor is built.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import add, sub
 
 from .errors import ShapeError
 from .poly import DiffPoly, ZERO_POLY, as_poly
@@ -25,6 +29,26 @@ def _flat(dim, idx):
     return flat
 
 
+def _strides(dim, arity):
+    """Flat-offset step of each slot in row-major storage."""
+    return [dim ** (arity - 1 - s) for s in range(arity)]
+
+
+def _offsets(dim, strides):
+    """Flat offsets met by a row-major walk whose slot s steps strides[s]."""
+    offsets = [0]
+    for step in strides:
+        offsets = [base + i * step for base in offsets for i in range(dim)]
+    return offsets
+
+
+def _swapped_offsets(t, s1, s2):
+    """offsets[f]: where entry f of t with slots s1 and s2 swapped sits in t."""
+    strides = _strides(t.dim, t.arity)
+    strides[s1], strides[s2] = strides[s2], strides[s1]
+    return _offsets(t.dim, strides)
+
+
 class Tensor:
     """Immutable dense tensor; variance lists one 'up'/'down' per slot."""
 
@@ -35,7 +59,7 @@ class Tensor:
         for slot in variance:
             if slot not in (UP, DOWN):
                 raise ShapeError(f"bad variance slot {slot!r}")
-        entries = tuple(as_poly(e) for e in entries)
+        entries = tuple([e if type(e) is DiffPoly else as_poly(e) for e in entries])
         if len(entries) != dim ** len(variance):
             raise ShapeError(
                 f"expected {dim ** len(variance)} entries, got {len(entries)}"
@@ -85,17 +109,16 @@ class Tensor:
     def map(self, fn) -> "Tensor":
         return Tensor(self.dim, self.variance, [fn(e) for e in self.entries])
 
-    def __add__(self, other):
+    def _zip(self, other, op) -> "Tensor":
         if self.dim != other.dim or self.variance != other.variance:
-            raise ShapeError("tensor shape mismatch in addition")
-        return Tensor(
-            self.dim,
-            self.variance,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+            raise ShapeError("tensor shape mismatch")
+        return Tensor(self.dim, self.variance, list(map(op, self.entries, other.entries)))
+
+    def __add__(self, other):
+        return self._zip(other, add)
 
     def __sub__(self, other):
-        return self + other.map(lambda e: -e)
+        return self._zip(other, sub)
 
     def __mul__(self, scalar):
         return self.map(lambda e: e * scalar)
@@ -104,13 +127,8 @@ class Tensor:
 
     def swap_slots(self, s1, s2) -> "Tensor":
         """Transpose two index positions."""
-
-        def entry(idx):
-            swapped = list(idx)
-            swapped[s1], swapped[s2] = swapped[s2], swapped[s1]
-            return self[tuple(swapped)]
-
-        return Tensor.from_function(self.dim, self.variance, entry)
+        e = self.entries
+        return Tensor(self.dim, self.variance, [e[f] for f in _swapped_offsets(self, s1, s2)])
 
 
 def contract(t: Tensor, up: int, down: int) -> Tensor:
@@ -122,22 +140,17 @@ def contract(t: Tensor, up: int, down: int) -> Tensor:
     if t.variance[down] != DOWN:
         raise ShapeError(f"slot {down} is not covariant")
     keep = [s for s in range(t.arity) if s not in (up, down)]
-    variance = tuple(t.variance[s] for s in keep)
-
-    def entry(idx):
+    strides = _strides(t.dim, t.arity)
+    step = strides[up] + strides[down]
+    e = t.entries
+    out = []
+    for base in _offsets(t.dim, [strides[s] for s in keep]):
         total = ZERO_POLY
-        for k in range(t.dim):
-            full = [0] * t.arity
-            for slot, value in zip(keep, idx):
-                full[slot] = value
-            full[up] = k
-            full[down] = k
-            addend = t[tuple(full)]
-            if addend:
-                total = total + addend
-        return total
-
-    return Tensor.from_function(t.dim, variance, entry)
+        for f in range(base, base + t.dim * step, step):
+            if e[f]:
+                total = total + e[f]
+        out.append(total)
+    return Tensor(t.dim, [t.variance[s] for s in keep], out)
 
 
 def symmetry_check(t: Tensor, slots, mode: str) -> bool:
@@ -147,10 +160,11 @@ def symmetry_check(t: Tensor, slots, mode: str) -> bool:
         raise ShapeError("symmetry slots must share variance")
     if mode not in ("symmetric", "antisymmetric"):
         raise ShapeError(f"unknown symmetry mode {mode!r}")
-    swapped = t.swap_slots(s1, s2)
+    e = t.entries
+    pairs = zip(_swapped_offsets(t, s1, s2), e)
     if mode == "symmetric":
-        return swapped == t
-    return swapped == t.map(lambda e: -e)
+        return all(e[f] is x or e[f] == x for f, x in pairs)
+    return all(e[f] == -x for f, x in pairs)
 
 
 def tensor_to_json(t: Tensor, coord_names) -> dict:

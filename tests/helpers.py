@@ -3,7 +3,13 @@
 Everything is seeded explicitly by the caller; no global randomness.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import projconn
 
 from projconn.connection import Connection, from_table
 from projconn.poly import DiffPoly, as_poly
@@ -11,6 +17,17 @@ from projconn.projective import OneForm
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable
 from projconn.tensor import DOWN, Tensor, UP
+
+
+def run_python(code, *args, timeout, cwd=None) -> subprocess.CompletedProcess:
+    """Run code with args in a fresh interpreter that imports this projconn and
+    the tests directory; raises subprocess.TimeoutExpired past the timeout in
+    seconds."""
+    paths = [str(Path(projconn.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (*paths, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, timeout=timeout,
+                          capture_output=True, text=True)
 
 
 def rand_fraction(rng, span=5, max_den=4) -> Fraction:

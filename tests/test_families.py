@@ -30,7 +30,7 @@ from projconn.rational import GaussianRational, I, ONE, ZERO
 from projconn.symbols import function, parameter
 from projconn.tensor import DOWN, Tensor, UP
 
-from helpers import rand_fraction
+from helpers import rand_fraction, run_python
 
 
 def rational(num, den=1):
@@ -186,6 +186,34 @@ class TestGroupElement:
                     for c in range(3):
                         product = sum((jac_inv[r][m] * jac[m][c] for m in range(3)), ZERO)
                         assert product == (ONE if r == c else ZERO)
+
+
+class TestOrbitSafePoints:
+    def test_seeded_draws_are_pinned(self):
+        points = orbit_safe_points(GroupElement(0, -1, 1, 0), 3, random.Random(7))
+        assert [tuple(str(x) for x in p) for p in points] == [
+            ("-1/2", "-5 - i", "1 - 6*i"),
+            ("-5/2*i", "-5/4 - 6*i", "-3 + 3/4*i"),
+            ("-3 - 3*i", "-1/2 - 4*i", "1 + i"),
+        ]
+
+    def test_exhausted_candidates_raise(self):
+        # span 1, denominator 1: tau ranges over the 9 values a + b*i, |a|, |b| <= 1;
+        # a fresh interpreter with a timeout, since a missing check loops forever
+        code = (
+            "import random\n"
+            "from projconn.errors import ConsistencyError\n"
+            "from projconn.families import GroupElement, orbit_safe_points\n"
+            "g = GroupElement(1, 0, 0, 1)\n"
+            "assert len(orbit_safe_points(g, 9, random.Random(3), span=1, max_den=1)) == 9\n"
+            "try:\n"
+            "    orbit_safe_points(g, 10, random.Random(3), span=1, max_den=1)\n"
+            "except ConsistencyError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = run_python(code, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert "9 candidate tau values" in done.stdout
 
 
 def _random_points(rng, count, g):

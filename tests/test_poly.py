@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from projconn.errors import EvalError, KindError, SubstError
-from projconn.poly import DiffPoly, as_poly
+from projconn.errors import DegreeError, EvalError, KindError, SubstError
+from projconn.poly import MAX_DEGREE, DiffPoly, as_poly
 from projconn.rational import GaussianRational, I
 from projconn.symbols import coordinate, function, parameter
 
@@ -209,3 +209,38 @@ class TestDisplay:
         mono, lead = p.leading()
         assert lead == GaussianRational(Fraction(1, 8))
         assert p.monic() == (P(C) - P(D)) ** 2
+
+
+class TestPackedMonomials:
+    def test_keys_are_ints(self):
+        p = (P(C) + P(F) * P(TAU)) ** 2 + 1
+        assert all(type(mono) is int for mono in p._terms)
+        assert p.terms() == {
+            ((C, 2),): 1, ((C, 1), (F, 1), (TAU, 1)): 2, ((F, 2), (TAU, 2)): 1, (): 1,
+        }
+
+    def test_degree_bound(self):
+        assert MAX_DEGREE == 2**15 - 1
+        assert (P(A) ** MAX_DEGREE).terms() == {((A, MAX_DEGREE),): 1}
+        assert (P(A) ** MAX_DEGREE * P(B) ** MAX_DEGREE).leading()[0] == (
+            (A, MAX_DEGREE), (B, MAX_DEGREE))
+        with pytest.raises(DegreeError):
+            P(A) ** (MAX_DEGREE + 1)
+        with pytest.raises(DegreeError):
+            (P(A) + 1) * P(A) ** MAX_DEGREE
+        with pytest.raises(DegreeError):
+            DiffPoly({((A, MAX_DEGREE + 1),): 1})
+        with pytest.raises(DegreeError):
+            DiffPoly({((A, MAX_DEGREE), (A, 1)): 1})
+
+    def test_diff_of_function_respects_bound(self):
+        dF = as_poly(F.derivative("tau"))
+        assert (P(F) * dF ** (MAX_DEGREE - 1)).diff(TAU) == (
+            dF**MAX_DEGREE + (MAX_DEGREE - 1) * P(F) * dF ** (MAX_DEGREE - 2) * P(
+                F.derivative("tau").derivative("tau")))
+        with pytest.raises(DegreeError):
+            (P(F) * dF**MAX_DEGREE).diff(TAU)
+
+    def test_tuple_keys_in_any_order(self):
+        p = DiffPoly({((B, 1), (A, 1)): 1, ((A, 1), (B, 1)): 2, ((A, 0), (C, 1)): 3})
+        assert p == 3 * P(A) * P(B) + 3 * P(C)

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from projconn.cli import main
 from projconn.errors import EngineError
 from projconn.parser import parse_expr
-from projconn.poly import as_poly
+from projconn.poly import DiffPoly, as_poly
 from projconn.rational import GaussianRational
 from projconn.specfile import parse_spec
 from projconn.symbols import SymbolTable
@@ -194,6 +194,13 @@ def test_ring_axioms(p, q, r):
 def test_diff_leibniz_rule(p, q):
     assert (p * q).diff(X) == p.diff(X) * q + p * q.diff(X)
     assert (p + q).diff(X) == p.diff(X) + q.diff(X)
+
+
+@RING_CHECKS
+@given(polys)
+def test_tuple_form_round_trips(p):
+    assert DiffPoly(p.terms()) == p
+    assert DiffPoly(dict(p.sorted_terms())) == p
 
 
 @RING_CHECKS

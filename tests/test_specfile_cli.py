@@ -22,6 +22,10 @@ from projconn.specfile import (
     spec_of_connection,
 )
 
+from helpers import run_python
+
+CLI = "import sys; from projconn.cli import main; sys.exit(main(sys.argv[1:]))"
+
 TORUS_SPEC = """\
 # constant family at symbolic parameters
 title = demo family
@@ -367,6 +371,38 @@ class TestCli:
         assert code == 0, err
         assert "(horizon 5)" in out
 
+    def test_degree_bound_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "degree.conn"
+        path.write_text("dim = 3\ncoords = x, y, z\nparams = A\n[gamma]\n"
+                        "x.x.x = ((A^64)^64)^64\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "curvature", str(path))
+        assert code == 2
+        assert out == ""
+        assert "exponent exceeds the bound of 32767 (byte offset 11)" in err
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_pullback_points_below_one_rejected(self, capsys, points):
+        code, out, err = run_cli(capsys, "pullback-check", "--gamma", "0,-1,1,0",
+                                 "--points", points)
+        assert code == 2
+        assert out == ""
+        assert f"--points must be at least 1, got {points}" in err
+
+    def test_pullback_points_beyond_candidates_is_exit_2(self):
+        # 1,089 candidate tau values exist; a missing check loops forever
+        done = run_python(CLI, "pullback-check", "--gamma", "0,-1,1,0", "--points", "2000",
+                          timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "every one of the 1089 candidate tau values has been tried" in done.stderr
+
+    def test_repeated_sweep_name_rejected(self, capsys, torus_file):
+        code, out, err = run_cli(capsys, "conditions", torus_file, "--set", "A=1,B=1,E=1,D=1",
+                                 "--sweep", "C=1:3", "--sweep", "C=1:2")
+        assert code == 2
+        assert out == ""
+        assert "--sweep names 'C' more than once" in err
+
     def test_deep_nesting_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.conn"
         nested = "(" * 1500 + "x" + ")" * 1500
@@ -476,3 +512,42 @@ def test_readme_commands_golden_corpus(capsys, tmp_path, monkeypatch):
             (tmp_path / target).write_text(out, encoding="utf-8")
         corpus.append(f"$ projconn {shlex.join(argv)}\n[exit {code}]\n{out}")
     assert "".join(corpus) == README_CORPUS.read_text(encoding="utf-8")
+
+
+# Interns the corpus's symbols in the reverse of their display order before
+# anything else builds a polynomial, then prints the corpus as the test above
+# builds it.
+REVERSED_SLOTS_CORPUS = r"""
+import contextlib, io, shlex, sys
+from projconn.poly import _SYMBOLS, DiffPoly
+from projconn.symbols import coordinate, function, parameter
+
+symbols = [coordinate(n) for n in ("tau", "z1", "z2")] + [parameter(n) for n in "ABCDE"]
+functions = [function(n, ("tau",)) for n in "ABC"]
+symbols += functions + [f.derivative("tau") for f in functions]
+order = sorted(symbols, key=lambda s: s.sort_key, reverse=True)
+for sym in order:
+    DiffPoly.of(sym)
+assert _SYMBOLS == order, _SYMBOLS
+
+from projconn.cli import main
+from test_specfile_cli import readme_commands
+
+corpus = []
+for argv, target in readme_commands():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if target is not None:
+        with open(target, "w", encoding="utf-8") as f:
+            f.write(out.getvalue())
+    corpus.append(f"$ projconn {shlex.join(argv)}\n[exit {code}]\n{out.getvalue()}")
+sys.stdout.write("".join(corpus))
+"""
+
+
+def test_readme_corpus_independent_of_slot_order(tmp_path):
+    """Monomials pack exponents by intern slot; display must not see the order."""
+    done = run_python(REVERSED_SLOTS_CORPUS, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == README_CORPUS.read_text(encoding="utf-8")

@@ -107,6 +107,29 @@ def test_nonsymmetric_counterexample():
     assert not symmetry_check(t, (0, 1), "antisymmetric")
 
 
+def test_flat_kernels_match_index_oracles():
+    """contract, swap_slots and symmetry_check against their index definitions."""
+    rng = random.Random(20261018)
+    syms = [parameter(n) for n in "AB"]
+    for dim in (1, 2, 3):
+        t = rand_tensor(rng, dim, (UP, DOWN, UP, DOWN), syms)
+        for up, down in product((0, 2), (1, 3)):
+            got = contract(t, up, down)
+            assert got.variance == tuple(t.variance[s] for s in range(4) if s not in (up, down))
+            assert {idx: got[idx] for idx in got.indices()} == naive_contract(t, up, down)
+        for s1, s2 in ((0, 2), (1, 3), (3, 1)):
+            swapped = t.swap_slots(s1, s2)
+            for idx in t.indices():
+                moved = list(idx)
+                moved[s1], moved[s2] = moved[s2], moved[s1]
+                assert swapped[idx] == t[tuple(moved)]
+            assert symmetry_check(t + swapped, (s1, s2), "symmetric")
+            assert symmetry_check(t - swapped, (s1, s2), "antisymmetric")
+            if dim > 1:
+                assert not symmetry_check(t, (s1, s2), "symmetric")
+                assert not symmetry_check(t, (s1, s2), "antisymmetric")
+
+
 def test_double_swap_is_identity():
     rng = random.Random(12)
     syms = [parameter(n) for n in "AB"]
