@@ -1,4 +1,5 @@
-"""Shared random generators for the property tests.
+"""Shared random generators for the property tests, and a runner for code
+that must start in a fresh interpreter.
 
 Everything is seeded explicitly by the caller; no global randomness.
 """
