@@ -311,10 +311,17 @@ def _cmd_pullback_check(args):
 def _cmd_geodesic(args):
     from . import geodesic  # the only subcommand that needs numpy
 
+    if args.tol is not None and not args.tol >= 0:
+        raise EngineError(f"--tol must be a non-negative number, got {args.tol:g}")
     if args.compare and 2 * args.step * args.count > geodesic.MAX_HORIZON:
         raise EngineError(
             "--compare integrates the reference trace over twice the horizon, so "
             f"step * count must not exceed {geodesic.MAX_HORIZON / 2:g}"
+        )
+    if args.compare and 2 * args.count > geodesic.MAX_STEPS:
+        raise EngineError(
+            "--compare integrates the reference trace over twice the steps, so "
+            f"count must not exceed {geodesic.MAX_STEPS // 2}"
         )
     paths = (args.spec, args.compare) if args.compare else (args.spec,)
     conns, (source, *_) = _load(args, *paths)

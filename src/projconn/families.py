@@ -206,28 +206,39 @@ class GroupElement:
         return jac, jac_inv
 
 
-def _field_values(field: Tensor, point, coeff_values):
-    """The field's entries at one point (tau, z1, z2), flat in
-    field.indices() order; function symbols take their values at tau."""
-    tau = point[0]
-    bindings = dict(zip(torus_coords(), point))
+def _field_symbols(field: Tensor, coords):
+    """The field's non-coordinate symbols in order of first occurrence: the
+    function symbols that take values, up to the first symbol that no value
+    can bind, and the error that symbol raises (None when there is none)."""
+    functions = []
     for entry in field.entries:
         for sym in entry.symbols():
-            if sym in bindings:
+            if sym in coords or sym in functions:
                 continue
             if sym.kind == FUNCTION:
                 if sym.is_derived():
-                    raise ConsistencyError(
+                    return functions, ConsistencyError(
                         f"field entries may not contain derivatives ({sym})"
                     )
-                values = coeff_values.get(sym.name)
-                if values is None or tau not in values:
-                    raise ConsistencyError(
-                        f"no value supplied for {sym.name} at tau = {tau}"
-                    )
-                bindings[sym] = as_gaussian(values[tau])
+                functions.append(sym)
             elif sym.kind == PARAMETER:
-                raise ConsistencyError(f"parameter {sym.name} has no assigned value")
+                return functions, ConsistencyError(f"parameter {sym.name} has no assigned value")
+    return functions, None
+
+
+def _field_values(field: Tensor, coords, symbols, point, coeff_values):
+    """The field's entries at one point (tau, z1, z2), flat in
+    field.indices() order; function symbols take their values at tau."""
+    tau = point[0]
+    bindings = dict(zip(coords, point))
+    functions, unbindable = symbols
+    for sym in functions:
+        values = coeff_values.get(sym.name)
+        if values is None or tau not in values:
+            raise ConsistencyError(f"no value supplied for {sym.name} at tau = {tau}")
+        bindings[sym] = as_gaussian(values[tau])
+    if unbindable is not None:
+        raise unbindable
     return [entry.evaluate(bindings) for entry in field.entries]
 
 
@@ -252,6 +263,9 @@ def invariance_check(
         )
     if field.dim != 3:
         raise ShapeError("the action is defined on three coordinates")
+    coords = torus_coords()
+    symbols = _field_symbols(field, coords)
+    indices = list(field.indices())
     for point in points:
         point = tuple(as_gaussian(p) for p in point)
         tau = point[0]
@@ -270,15 +284,23 @@ def invariance_check(
                     f"{name} violates the weight-{coeff.weight} rule at tau = {tau}"
                 )
         jac, jac_inv = g.jacobian(point)
-        at_image = _field_values(field, g.apply(point), coeff_values)
-        at_point = _field_values(field, point, coeff_values)
-        for flat, (k, i, j) in enumerate(field.indices()):
+        # J and J^-1 are lower triangular: skip their zero factors
+        inv_rows = [[(kp, a) for kp, a in enumerate(row) if not a.is_zero()] for row in jac_inv]
+        jac_cols = [
+            [(ip, row[i]) for ip, row in enumerate(jac) if not row[i].is_zero()] for i in range(3)
+        ]
+        at_image = _field_values(field, coords, symbols, g.apply(point), coeff_values)
+        at_point = _field_values(field, coords, symbols, point, coeff_values)
+        for expected, (k, i, j) in zip(at_point, indices):
             pulled = ZERO
-            for value, (kp, ip, jp) in zip(at_image, field.indices()):
-                if value.is_zero():
-                    continue
-                pulled = pulled + jac_inv[k][kp] * value * jac[ip][i] * jac[jp][j]
-            if pulled != at_point[flat]:
+            for kp, a in inv_rows[k]:
+                for ip, b in jac_cols[i]:
+                    for jp, c in jac_cols[j]:
+                        value = at_image[9 * kp + 3 * ip + jp]
+                        if value.is_zero():
+                            continue
+                        pulled = pulled + a * value * b * c
+            if pulled != expected:
                 return False
     return True
 

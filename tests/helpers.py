@@ -1,5 +1,6 @@
-"""Shared random generators for the property tests, and a runner for code
-that must start in a fresh interpreter.
+"""Shared random generators for the property tests, reference oracles for
+the curvature and geodesic kernels, and a runner for code that must start
+in a fresh interpreter.
 
 Everything is seeded explicitly by the caller; no global randomness.
 """
@@ -10,9 +11,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 import projconn
 
 from projconn.connection import Connection, from_table
+from projconn.errors import DivergenceError, ShapeError
+from projconn.geodesic import MAX_HORIZON, GeodesicPath
 from projconn.poly import DiffPoly, as_poly
 from projconn.projective import OneForm
 from projconn.rational import GaussianRational
@@ -127,3 +132,73 @@ def naive_curvature(conn) -> Tensor:
         return value
 
     return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+
+
+def naive_integrate(c, x0, v0, step, count) -> GeodesicPath:
+    """Reference RK4: the step written with numpy array operations and einsum
+    on the full Christoffel array, zero entries included."""
+    if step <= 0:
+        raise ShapeError("step must be positive")
+    if count < 1:
+        raise ShapeError("count must be a positive integer")
+    if step * count > MAX_HORIZON:
+        raise ShapeError(f"horizon step * count exceeds the bound of {MAX_HORIZON}")
+    x = np.asarray(x0, dtype=complex)
+    v = np.asarray(v0, dtype=complex)
+    if x.shape != (c.dim,) or v.shape != (c.dim,):
+        raise ShapeError("initial state does not match the dimension")
+    gamma = c.gamma
+
+    def acceleration(w):
+        return -np.einsum("kij,i,j->k", gamma, w, w)
+
+    times = [0.0]
+    xs = [x.copy()]
+    vs = [v.copy()]
+    h = step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(count):
+            k1x, k1v = v, acceleration(v)
+            k2x = v + 0.5 * h * k1v
+            k2v = acceleration(v + 0.5 * h * k1v)
+            k3x = v + 0.5 * h * k2v
+            k3v = acceleration(v + 0.5 * h * k2v)
+            k4x = v + h * k3v
+            k4v = acceleration(v + h * k3v)
+            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            state = np.concatenate([x, v])
+            if not np.all(np.isfinite(state.view(float))):
+                raise DivergenceError("geodesic integration diverged", times[-1])
+            times.append((n + 1) * h)
+            xs.append(x.copy())
+            vs.append(v.copy())
+    return GeodesicPath(times, xs, vs)
+
+
+def naive_match(p, q) -> float:
+    """Reference trace match: every sample of p against every segment of q's
+    polyline, in blocks of at most 2**16 point-segment pairs."""
+    if len(p) == 0 or len(q) == 0:
+        raise ShapeError("paths must contain samples")
+    pp = np.concatenate([p.positions.real, p.positions.imag], axis=-1)
+    qq = np.concatenate([q.positions.real, q.positions.imag], axis=-1)
+    if pp.shape[1] != qq.shape[1]:
+        raise ShapeError("paths live in different dimensions")
+    if len(q) == 1:
+        return float(np.max(np.linalg.norm(pp - qq[0], axis=1)))
+    starts = qq[:-1]
+    deltas = qq[1:] - starts
+    lengths_sq = np.sum(deltas * deltas, axis=1)
+    lengths_sq[lengths_sq == 0] = 1.0
+    block = max(1, 2**16 // len(starts))
+    deviation = 0.0
+    for lo in range(0, len(pp), block):
+        chunk = pp[lo:lo + block, None, :]
+        diff = chunk - starts[None, :, :]
+        t = np.sum(diff * deltas[None, :, :], axis=2) / lengths_sq[None, :]
+        t = np.clip(t, 0.0, 1.0)
+        nearest = starts[None, :, :] + t[:, :, None] * deltas[None, :, :]
+        dist = np.linalg.norm(chunk - nearest, axis=2)
+        deviation = max(deviation, float(np.max(np.min(dist, axis=1))))
+    return deviation

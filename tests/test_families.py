@@ -20,7 +20,8 @@ from projconn.families import (
     torus_coords,
     transported_values,
 )
-from projconn.poly import as_poly
+from projconn.cli import main
+from projconn.poly import DiffPoly, as_poly
 from projconn.projective import (
     divergence,
     is_projectively_flat,
@@ -302,3 +303,20 @@ class TestInvariance:
         weights = (WeightedCoefficient(a_sym, Fraction(3, 2)),)
         values = transported_values(g, points, base, weights)
         assert not invariance_check(wrong, g, points, values, weights)
+
+    def test_field_symbols_collected_once_per_check(self, monkeypatch, capsys):
+        calls = []
+        symbols = DiffPoly.symbols
+
+        def counted(self):
+            calls.append(1)
+            return symbols(self)
+
+        monkeypatch.setattr(DiffPoly, "symbols", counted)
+        counts = []
+        for points in ("2", "12"):
+            calls.clear()
+            assert main(["pullback-check", "--gamma", "0,-1,1,0", "--points", points]) == 0
+            assert "invariance: true" in capsys.readouterr().out
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

@@ -371,6 +371,38 @@ class TestCli:
         assert code == 0, err
         assert "(horizon 5)" in out
 
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_geodesic_step_bound_is_exit_2(self, torus_file, torus_e0_file, compare):
+        # the horizon 1e-9 * 10^9 = 1 is legal; only the step bound stops the run
+        argv = ["geodesic", torus_file, "--at", "A=1/2,B=-1/3,C=1/4,D=-1/5,E=1/2",
+                "--x0", "0,0,0", "--v0", "1,1,1", "--step", "1e-9", "--count", "1000000000"]
+        if compare:
+            argv += ["--compare", torus_e0_file]
+        done = run_python(CLI, *argv, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        if compare:
+            assert "twice the steps" in done.stderr and "must not exceed 10000" in done.stderr
+        else:
+            assert "count exceeds the bound of 20000 steps" in done.stderr
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-6"])
+    def test_geodesic_tolerance_must_be_non_negative(self, capsys, torus_file, torus_e0_file, tol):
+        code, out, err = run_cli(capsys, "geodesic", torus_file,
+                                 "--at", "A=1/2,B=-1/3,C=1/4,D=-1/5,E=1/2", "--x0", "0,0,0",
+                                 "--v0", "1,1,1", "--compare", torus_e0_file, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "--tol must be a non-negative number" in err
+
+    def test_geodesic_nan_step_is_exit_2(self, capsys, torus_file):
+        code, out, err = run_cli(capsys, "geodesic", torus_file,
+                                 "--at", "A=1/2,B=-1/3,C=1/4,D=-1/5,E=1/2", "--x0", "0,0,0",
+                                 "--v0", "1,1,1", "--step", "nan")
+        assert code == 2
+        assert out == ""
+        assert "step must be a positive finite number" in err
+
     def test_degree_bound_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "degree.conn"
         path.write_text("dim = 3\ncoords = x, y, z\nparams = A\n[gamma]\n"
