@@ -41,7 +41,7 @@ from .errors import DivergenceError, ShapeError
 from .rational import as_gaussian
 
 MAX_HORIZON = 10
-MAX_STEPS = 20_000  # a --compare run matches 10,001 against 20,001 samples in about 3 s
+MAX_STEPS = 20_000  # --compare then matches 10,001 against 20,001 samples: about 3 s
 _MATCH_PAIRS = 2**16  # point-segment pairs held by one temporary of the match
 
 
@@ -204,9 +204,7 @@ def unparametrized_match(p: GeodesicPath, q: GeodesicPath) -> float:
     deviation = 0.0
     for lo in range(0, len(pp), block):
         chunk = pp[lo:lo + block]
-        # vertex distances bound every segment: the distance to segment s is
-        # at least (|p - q_s| + |p - q_s+1| - |q_s+1 - q_s|) / 2, and the
-        # nearest segment is no farther than the nearest vertex
+        # vertex distances bound every segment (see the module docstring)
         to_start = np.zeros((len(chunk), len(starts)))
         square = np.empty_like(to_start)
         for a, b in zip(chunk.T, columns):
@@ -218,7 +216,7 @@ def unparametrized_match(p: GeodesicPath, q: GeodesicPath) -> float:
         to_end = np.concatenate([to_start[:, 1:], to_last[:, None]], axis=1)
         upper = np.minimum(np.min(to_start, axis=1), to_last) + margin
         lower = (to_start + to_end - lengths) / 2
-        rows, cols = np.nonzero(~(lower > upper[:, None]))
+        rows, cols = np.nonzero(~(lower > upper[:, None]))  # a NaN bound keeps its pair
         # the point-to-segment distance of the kept pairs, as for all pairs
         d = deltas[cols]
         t = np.sum((chunk[rows] - starts[cols]) * d, axis=1) / lengths_sq[cols]
