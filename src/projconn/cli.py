@@ -309,7 +309,7 @@ def _cmd_pullback_check(args):
 
 
 def _cmd_geodesic(args):
-    from . import geodesic  # the only subcommand that needs numpy
+    from . import geodesic  # compiled only by the subcommand that uses it
 
     if args.tol is not None and not args.tol >= 0:
         raise EngineError(f"--tol must be a non-negative number, got {args.tol:g}")

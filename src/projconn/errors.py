@@ -25,6 +25,10 @@ class DegreeError(EngineError):
     """A monomial exponent beyond the packed-monomial bound MAX_DEGREE."""
 
 
+class RangeError(EngineError):
+    """An exact number outside the floating-point range where a float is needed."""
+
+
 class ParseError(EngineError):
     """Syntax or declaration error in an expression.
 

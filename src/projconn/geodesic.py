@@ -7,26 +7,45 @@ module integrates the geodesic equation
 
 along real time with a fixed-step classical 4th-order scheme and compares
 position traces as point sets.  Complex time is restricted to real rays,
-which is all the trace comparison needs.
+which is all the trace comparison needs.  Everything runs on Python lists
+of `complex` and `float`; the numpy forms of the step and of the all-pairs
+match are kept in the tests as oracles, and both kernels reproduce them
+bit for bit.
 
-The RK4 step runs on Python complex numbers over the nonzero G^k_{ij}
-only.  It performs the floating-point operations of the numpy form of the
-step in the same order (a real scalar enters as a complex one, and
-G^k_{ij} v^i v^j is summed over i, then j, from 0j), and skipping a zero
-entry adds a zero to a sum that cannot be -0.0, so every sample is
-bit-identical to that form.
+The RK4 step runs over the nonzero G^k_{ij} only.  It performs the
+floating-point operations of the numpy form of the step in the same order
+(a real scalar enters as a complex one, and G^k_{ij} v^i v^j is summed
+over i, then j, from 0j), and skipping a zero entry adds a zero to a sum
+that cannot be -0.0, so every sample is bit-identical to that form.
 
-The trace match computes the point-to-segment formula only where it can
-matter.  The distance from p to segment s is at least
-(|p - q_s| + |p - q_s+1| - |q_s+1 - q_s|) / 2 by the triangle inequality,
-and the nearest segment is no farther than the nearest vertex.  A segment
-whose lower bound exceeds that upper bound by more than the rounding
-margin has a computed distance above the computed minimum, so dropping it
-leaves every minimum, and the returned maximum, bit-identical to the
-all-pairs computation.
+The trace match is the max over samples p of the min over segments s of
+one formula, t = clip(sum((p - s) * d) / |d|^2, 0, 1) and then
+sqrt(sum((p - (s + t * d))^2)), with a zero |d|^2 read as 1.0.  `_kernel`
+writes that formula out for each width and compiles it once.  It keeps
+numpy's operations and their order, sums included: numpy sums left to
+right below 8 terms, in eight interleaved accumulators up to 128, and by
+halves above.  So each computed distance equals numpy's bit for bit.  The
+max-min then needs no rounding margin, because it only ever compares two
+computed distances:
+  1. Descent: each sample walks from the previous sample's segment to a
+     local minimum along the polyline.  That gives an upper bound u, a
+     computed distance, on the sample's min.
+  2. Settle: samples are taken in descending u with a running max D.  Once
+     u <= D, no later sample can raise D.  Otherwise the segments are
+     scanned outward from the sample's own.  The first distance <= D
+     settles it.  A sample with none has its full min > D, which becomes D.
+So the result is one computed distance, the all-pairs maximum.  On traces
+a sample costs a few distances, and few samples need a full scan.  Without
+overflow every distance is finite (a t that overflows is clipped to 1), so
+the blocks in which the numpy form takes its maxima cannot change the
+result.  `_may_overflow` rules overflow
+out from the traces' bounding box.  Where it cannot, the match computes
+all pairs in the numpy form's blocks, where a NaN anywhere in a block hides
+that block's maximum.
 
 Bounds, each a ShapeError: a path takes at most MAX_STEPS steps over a
-horizon step * count of at most MAX_HORIZON, with a finite step.
+horizon step * count of at most MAX_HORIZON, with a finite step; a match
+that may overflow takes at most MAX_OVERFLOW_PAIRS point-segment pairs.
 """
 
 from __future__ import annotations
@@ -34,15 +53,17 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-
-import numpy as np
+from functools import lru_cache
+from itertools import chain, islice, zip_longest
+from operator import itemgetter
 
 from .errors import DivergenceError, ShapeError
 from .rational import as_gaussian
 
 MAX_HORIZON = 10
-MAX_STEPS = 20_000  # --compare then matches 10,001 against 20,001 samples: about 3 s
-_MATCH_PAIRS = 2**16  # point-segment pairs held by one temporary of the match
+MAX_STEPS = 20_000  # --compare then matches 10,001 against 20,001 samples
+MAX_OVERFLOW_PAIRS = 2**20  # about 1.3 s for an all-pairs match in C^3
+_BLOCK_PAIRS = 2**16  # point-segment pairs per block of the numpy form
 
 
 class NumericConnection:
@@ -51,12 +72,13 @@ class NumericConnection:
     __slots__ = ("gamma",)
 
     def __init__(self, gamma):
-        gamma = np.asarray(gamma, dtype=complex)
-        if gamma.ndim != 3 or len(set(gamma.shape)) != 1:
+        gamma = [[[complex(g) for g in row] for row in plane] for plane in gamma]
+        n = len(gamma)
+        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in gamma):
             raise ShapeError("gamma must be an n x n x n array")
-        if not np.allclose(gamma, np.swapaxes(gamma, 1, 2), rtol=0, atol=0):
+        if any(t[i][j] != t[j][i] for t in gamma for i in range(n) for j in range(i)):
             raise ShapeError("gamma must be symmetric in its lower indices")
-        if not np.all(np.isfinite(gamma.view(float))):
+        if not all(cmath.isfinite(g) for plane in gamma for row in plane for g in row):
             raise ShapeError("gamma entries must be finite")
         object.__setattr__(self, "gamma", gamma)
 
@@ -65,7 +87,7 @@ class NumericConnection:
 
     @property
     def dim(self):
-        return self.gamma.shape[0]
+        return len(self.gamma)
 
     @classmethod
     def from_connection(cls, conn, assignment) -> "NumericConnection":
@@ -76,7 +98,9 @@ class NumericConnection:
         """
         point = {sym: as_gaussian(v) for sym, v in assignment.items()}
         values = [complex(e.evaluate(point)) for e in conn.table.entries]
-        return cls(np.array(values, dtype=complex).reshape((conn.dim,) * 3))
+        n = conn.dim
+        return cls([[values[(k * n + i) * n:(k * n + i + 1) * n] for i in range(n)]
+                    for k in range(n)])
 
 
 class GeodesicPath:
@@ -85,16 +109,19 @@ class GeodesicPath:
     __slots__ = ("times", "positions", "velocities")
 
     def __init__(self, times, positions, velocities):
-        times = np.asarray(times, dtype=float)
-        positions = np.asarray(positions, dtype=complex)
-        velocities = np.asarray(velocities, dtype=complex)
+        times = [float(t) for t in times]
+        positions = [[complex(z) for z in row] for row in positions]
+        velocities = [[complex(z) for z in row] for row in velocities]
         if not (len(times) == len(positions) == len(velocities)):
             raise ShapeError("sample arrays must share a length")
-        if len(times) and np.any(np.diff(times) <= 0):
+        rows = positions + velocities
+        dim = len(positions[0]) if positions else 0
+        if any(len(row) != dim for row in rows):
+            raise ShapeError("samples must share a dimension")
+        if not all(a < b for a, b in zip(times, times[1:])):
             raise ShapeError("sample times must strictly increase")
-        for arr in (times, positions.view(float), velocities.view(float)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ShapeError("samples must be finite")
+        if not (all(map(math.isfinite, times)) and all(all(map(cmath.isfinite, r)) for r in rows)):
+            raise ShapeError("samples must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "velocities", velocities)
@@ -107,7 +134,7 @@ class GeodesicPath:
 
     @property
     def dim(self):
-        return self.positions.shape[1]
+        return len(self.positions[0]) if self.positions else 0
 
 
 def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> GeodesicPath:
@@ -121,14 +148,14 @@ def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> Geodesic
         raise ShapeError(f"count exceeds the bound of {MAX_STEPS} steps")
     if step * count > MAX_HORIZON:
         raise ShapeError(f"horizon step * count exceeds the bound of {MAX_HORIZON}")
-    x = np.asarray(x0, dtype=complex)
-    v = np.asarray(v0, dtype=complex)
-    if x.shape != (c.dim,) or v.shape != (c.dim,):
+    x = [complex(z) for z in x0]
+    v = [complex(z) for z in v0]
+    if len(x) != c.dim or len(v) != c.dim:
         raise ShapeError("initial state does not match the dimension")
     # the nonzero G^k_ij of each row k, in the i-then-j order einsum sums them
     rows = [
         [(g, i, j) for i, plane in enumerate(table) for j, g in enumerate(plane) if g]
-        for table in c.gamma.tolist()
+        for table in c.gamma
     ]
 
     def acceleration(w):
@@ -148,10 +175,9 @@ def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> Geodesic
         return [y + sixth * (a + two * b + two * c + d)
                 for y, a, b, c, d in zip(base, k1, k2, k3, k4)]
 
-    xs = [x.tolist()]
-    vs = [v.tolist()]
+    xs = [x]
+    vs = [v]
     for n in range(count):
-        x, v = xs[-1], vs[-1]
         k1v = acceleration(v)
         k2x = [y + half * a for y, a in zip(v, k1v)]
         k2v = acceleration(k2x)
@@ -165,67 +191,178 @@ def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> Geodesic
             raise DivergenceError("geodesic integration diverged", n * step)
         xs.append(x)
         vs.append(v)
-    return GeodesicPath(np.arange(count + 1) * step, xs, vs)
+    return GeodesicPath([n * step for n in range(count + 1)], xs, vs)
 
 
-def _as_real_points(z: np.ndarray) -> np.ndarray:
-    """Complex n-vectors viewed as points of R^(2n)."""
-    return np.concatenate([z.real, z.imag], axis=-1)
+def _pairwise(terms: list[str]) -> str:
+    """The expression summing `terms` in numpy's pairwise order for float64."""
+    n = len(terms)
+    if n < 8:
+        return "(" + " + ".join(terms) + ")"
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return f"({_pairwise(terms[:half])} + {_pairwise(terms[half:])})"
+    tail = n - n % 8
+    acc = terms[:8]
+    for i in range(8, tail, 8):
+        acc = [f"({a} + {b})" for a, b in zip(acc, terms[i:i + 8])]
+    head = "((({} + {}) + ({} + {})) + (({} + {}) + ({} + {})))".format(*acc)
+    return "(" + " + ".join([head, *terms[tail:]]) + ")"
+
+
+@lru_cache(maxsize=None)
+def _kernel(width: int):
+    """(segment, distance, vertex_distance) for points of R^width, unrolled.
+
+    segment(a, b) is the tuple (a, b - a, |b - a|^2 or 1.0) for the segment
+    from a to b; distance(p, segment) is the point-to-segment formula and
+    vertex_distance(p, v) is |p - v|, each with numpy's operations in numpy's
+    order.  distance hands its second half to a function of its own: under
+    tracemalloc, CPython looks up the source line of every object created,
+    at a cost that grows with the creating instruction's offset in its
+    function, and the split cuts the traced match time by a third.
+    """
+    c = range(width)
+
+    def names(x):
+        return ", ".join(f"{x}{i}" for i in c) + ","
+
+    def norm(e):
+        return f"sqrt({_pairwise([f'{e}{i} * {e}{i}' for i in c])})"
+
+    source = f"""
+def segment(a, b):
+    {names("a")} = a
+    {names("b")} = b
+    {names("d")} = {", ".join(f"b{i} - a{i}" for i in c)}
+    return ({names("a")} {names("d")} {_pairwise([f"d{i} * d{i}" for i in c])} or 1.0)
+
+def distance(p, segment):
+    {names("p")} = p
+    {names("s")} {names("d")} length_sq = segment
+    t = {_pairwise([f"(p{i} - s{i}) * d{i}" for i in c])} / length_sq
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    return to_nearest({names("p")} {names("s")} {names("d")} t)
+
+def to_nearest({names("p")} {names("s")} {names("d")} t):
+    {names("e")} = {", ".join(f"p{i} - (s{i} + t * d{i})" for i in c)}
+    return {norm("e")}
+
+def vertex_distance(p, v):
+    {names("p")} = p
+    {names("v")} = v
+    {names("e")} = {", ".join(f"p{i} - v{i}" for i in c)}
+    return {norm("e")}
+"""
+    namespace = {"sqrt": math.sqrt}
+    exec(source, namespace)
+    return namespace["segment"], namespace["distance"], namespace["vertex_distance"]
+
+
+def _real_points(positions) -> list[tuple]:
+    """Complex n-vectors as points of R^(2n): real parts, then imaginary."""
+    return [(*[z.real for z in row], *[z.imag for z in row]) for row in positions]
+
+
+def _may_overflow(pp, qq) -> bool:
+    """Whether an intermediate of the distance formula may leave the float
+    range, judged from the bounding box of both traces in O(n + m).
+
+    Every difference of two coordinates is at most the box's largest side
+    E, so every product and sum of squares is at most about width * E^2,
+    and s + t * d stays within the box up to rounding.
+    """
+    width = len(pp[0])
+    extent = magnitude = 0.0
+    for c in range(width):
+        low = min(min(map(itemgetter(c), pp)), min(map(itemgetter(c), qq)))
+        high = max(max(map(itemgetter(c), pp)), max(map(itemgetter(c), qq)))
+        extent = max(extent, high - low)
+        magnitude = max(magnitude, -low, high)
+    return not (width * extent * extent < 2.0**1020 and magnitude < 2.0**1023)
+
+
+def _outward(segments: list, j: int):
+    """Segments j - 1, j + 1, j - 2, j + 2, ..., while they last (filter
+    drops the None that pads the shorter side; a segment is a nonempty
+    tuple)."""
+    before = islice(reversed(segments), len(segments) - j, None)
+    after = islice(segments, j + 1, None)
+    return filter(None, chain.from_iterable(zip_longest(before, after)))
+
+
+def _max_min(distance, points, segments) -> float:
+    """Max over points of the min over segments, by descent and settling
+    (see the module docstring)."""
+    last = len(segments) - 1
+    uppers, homes = [], []
+    j = 0
+    for x in points:
+        u = distance(x, segments[j])
+        for step in (1, -1):
+            while 0 <= j + step <= last and (v := distance(x, segments[j + step])) < u:
+                u, j = v, j + step
+        uppers.append(u)
+        homes.append(j)
+    deviation = 0.0
+    for i in sorted(range(len(points)), key=uppers.__getitem__, reverse=True):
+        nearest = uppers[i]
+        if nearest <= deviation:
+            break
+        x = points[i]
+        for segment in _outward(segments, homes[i]):
+            v = distance(x, segment)
+            if v <= deviation:
+                break
+            if v < nearest:
+                nearest = v
+        else:
+            deviation = nearest
+    return deviation
+
+
+def _all_pairs(distance, points, segments) -> float:
+    """The numpy form: max over blocks of points of the max-min of the block,
+    where a NaN in a block hides it."""
+    if len(points) * len(segments) > MAX_OVERFLOW_PAIRS:
+        raise ShapeError(
+            "the traces are too large for an exact match without overflow: "
+            f"{len(points)} samples against {len(segments)} segments exceed the bound "
+            f"of {MAX_OVERFLOW_PAIRS} point-segment pairs"
+        )
+    block = max(1, _BLOCK_PAIRS // len(segments))
+    deviation = 0.0
+    for lo in range(0, len(points), block):
+        rows = [[distance(x, s) for s in segments] for x in points[lo:lo + block]]
+        if not any(math.isnan(v) for row in rows for v in row):
+            deviation = max(deviation, max(map(min, rows)))
+    return deviation
 
 
 def unparametrized_match(p: GeodesicPath, q: GeodesicPath) -> float:
     """Max over samples of p of the distance to q's piecewise-linear trace.
 
-    Distances are Euclidean after identifying C^n with R^(2n).  Samples of p
-    are processed in blocks, so memory stays bounded for long paths.  The
-    caller compares the returned deviation to its tolerance.
+    Distances are Euclidean after identifying C^n with R^(2n), computed as
+    the numpy all-pairs form computes them.  The caller compares the
+    returned deviation to its tolerance.
     """
     if len(p) == 0 or len(q) == 0:
         raise ShapeError("paths must contain samples")
-    pp = _as_real_points(p.positions)
-    qq = _as_real_points(q.positions)
-    if pp.shape[1] != qq.shape[1]:
+    if p.dim != q.dim:
         raise ShapeError("paths live in different dimensions")
-    if len(q) == 1:
-        return float(np.max(np.linalg.norm(pp - qq[0], axis=1)))
-    starts = qq[:-1]
-    deltas = qq[1:] - starts
-    lengths_sq = np.sum(deltas * deltas, axis=1)
-    lengths = np.sqrt(lengths_sq)
-    lengths_sq[lengths_sq == 0] = 1.0
-    # Every computed distance, length and bound below lies within
-    # 8 * (m + 6) * 2^-53 * scale of its exact value in R^m, 2^-500 more
-    # where it underflows; the margin is 64 times that.  Past 2^500 squares
-    # may overflow, and an infinite margin keeps every segment.
-    scale = float(np.max(np.linalg.norm(pp, axis=1)) + np.max(np.linalg.norm(qq, axis=1)))
-    margin = (pp.shape[1] + 6) * 2.0**-44 * scale + 2.0**-500 if scale < 2.0**500 else math.inf
-    columns = starts.T.copy()
-    block = max(1, _MATCH_PAIRS // len(starts))
-    deviation = 0.0
-    for lo in range(0, len(pp), block):
-        chunk = pp[lo:lo + block]
-        # vertex distances bound every segment (see the module docstring)
-        to_start = np.zeros((len(chunk), len(starts)))
-        square = np.empty_like(to_start)
-        for a, b in zip(chunk.T, columns):
-            np.subtract.outer(a, b, out=square)
-            square *= square
-            to_start += square
-        np.sqrt(to_start, out=to_start)
-        to_last = np.linalg.norm(chunk - qq[-1], axis=1)
-        to_end = np.concatenate([to_start[:, 1:], to_last[:, None]], axis=1)
-        upper = np.minimum(np.min(to_start, axis=1), to_last) + margin
-        lower = (to_start + to_end - lengths) / 2
-        rows, cols = np.nonzero(~(lower > upper[:, None]))  # a NaN bound keeps its pair
-        # the point-to-segment distance of the kept pairs, as for all pairs
-        d = deltas[cols]
-        t = np.sum((chunk[rows] - starts[cols]) * d, axis=1) / lengths_sq[cols]
-        t = np.clip(t, 0.0, 1.0)
-        nearest = starts[cols] + t[:, None] * d
-        dist = np.full(to_start.shape, np.inf)
-        dist[rows, cols] = np.linalg.norm(chunk[rows] - nearest, axis=1)
-        deviation = max(deviation, float(np.max(np.min(dist, axis=1))))
-    return deviation
+    if p.dim == 0:
+        return 0.0  # every distance in R^0
+    pp, qq = _real_points(p.positions), _real_points(q.positions)
+    segment, distance, vertex_distance = _kernel(2 * p.dim)
+    if len(qq) == 1:
+        return max(vertex_distance(x, qq[0]) for x in pp)
+    segments = list(map(segment, qq, qq[1:]))
+    if _may_overflow(pp, qq):
+        return _all_pairs(distance, pp, segments)
+    return _max_min(distance, pp, segments)
 
 
 def write_csv(fileobj, path: GeodesicPath, coord_names) -> None:

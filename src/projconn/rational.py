@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import RangeError
+
 
 def _parts(x) -> tuple[int, int]:
     """(numerator, denominator) of an int or Fraction, reduced."""
@@ -161,7 +163,12 @@ class GaussianRational:
     # -- conversion / display -------------------------------------------------
 
     def __complex__(self):
-        return complex(self._a / self._d, self._b / self._d)
+        try:
+            return complex(self._a / self._d, self._b / self._d)
+        except OverflowError:
+            raise RangeError(
+                "a number is too large for floating point: its magnitude rounds to 2^1024 or more"
+            ) from None
 
     def __str__(self):
         re, im = self.re, self.im

@@ -147,7 +147,7 @@ def naive_integrate(c, x0, v0, step, count) -> GeodesicPath:
     v = np.asarray(v0, dtype=complex)
     if x.shape != (c.dim,) or v.shape != (c.dim,):
         raise ShapeError("initial state does not match the dimension")
-    gamma = c.gamma
+    gamma = np.array(c.gamma, dtype=complex)
 
     def acceleration(w):
         return -np.einsum("kij,i,j->k", gamma, w, w)
@@ -181,8 +181,10 @@ def naive_match(p, q) -> float:
     polyline, in blocks of at most 2**16 point-segment pairs."""
     if len(p) == 0 or len(q) == 0:
         raise ShapeError("paths must contain samples")
-    pp = np.concatenate([p.positions.real, p.positions.imag], axis=-1)
-    qq = np.concatenate([q.positions.real, q.positions.imag], axis=-1)
+    p_positions = np.array(p.positions, dtype=complex)
+    q_positions = np.array(q.positions, dtype=complex)
+    pp = np.concatenate([p_positions.real, p_positions.imag], axis=-1)
+    qq = np.concatenate([q_positions.real, q_positions.imag], axis=-1)
     if pp.shape[1] != qq.shape[1]:
         raise ShapeError("paths live in different dimensions")
     if len(q) == 1:

@@ -12,6 +12,7 @@ import pytest
 from projconn.errors import DivergenceError, ShapeError
 from projconn.families import torus3
 from projconn.geodesic import (
+    MAX_OVERFLOW_PAIRS,
     GeodesicPath,
     NumericConnection,
     integrate,
@@ -87,8 +88,25 @@ class TestIntegrate:
         numeric = NumericConnection.from_connection(
             torus3(**{k: v for k, v in SAMPLE.items()}), {}
         )
-        assert numeric.gamma[0, 0, 0] == complex(Fraction(1, 2))
-        assert numeric.gamma[0, 0, 1] == complex(Fraction(1, 8))
+        assert numeric.gamma[0][0][0] == complex(Fraction(1, 2))
+        assert numeric.gamma[0][0][1] == complex(Fraction(1, 8))
+
+    def test_tables_are_checked(self):
+        assert NumericConnection(np.ones((2, 2, 2))).gamma == [[[1 + 0j] * 2] * 2] * 2
+        with pytest.raises(ShapeError, match="n x n x n"):
+            NumericConnection([[[0, 0], [0, 0]]])
+        with pytest.raises(ShapeError, match="symmetric"):
+            NumericConnection([[[0, 1], [2, 0]], [[0, 0], [0, 0]]])
+        with pytest.raises(ShapeError, match="finite"):
+            NumericConnection([[[math.inf]]])
+
+    def test_samples_are_checked(self):
+        with pytest.raises(ShapeError, match="share a dimension"):
+            GeodesicPath([0.0, 1.0], [[0j, 0j], [0j]], [[0j, 0j], [0j, 0j]])
+        with pytest.raises(ShapeError, match="strictly increase"):
+            GeodesicPath([1.0, 1.0], [[0j], [1j]], [[0j], [0j]])
+        with pytest.raises(ShapeError, match="finite"):
+            GeodesicPath([0.0], [[complex(math.nan, 0)]], [[0j]])
 
 
 class TestMatch:
@@ -114,7 +132,7 @@ class TestMatch:
     def test_time_reversal_retraces(self):
         c = numeric_torus(**SAMPLE)
         p = integrate(c, np.zeros(3), np.ones(3), 1e-3, 300)
-        q = integrate(c, p.positions[-1], -p.velocities[-1], 1e-3, 300)
+        q = integrate(c, p.positions[-1], [-z for z in p.velocities[-1]], 1e-3, 300)
         assert unparametrized_match(q, p) < 1e-6
 
     def test_random_equivalent_constant_pairs(self):
@@ -150,8 +168,9 @@ class TestMatch:
     def test_blocked_match_equals_all_pairs(self):
         # 1,000 reference samples: the probe is matched in five blocks
         p, q = random_path(300, 11), random_path(1000, 12)
-        pp = np.concatenate([p.positions.real, p.positions.imag], axis=1)
-        qq = np.concatenate([q.positions.real, q.positions.imag], axis=1)
+        p_positions, q_positions = np.array(p.positions), np.array(q.positions)
+        pp = np.concatenate([p_positions.real, p_positions.imag], axis=1)
+        qq = np.concatenate([q_positions.real, q_positions.imag], axis=1)
         starts, deltas = qq[:-1], qq[1:] - qq[:-1]
         diff = pp[:, None, :] - starts[None, :, :]
         t = np.sum(diff * deltas[None, :, :], axis=2) / np.sum(deltas * deltas, axis=1)
@@ -168,6 +187,15 @@ class TestMatch:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_overflowing_match_is_bounded(self):
+        # squares of coordinate differences overflow, so every pair is computed
+        p, q = random_path(1100, 15), random_path(1000, 16)
+        far = GeodesicPath(q.times, [[z * 1e200 for z in row] for row in q.positions],
+                           q.velocities)
+        assert len(p) * (len(far) - 1) > MAX_OVERFLOW_PAIRS
+        with pytest.raises(ShapeError, match="too large for an exact match"):
+            unparametrized_match(p, far)
 
     def test_empty_path_rejected(self):
         empty = GeodesicPath(

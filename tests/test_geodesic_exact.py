@@ -6,6 +6,7 @@ compare raw bytes (signed zeros included), not values within a tolerance.
 """
 
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +21,17 @@ from helpers import naive_integrate, naive_match
 README_PARAMS = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(-1, 5))
 
 
+def raw_bytes(path):
+    """The IEEE bit patterns of every sample, so -0.0 and 0.0 differ."""
+    values = list(path.times)
+    for row in path.positions + path.velocities:
+        for z in row:
+            values += (z.real, z.imag)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def same_bytes(a, b):
-    return all(
-        getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        for name in ("times", "positions", "velocities")
-    )
+    return a.dim == b.dim and raw_bytes(a) == raw_bytes(b)
 
 
 def rand_complex(rng, real, span=2.0):
@@ -60,12 +67,16 @@ def cloud(count, dim, seed, scale=1.0, walk=False):
     return GeodesicPath(np.arange(count, dtype=float), positions, np.zeros((count, dim), complex))
 
 
-def readme_pair():
+def readme_pair(x0=(0, 0, 0), step=1e-3, count=300):
     probe = NumericConnection.from_connection(torus3(*README_PARAMS, Fraction(1, 2)), {})
     reference = NumericConnection.from_connection(torus3(*README_PARAMS, 0), {})
-    p = integrate(probe, np.zeros(3), np.ones(3), 1e-3, 300)
-    q = integrate(reference, np.zeros(3), np.ones(3), 1e-3, 600)
+    p = integrate(probe, x0, np.ones(3), step, count)
+    q = integrate(reference, x0, np.ones(3), step, 2 * count)
     return p, q
+
+
+def reversed_path(path):
+    return GeodesicPath(path.times, path.positions[::-1], path.velocities[::-1])
 
 
 class TestIntegrateOracle:
@@ -122,6 +133,31 @@ class TestMatchOracle:
             q = cloud(rng.randint(2, 350), dim, 2 * trial + 1, walk=walk)
             assert unparametrized_match(p, q) == naive_match(p, q)
 
+    @pytest.mark.parametrize("dim", range(5, 13))
+    def test_wide_clouds(self, dim):
+        # widths 10-24: numpy sums eight interleaved accumulators, not left to right
+        rng = random.Random(7300 + dim)
+        for trial in range(8):
+            p = cloud(rng.randint(1, 80), dim, 2 * trial, walk=trial % 2 == 1)
+            q = cloud(rng.randint(2, 120), dim, 2 * trial + 1, walk=trial % 2 == 1)
+            assert unparametrized_match(p, q) == naive_match(p, q)
+
+    def test_reversed_traces(self):
+        p, q = readme_pair()
+        for a, b in ((reversed_path(p), q), (p, reversed_path(q)), (reversed_path(p), p)):
+            assert unparametrized_match(a, b) == naive_match(a, b)
+
+    def test_start_translated_to_1e200(self):
+        # each position is about 1e200, but the traces' bounding box is small
+        p, q = readme_pair(x0=(float(10**200), 0, 0))
+        assert unparametrized_match(p, q) == naive_match(p, q)
+        assert unparametrized_match(q, p) == naive_match(q, p)
+
+    def test_long_trace_pair(self):
+        p, q = readme_pair(step=5e-4, count=2000)
+        assert (len(p), len(q)) == (2001, 4001)
+        assert unparametrized_match(p, q) == naive_match(p, q)
+
     @pytest.mark.parametrize("scale", [1e-170, 1e-8, 1e8, 1e150, 1e155, 1e200])
     def test_extreme_scales(self, scale):
         # past about 1e154 squares overflow; the all-pairs result must still be met
@@ -155,6 +191,10 @@ class TestMatchOracle:
     def test_one_sample_reference(self):
         p, q = cloud(50, 3, 51), cloud(1, 3, 52)
         assert unparametrized_match(p, q) == naive_match(p, q)
+
+    def test_dimension_zero(self):
+        p, q = cloud(3, 0, 53), cloud(2, 0, 54)
+        assert unparametrized_match(p, q) == naive_match(p, q) == 0.0
 
     def test_path_against_itself(self):
         p, _ = readme_pair()

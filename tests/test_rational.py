@@ -1,10 +1,12 @@
 """Field arithmetic in Q(i)."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from projconn.errors import RangeError
 from projconn.rational import GaussianRational, I, ONE, ZERO, as_gaussian
 
 from helpers import rand_gaussian
@@ -97,3 +99,15 @@ def test_display_forms():
 def test_coercion_rejects_floats():
     with pytest.raises(TypeError):
         as_gaussian(0.5)
+
+
+def test_complex_conversion_range():
+    # 2^1024 - 2^970 is the first value that rounds past the largest float
+    largest = 2**1024 - 2**970 - 1
+    assert complex(GaussianRational(largest, -largest)) == complex(
+        sys.float_info.max, -sys.float_info.max)
+    assert complex(GaussianRational(Fraction(1, 3), Fraction(1, 2**1100))) == complex(1 / 3, 0.0)
+    for value in (GaussianRational(2**1024 - 2**970), GaussianRational(0, -(2**1024 - 1)),
+                  GaussianRational(Fraction(2**1030, 3))):
+        with pytest.raises(RangeError, match="too large for floating point"):
+            complex(value)

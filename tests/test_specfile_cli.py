@@ -1,11 +1,13 @@
 """Spec file ingestion and the command-line harness."""
 
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from projconn import specfile
 from projconn.cli import main
 from projconn.errors import SpecFileError
 from projconn.families import torus3
+from projconn.geodesic import NumericConnection, write_csv
 from projconn.specfile import (
     load_spec,
     parse_spec,
@@ -22,7 +25,7 @@ from projconn.specfile import (
     spec_of_connection,
 )
 
-from helpers import run_python
+from helpers import naive_integrate, run_python
 
 CLI = "import sys; from projconn.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -144,6 +147,22 @@ def coordinate_file(tmp_path):
     path = tmp_path / "coordinate.conn"
     path.write_text("dim = 2\ncoords = x, y\n[gamma]\nx.x.y = x\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def control_and_flat(tmp_path, capsys):
+    """The README's non-equivalent control table and the flat table."""
+    paths = []
+    for name, values in (("control", "A=0,B=0,C=1,D=0,E=0"), ("flat", "A=0,B=0,C=0,D=0,E=0")):
+        assert main(["family", "torus3", "--set", values]) == 0
+        path = tmp_path / f"{name}.conn"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+# 2^1024 - 1: within the parser's 1,024-bit budget, beyond the float range
+BEYOND_FLOAT = "(2^63" + "*2^64" * 15 + " - 1)*2 + 1"
 
 
 @pytest.fixture
@@ -403,6 +422,41 @@ class TestCli:
         assert out == ""
         assert "step must be a positive finite number" in err
 
+    @pytest.mark.parametrize("option", ["--x0", "--v0", "--at"])
+    def test_geodesic_value_beyond_float_range_is_exit_2(self, capsys, torus_file, option):
+        values = {"--x0": "0,0,0", "--v0": "1,1,1", "--at": "A=1/2,B=-1/3,C=1/4,D=-1/5,E=1/2"}
+        values[option] = (f"A={BEYOND_FLOAT},B=0,C=0,D=0,E=0" if option == "--at"
+                          else f"0,{BEYOND_FLOAT},0")
+        argv = ["geodesic", torus_file]
+        for name, value in values.items():
+            argv += [name, value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "too large for floating point" in err
+
+    @pytest.mark.parametrize("probe, v0", [
+        (0, "1,1,1"),
+        (1, "10^50*10^50*10^51,1,1"),  # coordinates near 1e151, whose squares still fit
+    ])
+    def test_geodesic_compare_at_the_step_bound_finishes(self, control_and_flat, probe, v0):
+        # 10,001 samples against 20,001; all pairs take minutes in pure Python
+        argv = ["geodesic", control_and_flat[probe], "--x0", "0,0,0", "--v0", v0,
+                "--step", "5e-4", "--count", "10000", "--compare", control_and_flat[1 - probe]]
+        done = run_python(CLI, *argv, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert "unparametrized deviation vs" in done.stdout
+
+    def test_geodesic_compare_that_may_overflow_is_exit_2(self, control_and_flat):
+        # differences of coordinates near 1e200 overflow when squared
+        argv = ["geodesic", control_and_flat[1], "--x0", "0,0,0",
+                "--v0", "10^50*10^50*10^50*10^50,1,1", "--step", "5e-4", "--count", "10000",
+                "--compare", control_and_flat[0]]
+        done = run_python(CLI, *argv, timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "too large for an exact match without overflow" in done.stderr
+
     def test_degree_bound_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "degree.conn"
         path.write_text("dim = 3\ncoords = x, y, z\nparams = A\n[gamma]\n"
@@ -576,6 +630,41 @@ for argv, target in readme_commands():
     corpus.append(f"$ projconn {shlex.join(argv)}\n[exit {code}]\n{out.getvalue()}")
 sys.stdout.write("".join(corpus))
 """
+
+
+# Runs the commands given as JSON in argv with numpy unimportable, and prints
+# the corpus as test_readme_commands_golden_corpus builds it.
+NUMPY_FREE_CORPUS = r"""
+import contextlib, io, json, shlex, sys
+sys.modules["numpy"] = None
+from projconn.cli import main
+
+corpus = []
+for argv, target in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if target is not None:
+        with open(target, "w", encoding="utf-8") as f:
+            f.write(out.getvalue())
+    corpus.append(f"$ projconn {shlex.join(argv)}\n[exit {code}]\n{out.getvalue()}")
+sys.stdout.write("".join(corpus))
+"""
+
+
+def test_readme_corpus_without_numpy(tmp_path):
+    """The README commands, geodesics included, run without numpy, and the
+    --csv trace is what the numpy RK4 step gives."""
+    commands = readme_commands()
+    assert sum(argv[0] == "geodesic" for argv, _ in commands) == 2
+    done = run_python(NUMPY_FREE_CORPUS, json.dumps(commands), timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == README_CORPUS.read_text(encoding="utf-8")
+    c = NumericConnection.from_connection(torus3(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4),
+                                                 Fraction(-1, 5), Fraction(1, 2)), {})
+    expected = io.StringIO()
+    write_csv(expected, naive_integrate(c, [0, 0, 0], [1, 1, 1], 1e-3, 300), ["tau", "z1", "z2"])
+    assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == expected.getvalue()
 
 
 def test_readme_corpus_independent_of_slot_order(tmp_path):
