@@ -11,15 +11,11 @@ from .parser import parse_constant, parse_expr
 from .tensor import Tensor, contract, symmetry_check, tensor_to_json
 from .connection import (
     Connection,
-    bianchi_check,
     curvature,
-    equiaffine_check,
-    flat_connection,
     from_named_table,
     from_table,
     lie_derivative,
     ricci,
-    totally_geodesic_restrict,
     trace_r,
     weyl3,
 )
@@ -30,8 +26,6 @@ from .projective import (
     inject,
     is_projectively_flat,
     projective_equiv,
-    theta_between,
-    theta_of,
     trace_free_project,
     volume_normalize,
     with_one_form,
@@ -42,7 +36,6 @@ from .families import (
     invariance_check,
     kuga_shimura,
     kuga_shimura_coefficients,
-    kuga_shimura_theta,
     torus3,
     torus_n,
     transported_values,

@@ -279,7 +279,7 @@ def _cmd_pullback_check(args):
     lam = _parse_tuple(args.lam, 4, "lambda") if args.lam else [0, 0, 0, 0]
     g = families.GroupElement(*gamma, *lam)
     with_trace = not args.no_trace
-    field = families.kuga_shimura_theta(with_trace)
+    field = families.kuga_shimura(with_trace).table
     weights = families.kuga_shimura_coefficients(with_trace)
     rng = random.Random(args.seed)
     points = families.orbit_safe_points(g, args.points, rng)

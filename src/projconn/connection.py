@@ -31,14 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .errors import (
-    ConstructionError,
-    DimensionError,
-    NotTotallyGeodesicError,
-    ShapeError,
-)
+from .errors import ConstructionError, DimensionError, ShapeError
 from .poly import ZERO_POLY, as_poly
-from .symbols import COORDINATE, FUNCTION, Symbol
+from .symbols import COORDINATE, FUNCTION
 from .tensor import DOWN, Tensor, UP, contract, symmetry_check
 
 
@@ -52,9 +47,11 @@ class Connection:
 
     def __init__(self, coords, table):
         coords = tuple(coords)
-        for c in coords:
+        for pos, c in enumerate(coords):
             if c.kind != COORDINATE:
                 raise ConstructionError(f"{c!r} is not a coordinate symbol")
+            if c in coords[:pos]:
+                raise ConstructionError(f"coordinate {c.name!r} is declared twice")
         shape = (len(coords), FIELD)
         if not isinstance(table, Tensor) or (table.dim, table.variance) != shape:
             raise ConstructionError("Christoffel table must be an n-dim (up, down, down) Tensor")
@@ -94,12 +91,6 @@ class Connection:
     def coord_names(self):
         return [c.name for c in self.coords]
 
-    def coord_index(self, name: str) -> int:
-        for i, c in enumerate(self.coords):
-            if c.name == name:
-                return i
-        raise ShapeError(f"unknown coordinate {name!r}")
-
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented
@@ -113,11 +104,6 @@ class Connection:
         for (k, i, j), g in zip(self.table.indices(), self.table.entries):
             if i <= j and not g.is_zero():
                 yield (k, i, j), g
-
-
-def flat_connection(coords) -> Connection:
-    """The standard connection: all Christoffel symbols zero."""
-    return from_table(coords, {})
 
 
 def from_table(coords, entries) -> Connection:
@@ -243,22 +229,6 @@ def weyl3(c: Connection) -> Tensor:
     return _weyl3_from(r, ric, trr)
 
 
-def bianchi_check(t: Tensor) -> bool:
-    """First Bianchi identity: cyclic sum over the three arguments is zero."""
-    if t.arity != 4:
-        raise ShapeError("Bianchi check needs a (1,3) tensor")
-    for l, i, j, k in t.indices():
-        total = t[l, i, j, k] + t[l, j, k, i] + t[l, k, i, j]
-        if not total.is_zero():
-            return False
-    return True
-
-
-def equiaffine_check(c: Connection) -> bool:
-    """True when Ricci is symmetric, i.e. TrR vanishes."""
-    return trace_r(c).is_zero()
-
-
 def lie_derivative(c: Connection, field: Tensor) -> Tensor:
     """Lie derivative of the connection along a vector field.
 
@@ -289,30 +259,3 @@ def lie_derivative(c: Connection, field: Tensor) -> Tensor:
         return value
 
     return Tensor.from_function(n, FIELD, entry)
-
-
-def totally_geodesic_restrict(c: Connection, keep) -> Connection:
-    """Induced connection on a totally geodesic coordinate subspace.
-
-    Requires G^k_{ij} = 0 for tangential i, j and normal k, and kept entries
-    free of the dropped coordinates (including through function symbols),
-    which the chart check of the restricted Connection enforces.
-    """
-    keep_names = [s.name if isinstance(s, Symbol) else s for s in keep]
-    kept = [c.coord_index(name) for name in keep_names]
-    order = sorted(kept)
-    dropped = [i for i in range(c.dim) if i not in kept]
-    for i, j in product(order, repeat=2):
-        for k in dropped:
-            if not c.table[k, i, j].is_zero():
-                raise NotTotallyGeodesicError(
-                    f"G^{c.coords[k].name}_{{{c.coords[i].name},{c.coords[j].name}}}"
-                    " is nonzero"
-                )
-    table = Tensor.from_function(
-        len(order), FIELD, lambda idx: c.table[tuple(order[a] for a in idx)]
-    )
-    try:
-        return Connection((c.coords[i] for i in order), table)
-    except ConstructionError as exc:
-        raise NotTotallyGeodesicError(str(exc)) from None

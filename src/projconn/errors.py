@@ -52,10 +52,6 @@ class ConstructionError(EngineError):
     """Conflicting or invalid data when building a table."""
 
 
-class NotTotallyGeodesicError(EngineError):
-    """Requested coordinate subspace is not totally geodesic."""
-
-
 class PoleError(EngineError):
     """Evaluation of a group action at a pole of the Moebius factor."""
 

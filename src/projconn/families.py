@@ -30,9 +30,8 @@ from fractions import Fraction
 from .connection import Connection, from_named_table, from_table
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
 from .poly import as_poly
-from .projective import theta_of
 from .rational import GaussianRational, ONE, ZERO, as_gaussian
-from .symbols import FUNCTION, PARAMETER, Symbol, coordinate, function, parameter
+from .symbols import FUNCTION, Symbol, coordinate, function, parameter
 from .tensor import Tensor
 
 _ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
@@ -105,10 +104,6 @@ def kuga_shimura(with_trace: bool) -> Connection:
         entries["z1.z1.tau"] = C * half
         entries["z2.z2.tau"] = C * half
     return from_named_table(torus_coords(), entries)
-
-
-def kuga_shimura_theta(with_trace: bool) -> Tensor:
-    return theta_of(kuga_shimura(with_trace))
 
 
 class WeightedCoefficient:
@@ -206,39 +201,16 @@ class GroupElement:
         return jac, jac_inv
 
 
-def _field_symbols(field: Tensor, coords):
-    """The field's non-coordinate symbols in order of first occurrence: the
-    function symbols that take values, up to the first symbol that no value
-    can bind, and the error that symbol raises (None when there is none)."""
-    functions = []
-    for entry in field.entries:
-        for sym in entry.symbols():
-            if sym in coords or sym in functions:
-                continue
-            if sym.kind == FUNCTION:
-                if sym.is_derived():
-                    return functions, ConsistencyError(
-                        f"field entries may not contain derivatives ({sym})"
-                    )
-                functions.append(sym)
-            elif sym.kind == PARAMETER:
-                return functions, ConsistencyError(f"parameter {sym.name} has no assigned value")
-    return functions, None
-
-
-def _field_values(field: Tensor, coords, symbols, point, coeff_values):
+def _field_values(field: Tensor, coords, functions, point, coeff_values):
     """The field's entries at one point (tau, z1, z2), flat in
     field.indices() order; function symbols take their values at tau."""
     tau = point[0]
     bindings = dict(zip(coords, point))
-    functions, unbindable = symbols
     for sym in functions:
         values = coeff_values.get(sym.name)
         if values is None or tau not in values:
             raise ConsistencyError(f"no value supplied for {sym.name} at tau = {tau}")
         bindings[sym] = as_gaussian(values[tau])
-    if unbindable is not None:
-        raise unbindable
     return [entry.evaluate(bindings) for entry in field.entries]
 
 
@@ -264,7 +236,11 @@ def invariance_check(
     if field.dim != 3:
         raise ShapeError("the action is defined on three coordinates")
     coords = torus_coords()
-    symbols = _field_symbols(field, coords)
+    functions = []  # bound at each point; evaluate refuses any other symbol
+    for entry in field.entries:
+        for sym in entry.symbols():
+            if sym.kind == FUNCTION and not sym.is_derived() and sym not in functions:
+                functions.append(sym)
     indices = list(field.indices())
     for point in points:
         point = tuple(as_gaussian(p) for p in point)
@@ -289,8 +265,8 @@ def invariance_check(
         jac_cols = [
             [(ip, row[i]) for ip, row in enumerate(jac) if not row[i].is_zero()] for i in range(3)
         ]
-        at_image = _field_values(field, coords, symbols, g.apply(point), coeff_values)
-        at_point = _field_values(field, coords, symbols, point, coeff_values)
+        at_image = _field_values(field, coords, functions, g.apply(point), coeff_values)
+        at_point = _field_values(field, coords, functions, point, coeff_values)
         for expected, (k, i, j) in zip(at_point, indices):
             pulled = ZERO
             for kp, a in inv_rows[k]:

@@ -38,14 +38,14 @@ So the result is one computed distance, the all-pairs maximum.  On traces
 a sample costs a few distances, and few samples need a full scan.  Without
 overflow every distance is finite (a t that overflows is clipped to 1), so
 the blocks in which the numpy form takes its maxima cannot change the
-result.  `_may_overflow` rules overflow
-out from the traces' bounding box.  Where it cannot, the match computes
-all pairs in the numpy form's blocks, where a NaN anywhere in a block hides
-that block's maximum.
+result.  `_may_overflow` rules overflow out from the traces' bounding box;
+where it cannot, the match raises RangeError before it computes any
+distance, since an overflowing distance is no answer.  A reference of one
+sample is one segment of length zero, whose distance formula reduces to
+|p - s| bit for bit.
 
 Bounds, each a ShapeError: a path takes at most MAX_STEPS steps over a
-horizon step * count of at most MAX_HORIZON, with a finite step; a match
-that may overflow takes at most MAX_OVERFLOW_PAIRS point-segment pairs.
+horizon step * count of at most MAX_HORIZON, with a finite step.
 """
 
 from __future__ import annotations
@@ -57,13 +57,11 @@ from functools import lru_cache
 from itertools import chain, islice, zip_longest
 from operator import itemgetter
 
-from .errors import DivergenceError, ShapeError
+from .errors import DivergenceError, RangeError, ShapeError
 from .rational import as_gaussian
 
 MAX_HORIZON = 10
 MAX_STEPS = 20_000  # --compare then matches 10,001 against 20,001 samples
-MAX_OVERFLOW_PAIRS = 2**20  # about 1.3 s for an all-pairs match in C^3
-_BLOCK_PAIRS = 2**16  # point-segment pairs per block of the numpy form
 
 
 class NumericConnection:
@@ -212,23 +210,20 @@ def _pairwise(terms: list[str]) -> str:
 
 @lru_cache(maxsize=None)
 def _kernel(width: int):
-    """(segment, distance, vertex_distance) for points of R^width, unrolled.
+    """(segment, distance) for points of R^width, unrolled.
 
     segment(a, b) is the tuple (a, b - a, |b - a|^2 or 1.0) for the segment
-    from a to b; distance(p, segment) is the point-to-segment formula and
-    vertex_distance(p, v) is |p - v|, each with numpy's operations in numpy's
-    order.  distance hands its second half to a function of its own: under
-    tracemalloc, CPython looks up the source line of every object created,
-    at a cost that grows with the creating instruction's offset in its
-    function, and the split cuts the traced match time by a third.
+    from a to b; distance(p, segment) is the point-to-segment formula, with
+    numpy's operations in numpy's order.  distance hands its second half to
+    a function of its own: under tracemalloc, CPython looks up the source
+    line of every object created, at a cost that grows with the creating
+    instruction's offset in its function, and the split cuts the traced
+    match time by a third.
     """
     c = range(width)
 
     def names(x):
         return ", ".join(f"{x}{i}" for i in c) + ","
-
-    def norm(e):
-        return f"sqrt({_pairwise([f'{e}{i} * {e}{i}' for i in c])})"
 
     source = f"""
 def segment(a, b):
@@ -249,17 +244,11 @@ def distance(p, segment):
 
 def to_nearest({names("p")} {names("s")} {names("d")} t):
     {names("e")} = {", ".join(f"p{i} - (s{i} + t * d{i})" for i in c)}
-    return {norm("e")}
-
-def vertex_distance(p, v):
-    {names("p")} = p
-    {names("v")} = v
-    {names("e")} = {", ".join(f"p{i} - v{i}" for i in c)}
-    return {norm("e")}
+    return sqrt({_pairwise([f"e{i} * e{i}" for i in c])})
 """
     namespace = {"sqrt": math.sqrt}
     exec(source, namespace)
-    return namespace["segment"], namespace["distance"], namespace["vertex_distance"]
+    return namespace["segment"], namespace["distance"]
 
 
 def _real_points(positions) -> list[tuple]:
@@ -324,30 +313,13 @@ def _max_min(distance, points, segments) -> float:
     return deviation
 
 
-def _all_pairs(distance, points, segments) -> float:
-    """The numpy form: max over blocks of points of the max-min of the block,
-    where a NaN in a block hides it."""
-    if len(points) * len(segments) > MAX_OVERFLOW_PAIRS:
-        raise ShapeError(
-            "the traces are too large for an exact match without overflow: "
-            f"{len(points)} samples against {len(segments)} segments exceed the bound "
-            f"of {MAX_OVERFLOW_PAIRS} point-segment pairs"
-        )
-    block = max(1, _BLOCK_PAIRS // len(segments))
-    deviation = 0.0
-    for lo in range(0, len(points), block):
-        rows = [[distance(x, s) for s in segments] for x in points[lo:lo + block]]
-        if not any(math.isnan(v) for row in rows for v in row):
-            deviation = max(deviation, max(map(min, rows)))
-    return deviation
-
-
 def unparametrized_match(p: GeodesicPath, q: GeodesicPath) -> float:
     """Max over samples of p of the distance to q's piecewise-linear trace.
 
     Distances are Euclidean after identifying C^n with R^(2n), computed as
     the numpy all-pairs form computes them.  The caller compares the
-    returned deviation to its tolerance.
+    returned deviation to its tolerance.  RangeError where a squared
+    coordinate difference may overflow.
     """
     if len(p) == 0 or len(q) == 0:
         raise ShapeError("paths must contain samples")
@@ -356,12 +328,13 @@ def unparametrized_match(p: GeodesicPath, q: GeodesicPath) -> float:
     if p.dim == 0:
         return 0.0  # every distance in R^0
     pp, qq = _real_points(p.positions), _real_points(q.positions)
-    segment, distance, vertex_distance = _kernel(2 * p.dim)
-    if len(qq) == 1:
-        return max(vertex_distance(x, qq[0]) for x in pp)
-    segments = list(map(segment, qq, qq[1:]))
     if _may_overflow(pp, qq):
-        return _all_pairs(distance, pp, segments)
+        raise RangeError(
+            "the traces are too large for an exact match without overflow: "
+            "squared differences of their coordinates may leave the float range"
+        )
+    segment, distance = _kernel(2 * p.dim)
+    segments = list(map(segment, qq, qq[1:])) or [segment(qq[0], qq[0])]
     return _max_min(distance, pp, segments)
 
 

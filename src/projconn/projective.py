@@ -30,17 +30,6 @@ def OneForm(coords, components) -> Tensor:
     return Tensor(len(components), (DOWN,), components)
 
 
-def theta_of(c: Connection) -> Tensor:
-    """A connection's table viewed as its offset from the flat connection."""
-    return c.table
-
-
-def theta_between(c1: Connection, c2: Connection) -> Tensor:
-    if c1.coords != c2.coords:
-        raise ShapeError("connections live on different coordinates")
-    return c1.table - c2.table
-
-
 def divergence(t: Tensor) -> Tensor:
     """(div T)_j = sum_k T^k_{kj}."""
     return contract(t, 0, 1)
@@ -75,7 +64,9 @@ def projective_equiv(c1: Connection, c2: Connection):
     The candidate is forced: theta = div(c1 - c2)/(n+1); the difference is
     in the image of J exactly when the residual against J(theta) vanishes.
     """
-    diff = theta_between(c1, c2)
+    if c1.coords != c2.coords:
+        raise ShapeError("connections live on different coordinates")
+    diff = c1.table - c2.table
     theta = divergence(diff) * Fraction(1, diff.dim + 1)
     if (diff - inject(theta)).is_zero():
         return theta
@@ -89,7 +80,7 @@ def volume_normalize(c: Connection) -> Connection:
     standard chart says the coordinate volume form is parallel; applied
     twice it is the identity.
     """
-    return with_one_form(c, divergence(theta_of(c)) * Fraction(-1, c.dim + 1))
+    return with_one_form(c, divergence(c.table) * Fraction(-1, c.dim + 1))
 
 
 def is_projectively_flat(c: Connection) -> bool:

@@ -55,20 +55,19 @@ class ConnectionSpec:
                 f"dim = {self.dim} but {len(self.coords)} coordinates declared",
                 filename,
             )
-        table = self.symbol_table()
-        coords = [table.lookup(name) for name in self.coords]
         entries: dict[str, DiffPoly] = {}
-        for key, text in self.gamma.items():
-            try:
-                entries[key] = parse_expr(text, table)
-            except ParseError as exc:
-                raise SpecFileError(
-                    f"in gamma entry {key!r}: {exc}",
-                    filename,
-                    self.gamma_lines.get(key),
-                ) from exc
         try:
+            table = self.symbol_table()
+            coords = [table.lookup(name) for name in self.coords]
+            for key, text in self.gamma.items():
+                entries[key] = parse_expr(text, table)
             return from_named_table(coords, entries)
+        except ParseError as exc:  # raised only by parse_expr, so key names the entry
+            raise SpecFileError(
+                f"in gamma entry {key!r}: {exc}",
+                filename,
+                self.gamma_lines.get(key),
+            ) from exc
         except EngineError as exc:
             raise SpecFileError(str(exc), filename) from exc
 

@@ -1,6 +1,7 @@
 """Shared random generators for the property tests, reference oracles for
-the curvature and geodesic kernels, and a runner for code that must start
-in a fresh interpreter.
+the curvature and geodesic kernels, the Bianchi identity and restriction to
+a coordinate subspace, and a runner for code that must start in a fresh
+interpreter.
 
 Everything is seeded explicitly by the caller; no global randomness.
 """
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +134,33 @@ def naive_curvature(conn) -> Tensor:
         return value
 
     return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+
+
+def bianchi_holds(t) -> bool:
+    """First Bianchi identity of a (1,3) tensor: the cyclic sum over its
+    three arguments is zero."""
+    for l, i, j, k in t.indices():
+        total = t[l, i, j, k] + t[l, j, k, i] + t[l, k, i, j]
+        if not total.is_zero():
+            return False
+    return True
+
+
+def restrict(conn, names) -> Connection:
+    """The connection induced on the named coordinates, kept in chart order.
+
+    They must span a totally geodesic subspace: G^k_{ij} = 0 for kept i, j
+    and dropped k.  Kept entries that mention a dropped coordinate fail the
+    chart check of the restricted Connection.
+    """
+    kept = [pos for pos, c in enumerate(conn.coords) if c.name in names]
+    dropped = [pos for pos in range(conn.dim) if pos not in kept]
+    for k, i, j in product(dropped, kept, kept):
+        assert conn.table[k, i, j].is_zero(), "not a totally geodesic subspace"
+    entries = {
+        idx: conn.table[tuple(kept[a] for a in idx)] for idx in product(range(len(kept)), repeat=3)
+    }
+    return from_table([conn.coords[pos] for pos in kept], entries)
 
 
 def naive_integrate(c, x0, v0, step, count) -> GeodesicPath:

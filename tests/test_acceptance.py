@@ -18,7 +18,6 @@ from projconn.connection import curvature, ricci, trace_r, weyl3
 from projconn.families import (
     GroupElement,
     kuga_shimura,
-    kuga_shimura_theta,
     invariance_check,
     orbit_safe_points,
     torus3,
@@ -31,7 +30,6 @@ from projconn.projective import (
     flatness_conditions,
     inject,
     projective_equiv,
-    theta_of,
     trace_free_project,
     volume_normalize,
     with_one_form,
@@ -122,11 +120,11 @@ def test_criterion_05_projective_calculus():
     ok = ok and forms >= 50
     coords = coords_named("x", "y", "z")
     for _ in range(10):
-        t = theta_of(rand_torsionfree(rng, coords))
+        t = rand_torsionfree(rng, coords).table
         once = trace_free_project(t)
         ok = ok and trace_free_project(once) == once
-    ok = ok and trace_free_project(kuga_shimura_theta(True)) == kuga_shimura_theta(False)
-    div = divergence(kuga_shimura_theta(True))
+    ok = ok and trace_free_project(kuga_shimura(True).table) == kuga_shimura(False).table
+    div = divergence(kuga_shimura(True).table)
     c_sym = function("C", ("tau",))
     ok = ok and div[0] == 2 * as_poly(c_sym)
     ok = ok and div[1].is_zero() and div[2].is_zero()
@@ -165,7 +163,7 @@ def test_criterion_07_fibered_family_flatness():
 
 def test_criterion_08_equivariance_suite():
     rng = random.Random(20240904)
-    field = kuga_shimura_theta(True)
+    field = kuga_shimura(True).table
     elements = []
     for _ in range(10):  # lattice part only
         elements.append(GroupElement(1, 0, 0, 1, *(rand_fraction(rng) for _ in range(4))))

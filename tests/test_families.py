@@ -1,19 +1,19 @@
 """Named families and the exact group-action equivariance checks."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from projconn.connection import curvature, flat_connection, totally_geodesic_restrict, weyl3
-from projconn.errors import ConsistencyError, ConstructionError, PoleError
+from projconn.connection import curvature, from_table, weyl3
+from projconn.errors import ConsistencyError, ConstructionError, EvalError, PoleError
 from projconn.families import (
     GroupElement,
     WeightedCoefficient,
     invariance_check,
     kuga_shimura,
     kuga_shimura_coefficients,
-    kuga_shimura_theta,
     orbit_safe_points,
     torus3,
     torus_n,
@@ -31,7 +31,7 @@ from projconn.rational import GaussianRational, I, ONE, ZERO
 from projconn.symbols import function, parameter
 from projconn.tensor import DOWN, Tensor, UP
 
-from helpers import rand_fraction, run_python
+from helpers import rand_fraction, restrict, run_python
 
 
 def rational(num, den=1):
@@ -40,7 +40,7 @@ def rational(num, den=1):
 
 class TestTorus3:
     def test_zero_parameters_give_flat(self):
-        assert torus3(0, 0, 0, 0, 0) == flat_connection(torus_coords())
+        assert torus3(0, 0, 0, 0, 0) == from_table(torus_coords(), {})
 
     def test_half_coefficient_slots(self):
         conn = torus3()
@@ -71,11 +71,11 @@ class TestTorus3:
 class TestTorusN:
     def test_restriction_recovers_torus3(self):
         conn = torus_n(4)
-        assert totally_geodesic_restrict(conn, ("tau", "z1", "z2")) == torus3()
+        assert restrict(conn, ("tau", "z1", "z2")) == torus3()
 
     def test_restriction_of_nonflat_sample_is_nonflat(self):
         conn = torus_n(4, A=1, B=2, C=5, D=6, E=0)
-        sub = totally_geodesic_restrict(conn, ("tau", "z1", "z2"))
+        sub = restrict(conn, ("tau", "z1", "z2"))
         assert not is_projectively_flat(sub)
 
     def test_zero_parameters_flat_in_dim5(self):
@@ -89,7 +89,7 @@ class TestTorusN:
 
 class TestKugaShimura:
     def test_divergence_is_twice_trace_coefficient(self):
-        div = divergence(kuga_shimura_theta(True))
+        div = divergence(kuga_shimura(True).table)
         c_sym = function("C", ("tau",))
         assert div[0] == 2 * as_poly(c_sym)
         assert div[1].is_zero() and div[2].is_zero()
@@ -232,7 +232,7 @@ class TestInvariance:
     def test_zero_field_invariant(self):
         rng = random.Random(20240827)
         g = GroupElement(0, -1, 1, 0, 1, 2, 3, 4)
-        field = kuga_shimura_theta(True)
+        field = kuga_shimura(True).table
         points = _random_points(rng, 5, g)
         base = {name: {p[0]: ZERO for p in points} for name in ("A", "B", "C")}
         values = transported_values(g, points, base)
@@ -240,7 +240,7 @@ class TestInvariance:
 
     def test_lattice_part_any_values(self):
         rng = random.Random(20240828)
-        field = kuga_shimura_theta(True)
+        field = kuga_shimura(True).table
         for _ in range(10):
             lam = [rand_fraction(rng) for _ in range(4)]
             g = GroupElement(1, 0, 0, 1, *lam)
@@ -250,7 +250,7 @@ class TestInvariance:
 
     def test_unipotent_any_values(self):
         rng = random.Random(20240829)
-        field = kuga_shimura_theta(True)
+        field = kuga_shimura(True).table
         for _ in range(5):
             g = GroupElement(1, rand_fraction(rng), 0, 1)
             points = _random_points(rng, 6, g)
@@ -259,7 +259,7 @@ class TestInvariance:
 
     def test_order_four_with_transported_values(self):
         rng = random.Random(20240830)
-        field = kuga_shimura_theta(True)
+        field = kuga_shimura(True).table
         g = GroupElement(0, -1, 1, 0)
         points = _random_points(rng, 10, g)
         values = transported_values(g, points, _random_base_values(rng, points))
@@ -273,7 +273,7 @@ class TestInvariance:
         values = transported_values(g, [(tau, ZERO, ZERO)], {"A": {tau: v}, "B": {tau: ZERO}, "C": {tau: ZERO}})
         image = (g.a * tau + g.b) / (g.c * tau + g.d)
         assert values["A"][image] == (GaussianRational(0, 2) ** 3) * v
-        field = kuga_shimura_theta(True)
+        field = kuga_shimura(True).table
         assert invariance_check(field, g, [(tau, ZERO, ZERO)], values)
 
     def test_inconsistent_values_rejected(self):
@@ -285,9 +285,21 @@ class TestInvariance:
             "B": {tau: ZERO, image: ZERO},
             "C": {tau: ZERO, image: ZERO},
         }
-        field = kuga_shimura_theta(True)
+        field = kuga_shimura(True).table
         with pytest.raises(ConsistencyError):
             invariance_check(field, g, [(tau, ZERO, ZERO)], values)
+
+    @pytest.mark.parametrize("entry", ["parameter", "derivative"])
+    def test_unbindable_field_symbol_rejected(self, entry):
+        a_sym = function("A", ("tau",))
+        sym = parameter("P") if entry == "parameter" else a_sym.derivative("tau")
+        field = Tensor.from_function(
+            3, (UP, DOWN, DOWN), lambda idx: as_poly(a_sym) + sym if idx == (1, 0, 0) else 0
+        )
+        tau = GaussianRational(0, 2)
+        values = {"A": {tau: ONE, tau + ONE: ONE}}
+        with pytest.raises(EvalError, match=re.escape(f"unbound symbol {sym} ")):
+            invariance_check(field, GroupElement(1, 1, 0, 1), [(tau, ZERO, ZERO)], values)
 
     def test_wrong_slot_not_invariant(self):
         """A coefficient moved to a half-weight slot fails under inversion."""

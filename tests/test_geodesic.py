@@ -9,10 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from projconn.errors import DivergenceError, ShapeError
+from projconn.errors import DivergenceError, RangeError, ShapeError
 from projconn.families import torus3
 from projconn.geodesic import (
-    MAX_OVERFLOW_PAIRS,
     GeodesicPath,
     NumericConnection,
     integrate,
@@ -189,13 +188,13 @@ class TestMatch:
         assert peak < 64 * 2**20
 
     def test_overflowing_match_is_bounded(self):
-        # squares of coordinate differences overflow, so every pair is computed
-        p, q = random_path(1100, 15), random_path(1000, 16)
-        far = GeodesicPath(q.times, [[z * 1e200 for z in row] for row in q.positions],
-                           q.velocities)
-        assert len(p) * (len(far) - 1) > MAX_OVERFLOW_PAIRS
-        with pytest.raises(ShapeError, match="too large for an exact match"):
-            unparametrized_match(p, far)
+        # squares of coordinate differences may overflow, for a small pair or a large one
+        for p_count, q_count in ((3, 3), (1100, 1000)):
+            p, q = random_path(p_count, 15), random_path(q_count, 16)
+            far = GeodesicPath(q.times, [[z * 1e200 for z in row] for row in q.positions],
+                               q.velocities)
+            with pytest.raises(RangeError, match="too large for an exact match"):
+                unparametrized_match(p, far)
 
     def test_empty_path_rejected(self):
         empty = GeodesicPath(

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from projconn.errors import DivergenceError
+from projconn.errors import DivergenceError, RangeError
 from projconn.families import torus3
 from projconn.geodesic import GeodesicPath, NumericConnection, integrate, unparametrized_match
 
@@ -160,11 +160,15 @@ class TestMatchOracle:
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-8, 1e8, 1e150, 1e155, 1e200])
     def test_extreme_scales(self, scale):
-        # past about 1e154 squares overflow; the all-pairs result must still be met
+        # past about 1e154 squares may overflow, where numpy answers inf or a
+        # NaN-hidden 0.0 for a true deviation near 0.313 * scale
         p, q = cloud(120, 3, 31, scale, walk=True), cloud(300, 3, 32, scale, walk=True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ours, reference = unparametrized_match(p, q), naive_match(p, q)
-        assert np.float64(ours).tobytes() == np.float64(reference).tobytes()
+        if scale > 1e154:
+            with pytest.raises(RangeError, match="too large for an exact match without overflow"):
+                unparametrized_match(p, q)
+            return
+        ours = unparametrized_match(p, q)
+        assert np.float64(ours).tobytes() == np.float64(naive_match(p, q)).tobytes()
 
     def test_zero_length_segments(self):
         q = cloud(200, 3, 41, walk=True)
@@ -188,8 +192,10 @@ class TestMatchOracle:
             q = GeodesicPath(np.arange(2.0), q, np.zeros_like(q))
             assert unparametrized_match(p, q) == naive_match(p, q)
 
-    def test_one_sample_reference(self):
-        p, q = cloud(50, 3, 51), cloud(1, 3, 52)
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_one_sample_reference(self, dim):
+        # widths 8-12 sum the squares in numpy's eight accumulators
+        p, q = cloud(50, dim, 51), cloud(1, dim, 52)
         assert unparametrized_match(p, q) == naive_match(p, q)
 
     def test_dimension_zero(self):

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from projconn.connection import flat_connection, from_table, weyl3
+from projconn.connection import from_table, weyl3
 from projconn.errors import DimensionError, ShapeError
-from projconn.families import kuga_shimura_theta, torus3
+from projconn.families import kuga_shimura, torus3
 from projconn.poly import as_poly
 from projconn.projective import (
     OneForm,
@@ -16,8 +16,6 @@ from projconn.projective import (
     inject,
     is_projectively_flat,
     projective_equiv,
-    theta_between,
-    theta_of,
     trace_free_project,
     volume_normalize,
     with_one_form,
@@ -41,7 +39,7 @@ class TestDivergenceInjection:
         assert divergence(inject(OneForm(coords, [0, 0]))).is_zero()
 
     def test_fibered_family_divergence(self):
-        field = kuga_shimura_theta(with_trace=True)
+        field = kuga_shimura(with_trace=True).table
         div = divergence(field)
         c_sym = next(s for s in div[0].symbols())
         assert div[0] == 2 * as_poly(c_sym)
@@ -49,7 +47,7 @@ class TestDivergenceInjection:
         assert div[1].is_zero() and div[2].is_zero()
 
     def test_tracefree_family_divergence_zero(self):
-        assert divergence(kuga_shimura_theta(with_trace=False)).is_zero()
+        assert divergence(kuga_shimura(with_trace=False).table).is_zero()
 
 
 class TestProjection:
@@ -65,7 +63,7 @@ class TestProjection:
         for n in (2, 3, 4):
             coords = coords_named(*(f"x{i}" for i in range(n)))
             for _ in range(8):
-                t = theta_of(rand_torsionfree(rng, coords))
+                t = rand_torsionfree(rng, coords).table
                 once = trace_free_project(t)
                 assert trace_free_project(once) == once
                 assert divergence(once).is_zero()
@@ -74,14 +72,14 @@ class TestProjection:
         rng = random.Random(20240823)
         coords = coords_named("x", "y", "z")
         for _ in range(10):
-            t = theta_of(rand_torsionfree(rng, coords))
+            t = rand_torsionfree(rng, coords).table
             n = len(coords)
             recomposed = trace_free_project(t) + inject(divergence(t)) * Fraction(1, n + 1)
             assert recomposed == t
 
     def test_fibered_family_projection_drops_trace(self):
-        with_trace = kuga_shimura_theta(True)
-        trace_free = kuga_shimura_theta(False)
+        with_trace = kuga_shimura(True).table
+        trace_free = kuga_shimura(False).table
         assert trace_free_project(with_trace) == trace_free
 
 
@@ -107,7 +105,7 @@ class TestEquivalence:
         raw = torus3()
         E = as_poly(parameter("E"))
         phi = OneForm(raw.coords, [E / 2, 0, 0])
-        assert inject(phi) == theta_between(raw, torus3(E=0))
+        assert inject(phi) == raw.table - torus3(E=0).table
 
     def test_inequivalent_pair(self):
         probe = torus3(A=0, B=0, C=1, D=0, E=0)
@@ -131,7 +129,7 @@ class TestEquivalence:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            projective_equiv(torus3(), flat_connection(coords_named("x", "y")))
+            projective_equiv(torus3(), from_table(coords_named("x", "y"), {}))
 
 
 class TestVolumeNormalize:
@@ -162,7 +160,7 @@ class TestVolumeNormalize:
         assert volume_normalize(torus3()) == volume_normalize(torus3(E=0))
 
     def test_flat_fixed_point(self):
-        c = flat_connection(coords_named("x", "y", "z"))
+        c = from_table(coords_named("x", "y", "z"), {})
         assert volume_normalize(c) == c
 
     def test_idempotent_on_random_tables(self):
@@ -180,7 +178,7 @@ class TestFlatness:
     def test_flat_iff_parameters_agree(self):
         assert is_projectively_flat(torus3(A=1, B=2, C=5, D=5, E=7))
         assert not is_projectively_flat(torus3(A=1, B=2, C=5, D=6, E=0))
-        assert is_projectively_flat(flat_connection(coords_named("x", "y", "z")))
+        assert is_projectively_flat(from_table(coords_named("x", "y", "z"), {}))
 
     def test_weyl_zero_predicate_instances(self):
         assert not weyl3(torus3(A=1, B=1, C=2, D=3, E=0)).is_zero()
@@ -191,7 +189,7 @@ class TestFlatness:
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
-            is_projectively_flat(flat_connection(coords_named("x", "y")))
+            is_projectively_flat(from_table(coords_named("x", "y"), {}))
 
     def test_conditions_of_the_family(self):
         conds = flatness_conditions(torus3())
@@ -212,7 +210,7 @@ class TestFlatness:
         assert any(not p.subst(sample).is_zero() for p in conds)
 
     def test_conditions_empty_for_flat(self):
-        assert flatness_conditions(flat_connection(coords_named("x", "y", "z"))) == []
+        assert flatness_conditions(from_table(coords_named("x", "y", "z"), {})) == []
 
     def test_conditions_depend_only_on_difference(self):
         # shifting C and D together leaves every condition unchanged

@@ -339,6 +339,44 @@ class TestCli:
         assert out == ""
         assert "'F'" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["curvature", "--family", "torus_n"], "torus_n needs --n"),
+        (["curvature"], "give a spec file or --family"),
+        (["curvature", "--family", "foo"], "unknown family 'foo'"),
+        (["conditions", "--family", "torus3", "--sweep", "C"],
+         "--sweep entry 'C' must look like NAME=lo:hi"),
+        (["conditions", "--family", "torus3", "--sweep", "C=a:b"],
+         "--sweep bounds must be integers in 'C=a:b'"),
+        (["conditions", "--family", "torus3", "--sweep", "C=2:1"], "empty sweep range in 'C=2:1'"),
+        (["conditions", "--family", "torus3", "--set", "C"],
+         "--set entry 'C' must look like NAME=value"),
+        (["geodesic", "FLAT", "--x0", "0,0", "--v0", "1,1,1"], "--x0 needs 3 comma-separated values"),
+        (["pullback-check", "--gamma", "1,0,0"], "--gamma needs 4 comma-separated values"),
+    ])
+    def test_malformed_options_are_exit_2(self, capsys, control_and_flat, argv, message):
+        argv = [control_and_flat[1] if a == "FLAT" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}\n" in err
+
+    @pytest.mark.parametrize("header, message", [
+        ("dim = 2\ncoords = x, x\n", "coordinate 'x' is declared twice"),
+        ("dim = 1\ncoords = i\n", "'i' is reserved for the imaginary unit"),
+        ("dim = 2\ncoords = x, y\nfunctions = A(t)\n",
+         "function 'A' depends on undeclared coordinate 't'"),
+        ("dim = 2\ncoords = x, y\nparams = x\n",
+         "identifier 'x' redeclared with a different role"),
+    ], ids=["repeated-coordinate", "reserved-name", "undeclared-dependency", "coordinate-as-param"])
+    def test_declaration_errors_name_the_file(self, capsys, tmp_path, header, message):
+        path = tmp_path / "decl.conn"
+        path.write_text(header + "[gamma]\nx.x.x = x\n", encoding="utf-8")
+        for command in ("curvature", "normalize"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert f"error: {path}: {message}\n" in err
+
     def test_sweep_grid_bound(self, capsys, torus_file):
         code, out, err = run_cli(capsys, "conditions", torus_file,
                                  "--sweep", "C=1:73", "--sweep", "D=1:137")
@@ -448,14 +486,18 @@ class TestCli:
         assert "unparametrized deviation vs" in done.stdout
 
     def test_geodesic_compare_that_may_overflow_is_exit_2(self, control_and_flat):
-        # differences of coordinates near 1e200 overflow when squared
-        argv = ["geodesic", control_and_flat[1], "--x0", "0,0,0",
-                "--v0", "10^50*10^50*10^50*10^50,1,1", "--step", "5e-4", "--count", "10000",
-                "--compare", control_and_flat[0]]
-        done = run_python(CLI, *argv, timeout=30)
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert "too large for an exact match without overflow" in done.stderr
+        # differences of coordinates near 1e200 overflow when squared, at the
+        # step bound and at the README's 300 steps, where numpy reads 0.0
+        control, flat = control_and_flat
+        v0 = ["--x0", "0,0,0", "--v0", "10^50*10^50*10^50*10^50,1,1"]
+        for argv in (
+            ["geodesic", flat, *v0, "--step", "5e-4", "--count", "10000", "--compare", control],
+            ["geodesic", control, *v0, "--compare", flat, "--tol", "1e-2"],
+        ):
+            done = run_python(CLI, *argv, timeout=30)
+            assert done.returncode == 2
+            assert done.stdout == ""
+            assert "too large for an exact match without overflow" in done.stderr
 
     def test_degree_bound_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "degree.conn"
