@@ -20,7 +20,7 @@ from . import families, projective
 from .connection import Connection, curvature, ricci, weyl3
 from .errors import EngineError
 from .parser import parse_constant
-from .poly import as_poly
+from .poly import as_poly, symbols_of
 from .rational import GaussianRational
 from .specfile import load_spec, render_spec, spec_of_connection
 from .symbols import COORDINATE
@@ -326,9 +326,7 @@ def _cmd_geodesic(args):
     paths = (args.spec, args.compare) if args.compare else (args.spec,)
     conns, (source, *_) = _load(args, *paths)
     conns = _bound(conns, _parse_set(args.at))
-    missing = {
-        sym.name for c in conns for _, value in c.nonzero_entries() for sym in value.symbols()
-    }
+    missing = {sym.name for c in conns for sym in symbols_of(c.table.entries)}
     if missing:
         raise EngineError(
             f"--at must bind every symbol in the tables; missing {', '.join(sorted(missing))}"

@@ -32,8 +32,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import ConstructionError, DimensionError, ShapeError
-from .poly import ZERO_POLY, as_poly
-from .symbols import COORDINATE, FUNCTION
+from .poly import ZERO_POLY, as_poly, symbols_of
+from .symbols import COORDINATE, FUNCTION, PARAMETER
 from .tensor import DOWN, Tensor, UP, contract, symmetry_check
 
 
@@ -60,17 +60,13 @@ class Connection:
                 "Christoffel table not symmetric in its lower indices"
             )
         declared = {c.name for c in coords}
-        for entry in table.entries:
-            for sym in entry.symbols():
-                if sym.kind == COORDINATE and sym.name not in declared:
-                    raise ConstructionError(
-                        f"entry mentions undeclared coordinate {sym.name!r}"
-                    )
-                if sym.kind == FUNCTION and not set(sym.depends_on) <= declared:
-                    raise ConstructionError(
-                        f"function {sym.name!r} depends on coordinates "
-                        "outside this chart"
-                    )
+        for sym in symbols_of(table.entries):
+            if sym.kind == COORDINATE and sym.name not in declared:
+                raise ConstructionError(f"entry mentions undeclared coordinate {sym.name!r}")
+            if sym.kind == FUNCTION and not declared.issuperset(sym.depends_on):
+                raise ConstructionError(
+                    f"function {sym.name!r} depends on coordinates outside this chart"
+                )
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "table", table)
 
@@ -102,7 +98,7 @@ class Connection:
     def nonzero_entries(self):
         """Nonzero (k, i, j) entries with i <= j."""
         for (k, i, j), g in zip(self.table.indices(), self.table.entries):
-            if i <= j and not g.is_zero():
+            if i <= j and g._terms:  # bool(g) would cost a Python call per entry
                 yield (k, i, j), g
 
 
@@ -167,10 +163,14 @@ def curvature(c: Connection) -> Tensor:
 
     for l, row in enumerate(rows):
         for j, k, g in row:
+            # d_i g vanishes unless g mentions x_i or a function of x_i
+            reach = {name for sym in g.symbols() if sym.kind != PARAMETER
+                     for name in sym.depends_on or (sym.name,)}
             for i, x in enumerate(coords):
-                d = g.diff(x)
-                if d:
-                    accumulate(l, i, j, k, d)
+                if x.name in reach:
+                    d = g.diff(x)
+                    if d._terms:  # see nonzero_entries
+                        accumulate(l, i, j, k, d)
         for a, b, g in row:
             for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
                 for j, k, h in rows[m]:
@@ -179,7 +179,7 @@ def curvature(c: Connection) -> Tensor:
     entries = [ZERO_POLY] * n**4
     for l, i, j, k in {(l, min(i, j), max(i, j), k) for l, i, j, k in s}:
         value = s.get((l, i, j, k), ZERO_POLY) - s.get((l, j, i, k), ZERO_POLY)
-        if value:
+        if value._terms:  # see nonzero_entries
             entries[((l * n + i) * n + j) * n + k] = value
             entries[((l * n + j) * n + i) * n + k] = -value
     return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)

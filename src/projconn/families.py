@@ -37,7 +37,7 @@ from .tensor import Tensor
 _ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 _KUGA_SHIMURA_WEIGHTS = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
 
-MAX_TORUS_DIM = 12  # curvature has n^4 entries: about 5 ms at n = 12
+MAX_TORUS_DIM = 12  # curvature has n^4 entries: about 1.1 ms at n = 12
 
 
 def torus_coords():

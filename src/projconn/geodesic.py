@@ -120,9 +120,7 @@ class GeodesicPath:
             raise ShapeError("sample times must strictly increase")
         if not (all(map(math.isfinite, times)) and all(all(map(cmath.isfinite, r)) for r in rows)):
             raise ShapeError("samples must be finite")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "velocities", velocities)
+        _fill(self, times, positions, velocities)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeodesicPath is immutable")
@@ -133,6 +131,14 @@ class GeodesicPath:
     @property
     def dim(self):
         return len(self.positions[0]) if self.positions else 0
+
+
+def _fill(path, *samples) -> GeodesicPath:
+    """path with its slots set to the sample lists as given; the callers,
+    GeodesicPath.__init__ and integrate, have checked them."""
+    for name, value in zip(GeodesicPath.__slots__, samples):
+        object.__setattr__(path, name, value)
+    return path
 
 
 def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> GeodesicPath:
@@ -189,7 +195,8 @@ def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> Geodesic
             raise DivergenceError("geodesic integration diverged", n * step)
         xs.append(x)
         vs.append(v)
-    return GeodesicPath([n * step for n in range(count + 1)], xs, vs)
+    # the loop checked every sample (a start that is not finite diverges at once)
+    return _fill(object.__new__(GeodesicPath), [float(n * step) for n in range(count + 1)], xs, vs)
 
 
 def _pairwise(terms: list[str]) -> str:

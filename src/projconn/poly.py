@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import or_
 
 from .errors import DegreeError, EvalError, KindError, SubstError
@@ -170,10 +171,7 @@ class DiffPoly:
 
     def symbols(self) -> list:
         """The symbols that occur, sorted by Symbol.sort_key."""
-        if not self._terms:
-            return []
-        # the OR of the monomials has a nonzero field exactly where one occurs
-        return [sym for sym, _ in _decode(reduce(or_, self._terms))]
+        return symbols_of((self,))
 
     def leading(self):
         """(monomial, coefficient) of the canonically first term."""
@@ -191,7 +189,8 @@ class DiffPoly:
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
-        other = as_poly(other)
+        if type(other) is not DiffPoly:
+            other = as_poly(other)
         if not self._terms:
             return other
         if not other._terms:
@@ -215,7 +214,8 @@ class DiffPoly:
         return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        other = as_poly(other)
+        if type(other) is not DiffPoly:
+            other = as_poly(other)
         if not other._terms:
             return self
         terms = dict(self._terms)
@@ -417,6 +417,7 @@ class DiffPoly:
 
 
 _new = object.__new__
+_get_terms = DiffPoly._terms.__get__
 _set_terms = DiffPoly._terms.__set__
 
 
@@ -432,6 +433,13 @@ def _checked(terms: dict) -> DiffPoly:
     if reduce(or_, terms, 0) & _guard:
         raise DegreeError(f"an exponent exceeds the bound of {MAX_DEGREE}")
     return _wrap(terms)
+
+
+def symbols_of(polys) -> list:
+    """The symbols that occur in any of the polynomials, sorted by Symbol.sort_key."""
+    # the OR of all monomials has a nonzero field exactly where one occurs
+    mono = reduce(or_, chain.from_iterable(map(_get_terms, polys)), 0)
+    return [sym for sym, _ in _decode(mono)]
 
 
 def _render_term(mono: tuple, coeff: GaussianRational):

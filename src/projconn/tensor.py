@@ -4,16 +4,19 @@ Entries are stored row-major over index tuples in {0..n-1}^arity; reports
 and the JSON form use coordinate names instead of numbers.  Storage stays
 dense, so indexing is plain arithmetic, and the kernels (`contract`,
 `swap_slots`, `symmetry_check`) walk precomputed flat offsets instead of
-building index tuples.  The sparsity of the inputs is used where tensors
-are built: `curvature` iterates only over the nonzero Christoffel entries,
-and `contract` adds only nonzero addends.  `Tensor.__init__` is the one
-way a tensor is built.
+building index tuples.  Nearly every entry of a high-dimensional tensor is
+empty, and an empty entry costs no Python call: loops read emptiness off the
+term map, `contract` adds only nonzero addends, `+` and `-` keep an entry
+where the other operand's entry is empty, and `curvature` iterates only over
+the nonzero Christoffel entries.  `Tensor.__init__` is the one way a tensor
+is built; it finds in one pass whether any entry needs coercing.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from operator import add, sub
+from functools import lru_cache
+from itertools import compress, product
+from operator import add, attrgetter, sub
 
 from .errors import ShapeError
 from .poly import DiffPoly, ZERO_POLY, as_poly
@@ -34,19 +37,23 @@ def _strides(dim, arity):
     return [dim ** (arity - 1 - s) for s in range(arity)]
 
 
-def _offsets(dim, strides):
+@lru_cache(maxsize=16)
+def _offsets(dim, strides: tuple) -> tuple:
     """Flat offsets met by a row-major walk whose slot s steps strides[s]."""
     offsets = [0]
     for step in strides:
         offsets = [base + i * step for base in offsets for i in range(dim)]
-    return offsets
+    return tuple(offsets)
 
 
-def _swapped_offsets(t, s1, s2):
-    """offsets[f]: where entry f of t with slots s1 and s2 swapped sits in t."""
-    strides = _strides(t.dim, t.arity)
+def _swapped_offsets(dim, arity, s1, s2) -> tuple:
+    """offsets[f]: where entry f with slots s1 and s2 swapped sits."""
+    strides = _strides(dim, arity)
     strides[s1], strides[s2] = strides[s2], strides[s1]
-    return _offsets(t.dim, strides)
+    return _offsets(dim, tuple(strides))
+
+
+_terms_of = attrgetter("_terms")  # emptiness without a DiffPoly.__bool__ call per entry
 
 
 class Tensor:
@@ -59,7 +66,9 @@ class Tensor:
         for slot in variance:
             if slot not in (UP, DOWN):
                 raise ShapeError(f"bad variance slot {slot!r}")
-        entries = tuple([e if type(e) is DiffPoly else as_poly(e) for e in entries])
+        entries = tuple(entries)
+        if not {DiffPoly}.issuperset(map(type, entries)):
+            entries = tuple([e if type(e) is DiffPoly else as_poly(e) for e in entries])
         if len(entries) != dim ** len(variance):
             raise ShapeError(
                 f"expected {dim ** len(variance)} entries, got {len(entries)}"
@@ -104,7 +113,7 @@ class Tensor:
         return hash((self.dim, self.variance, self.entries))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(map(_terms_of, self.entries))
 
     def map(self, fn) -> "Tensor":
         return Tensor(self.dim, self.variance, [fn(e) for e in self.entries])
@@ -112,7 +121,10 @@ class Tensor:
     def _zip(self, other, op) -> "Tensor":
         if self.dim != other.dim or self.variance != other.variance:
             raise ShapeError("tensor shape mismatch")
-        return Tensor(self.dim, self.variance, list(map(op, self.entries, other.entries)))
+        out, e = list(self.entries), other.entries
+        for f in compress(range(len(e)), map(_terms_of, e)):  # see _terms_of
+            out[f] = op(out[f], e[f])
+        return Tensor(self.dim, self.variance, out)
 
     def __add__(self, other):
         return self._zip(other, add)
@@ -127,8 +139,8 @@ class Tensor:
 
     def swap_slots(self, s1, s2) -> "Tensor":
         """Transpose two index positions."""
-        e = self.entries
-        return Tensor(self.dim, self.variance, [e[f] for f in _swapped_offsets(self, s1, s2)])
+        offsets = _swapped_offsets(self.dim, self.arity, s1, s2)
+        return Tensor(self.dim, self.variance, list(map(self.entries.__getitem__, offsets)))
 
 
 def contract(t: Tensor, up: int, down: int) -> Tensor:
@@ -141,15 +153,12 @@ def contract(t: Tensor, up: int, down: int) -> Tensor:
         raise ShapeError(f"slot {down} is not covariant")
     keep = [s for s in range(t.arity) if s not in (up, down)]
     strides = _strides(t.dim, t.arity)
-    step = strides[up] + strides[down]
-    e = t.entries
-    out = []
-    for base in _offsets(t.dim, [strides[s] for s in keep]):
-        total = ZERO_POLY
-        for f in range(base, base + t.dim * step, step):
-            if e[f]:
-                total = total + e[f]
-        out.append(total)
+    # per output entry, in output order, the t.dim entries on its diagonal
+    diagonal = _offsets(t.dim, (*[strides[s] for s in keep], strides[up] + strides[down]))
+    addends = list(map(t.entries.__getitem__, diagonal))
+    out = [ZERO_POLY] * t.dim ** len(keep)
+    for f in compress(range(len(addends)), map(_terms_of, addends)):  # see _terms_of
+        out[f // t.dim] += addends[f]
     return Tensor(t.dim, [t.variance[s] for s in keep], out)
 
 
@@ -161,10 +170,11 @@ def symmetry_check(t: Tensor, slots, mode: str) -> bool:
     if mode not in ("symmetric", "antisymmetric"):
         raise ShapeError(f"unknown symmetry mode {mode!r}")
     e = t.entries
-    pairs = zip(_swapped_offsets(t, s1, s2), e)
-    if mode == "symmetric":
-        return all(e[f] is x or e[f] == x for f, x in pairs)
-    return all(e[f] == -x for f, x in pairs)
+    mirrored = tuple(map(e.__getitem__, _swapped_offsets(t.dim, t.arity, s1, s2)))
+    if mode == "antisymmetric":
+        mirrored = tuple([-x for x in mirrored])
+    # a tuple comparison tries identity before DiffPoly.__eq__, entry by entry
+    return mirrored == e
 
 
 def tensor_to_json(t: Tensor, coord_names) -> dict:

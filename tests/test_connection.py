@@ -306,13 +306,15 @@ class TestCurvatureOracle:
             assert_matches_dense_oracle(rand_torsionfree(rng, coords, fill=fill))
 
     def test_function_symbols(self):
-        # d_i of f(x0, x1) yields the derived symbols f_x0, f_x1
+        # d_i of f(x0, x1) yields the derived symbols f_x0, f_x1; d_x2 of
+        # f_x0 vanishes, which curvature skips and the dense oracle computes
         rng = random.Random(20241007)
         coords = coords_named("x0", "x1", "x2")
         pool = [
             *coords,
             function("f", ("x0", "x1")),
             function("h", ("x2",)),
+            function("f", ("x0", "x1")).derivative("x0"),
             parameter("A"),
         ]
         for fill in (0.4, 1.0):

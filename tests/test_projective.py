@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from projconn.connection import from_table, weyl3
-from projconn.errors import DimensionError, ShapeError
+from projconn.errors import ConstructionError, DimensionError, ShapeError
 from projconn.families import kuga_shimura, torus3
 from projconn.poly import as_poly
 from projconn.projective import (
@@ -20,7 +20,7 @@ from projconn.projective import (
     volume_normalize,
     with_one_form,
 )
-from projconn.symbols import parameter
+from projconn.symbols import coordinate, function, parameter
 
 from helpers import coords_named, rand_one_form, rand_torsionfree
 
@@ -130,6 +130,25 @@ class TestEquivalence:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             projective_equiv(torus3(), from_table(coords_named("x", "y"), {}))
+
+
+    @pytest.mark.parametrize(
+        "stray, message",
+        [
+            (coordinate("w"), "undeclared coordinate 'w'"),
+            (function("f", ("x", "w")), "function 'f' depends on coordinates outside"),
+            (function("f", ("x", "w")).derivative("w"), "function 'f' depends on coordinates"),
+        ],
+    )
+    def test_one_form_outside_the_chart_rejected(self, stray, message):
+        coords = coords_named("x", "y", "z")
+        c = from_table(coords, {(0, 1, 2): parameter("A")})
+        for slot in range(3):
+            components = [as_poly(coords[0]), 1, 0]
+            components[slot] = as_poly(stray) + components[slot]
+            with pytest.raises(ConstructionError, match=message):
+                with_one_form(c, OneForm(coords, components))
+        assert with_one_form(c, OneForm(coords, [coords[0], 1, 0])) != c
 
 
 class TestVolumeNormalize:

@@ -1,13 +1,15 @@
 """Dense tensor container: contraction, symmetry, JSON round trip."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from projconn.errors import ShapeError
-from projconn.poly import ZERO_POLY, as_poly
-from projconn.symbols import SymbolTable, parameter
+from projconn.poly import ZERO_POLY, DiffPoly, as_poly
+from projconn.rational import GaussianRational
+from projconn.symbols import SymbolTable, coordinate, parameter
 from projconn.tensor import (
     DOWN,
     Tensor,
@@ -44,7 +46,7 @@ def rand_tensor(rng, dim, variance, symbols):
 
 
 def test_identity_trace_is_dimension():
-    for n in (2, 3, 4):
+    for n in (0, 2, 3, 4):
         ident = Tensor.from_function(
             n, (UP, DOWN), lambda idx: as_poly(1 if idx[0] == idx[1] else 0)
         )
@@ -143,6 +145,33 @@ def test_is_zero():
         2, (DOWN,), lambda idx: as_poly(1) if idx[0] == 0 else ZERO_POLY
     )
     assert not t.is_zero()
+
+
+def test_mixed_entries_are_coerced():
+    x, A = coordinate("x"), parameter("A")
+    mixed = [0, 3, Fraction(-1, 2), GaussianRational(1, 2), x, as_poly(A) * 2]
+    polys = [
+        ZERO_POLY,
+        DiffPoly.constant(3),
+        DiffPoly.constant(Fraction(-1, 2)),
+        DiffPoly.constant(GaussianRational(1, 2)),
+        DiffPoly.of(x),
+        mixed[5],
+    ]
+    for order in (slice(None), slice(None, None, -1)):
+        t = Tensor(6, (DOWN,), mixed[order])
+        expected = Tensor(6, (DOWN,), polys[order])
+        assert all(type(e) is DiffPoly for e in t.entries)
+        assert t == expected and hash(t) == hash(expected)
+    assert Tensor(6, (DOWN,), mixed).entries[5] is mixed[5]
+
+
+@pytest.mark.parametrize("position", [0, 2, 3])
+def test_uncoercible_entry_rejected(position):
+    entries = [as_poly(1), 2, ZERO_POLY, Fraction(1, 3)]
+    entries[position] = "x"
+    with pytest.raises(TypeError, match="cannot coerce str"):
+        Tensor(2, (DOWN, DOWN), entries)
 
 
 def test_json_round_trip_omits_zeros():
