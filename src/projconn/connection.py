@@ -18,21 +18,25 @@ symmetric.  `curvature` evaluates R as S^l_{ijk} - S^l_{jik} with
 
     S^l_{ijk} = d_i G^l_{jk} + sum_m G^l_{im} G^m_{jk},
 
-built in one pass over the nonzero Christoffel entries, so every derivative
-and every product is formed once and an empty entry costs nothing.  The
-dimension-3 Weyl projective tensor is evaluated in its TrR form; the tests
-check it against the Ricci-only form.  Curvature, Ricci,
+in one pass over the nonzero Christoffel entries, so every derivative and
+every product is formed once and an empty entry costs nothing.  Each term of
+S goes straight into the accumulator of R^l_{ijk} (with +) or of R^l_{jik}
+(with -), whichever has its first two lower indices ascending, and one
+settle step per accumulator gives R^l_{ijk} and R^l_{jik} = -R^l_{ijk}
+together (see the accumulators in `poly`).  The dimension-3 Weyl projective
+tensor is evaluated in its TrR form, one accumulation per W^l_{ijk} with
+i < j; the tests check it against the Ricci-only form.  Curvature, Ricci,
 Weyl and Lie derivatives are `Tensor`s, and a vector field is a `Tensor` of
 variance (up,).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import defaultdict
 from itertools import product
 
 from .errors import ConstructionError, DimensionError, ShapeError
-from .poly import ZERO_POLY, as_poly, symbols_of
+from .poly import ZERO_POLY, _accumulate, _accumulate_product, _settle, as_poly, symbols_of
 from .symbols import COORDINATE, FUNCTION, PARAMETER
 from .tensor import DOWN, Tensor, UP, contract, symmetry_check
 
@@ -59,14 +63,7 @@ class Connection:
             raise ConstructionError(
                 "Christoffel table not symmetric in its lower indices"
             )
-        declared = {c.name for c in coords}
-        for sym in symbols_of(table.entries):
-            if sym.kind == COORDINATE and sym.name not in declared:
-                raise ConstructionError(f"entry mentions undeclared coordinate {sym.name!r}")
-            if sym.kind == FUNCTION and not declared.issuperset(sym.depends_on):
-                raise ConstructionError(
-                    f"function {sym.name!r} depends on coordinates outside this chart"
-                )
+        _check_chart({c.name for c in coords}, table.entries)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "table", table)
 
@@ -100,6 +97,17 @@ class Connection:
         for (k, i, j), g in zip(self.table.indices(), self.table.entries):
             if i <= j and g._terms:  # bool(g) would cost a Python call per entry
                 yield (k, i, j), g
+
+
+def _check_chart(declared, polys) -> None:
+    """Refuse a coordinate, or a function of a coordinate, outside declared."""
+    for sym in symbols_of(polys):
+        if sym.kind == COORDINATE and sym.name not in declared:
+            raise ConstructionError(f"entry mentions undeclared coordinate {sym.name!r}")
+        if sym.kind == FUNCTION and not declared.issuperset(sym.depends_on):
+            raise ConstructionError(
+                f"function {sym.name!r} depends on coordinates outside this chart"
+            )
 
 
 def from_table(coords, entries) -> Connection:
@@ -152,14 +160,19 @@ def curvature(c: Connection) -> Tensor:
     rows = [[] for _ in range(n)]
     for (m, j, k), g in c.nonzero_entries():
         rows[m].append((j, k, g))
-    s = {}  # S^l_{ijk} for i != j; S^l_{iik} drops out of R
+    acc = defaultdict(dict)  # (l, i, j, k) with i < j -> accumulator of R^l_{ijk}
 
-    def accumulate(l, i, j, k, value):
-        # G^m_{jk} = G^m_{kj}, so each term lands on both lower orders
+    def targets(l, i, j, k):
+        # a term of S^l_{ijk} is one of S^l_{ikj} too, as G^m_{jk} = G^m_{kj};
+        # S^l_{iab} adds to R^l_{iab} when i < a, subtracts from R^l_{aib}
+        # when a < i, and drops out when a == i
+        out = []
         for a, b in ((j, k), (k, j)) if j != k else ((j, k),):
-            if a != i:
-                cur = s.get((l, i, a, b))
-                s[l, i, a, b] = value if cur is None else cur + value
+            if i < a:
+                out.append((acc[l, i, a, b], 1))
+            elif a < i:
+                out.append((acc[l, a, i, b], -1))
+        return out
 
     for l, row in enumerate(rows):
         for j, k, g in row:
@@ -169,19 +182,19 @@ def curvature(c: Connection) -> Tensor:
             for i, x in enumerate(coords):
                 if x.name in reach:
                     d = g.diff(x)
-                    if d._terms:  # see nonzero_entries
-                        accumulate(l, i, j, k, d)
+                    for target, sign in targets(l, i, j, k):
+                        _accumulate(target, d, sign)
         for a, b, g in row:
             for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
                 for j, k, h in rows[m]:
-                    accumulate(l, i, j, k, g * h)
+                    _accumulate_product(targets(l, i, j, k), g, h)
 
     entries = [ZERO_POLY] * n**4
-    for l, i, j, k in {(l, min(i, j), max(i, j), k) for l, i, j, k in s}:
-        value = s.get((l, i, j, k), ZERO_POLY) - s.get((l, j, i, k), ZERO_POLY)
+    for (l, i, j, k), terms in acc.items():
+        value, negated = _settle(terms)
         if value._terms:  # see nonzero_entries
             entries[((l * n + i) * n + j) * n + k] = value
-            entries[((l * n + j) * n + i) * n + k] = -value
+            entries[((l * n + j) * n + i) * n + k] = negated
     return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
@@ -197,21 +210,31 @@ def trace_r(c: Connection) -> Tensor:
 
 def _weyl3_from(r: Tensor, ric: Tensor, trr: Tensor) -> Tensor:
     """W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/4 - d^l_i H_{jk} + d^l_j H_{ik},
-    with H = Ricci/2 + TrR/8, on flat offsets."""
+    with H = Ricci/2 + TrR/8, on flat offsets.
+
+    W is antisymmetric in (i, j) like R and TrR, and vanishes at i == j, so
+    each W^l_{ijk} with i < j is one accumulation whose negation is W^l_{jik}.
+    """
     n = r.dim
-    quarter = [x * Fraction(1, 4) for x in trr.entries]
-    half = [a * Fraction(1, 2) + b * Fraction(1, 8) for a, b in zip(ric.entries, trr.entries)]
-    entries = list(r.entries)
-    for l, a, b in product(range(n), repeat=3):
-        pair = a * n + b
-        if quarter[pair]:  # l == k: (l, a, b, l)
-            f = ((l * n + a) * n + b) * n + l
-            entries[f] = entries[f] - quarter[pair]
-        if half[pair]:  # l == i: (l, l, a, b), and l == j: (l, a, l, b)
-            f = ((l * n + l) * n + a) * n + b
-            entries[f] = entries[f] - half[pair]
-            f = ((l * n + a) * n + l) * n + b
-            entries[f] = entries[f] + half[pair]
+    R, ric, trr = r.entries, ric.entries, trr.entries
+    entries = list(R)
+    for l, i, j, k in product(range(n), repeat=4):
+        if i >= j:
+            continue
+        addends = []  # (entry, num, den): entry * num/den is added to R^l_{ijk}
+        if l == k:
+            addends.append((trr[i * n + j], -1, 4))
+        if l == i:
+            addends += [(ric[j * n + k], -1, 2), (trr[j * n + k], -1, 8)]
+        if l == j:
+            addends += [(ric[i * n + k], 1, 2), (trr[i * n + k], 1, 8)]
+        if not any(p._terms for p, _, _ in addends):  # see nonzero_entries
+            continue  # W = R here, and entries holds it already
+        f = ((l * n + i) * n + j) * n + k
+        terms = {}
+        for p, num, den in [(R[f], 1, 1), *addends]:
+            _accumulate(terms, p, num, den)
+        entries[f], entries[((l * n + j) * n + i) * n + k] = _settle(terms)
     return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import Connection, from_named_table, from_table
+from .connection import Connection, _check_chart, from_named_table, from_table
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
 from .poly import as_poly
 from .rational import GaussianRational, ONE, ZERO, as_gaussian
@@ -37,11 +37,34 @@ from .tensor import Tensor
 _ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 _KUGA_SHIMURA_WEIGHTS = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
 
-MAX_TORUS_DIM = 12  # curvature has n^4 entries: about 1.1 ms at n = 12
+MAX_TORUS_DIM = 12  # curvature has n^4 entries: about 1.2 ms at n = 12
 
 
 def torus_coords():
     return tuple(coordinate(n) for n in ("tau", "z1", "z2"))
+
+
+def _torus_table(A, B, C, D, E) -> dict:
+    """The torus3 table keyed (k, i, j), with tau, z1, z2 = 0, 1, 2."""
+    A = as_poly(parameter("A") if A is None else A)
+    B = as_poly(parameter("B") if B is None else B)
+    C = as_poly(parameter("C") if C is None else C)
+    D = as_poly(parameter("D") if D is None else D)
+    E = as_poly(parameter("E") if E is None else E)
+    half = Fraction(1, 2)
+    return {
+        (1, 0, 0): A,
+        (2, 0, 0): B,
+        (1, 1, 1): C,
+        (0, 0, 1): C * half,
+        (1, 1, 2): C * half,
+        (2, 2, 2): D,
+        (0, 0, 2): D * half,
+        (2, 1, 2): D * half,
+        (0, 0, 0): E,
+        (1, 1, 0): E * half,
+        (2, 2, 0): E * half,
+    }
 
 
 def torus3(A=None, B=None, C=None, D=None, E=None) -> Connection:
@@ -55,29 +78,7 @@ def torus3(A=None, B=None, C=None, D=None, E=None) -> Connection:
         G^z2_{z2 z2} = D  G^t_{t z2} = D/2  G^z2_{z1 z2} = D/2
         G^t_{tt} = E      G^z1_{z1 t} = E/2 G^z2_{z2 t} = E/2
     """
-    A = as_poly(parameter("A") if A is None else A)
-    B = as_poly(parameter("B") if B is None else B)
-    C = as_poly(parameter("C") if C is None else C)
-    D = as_poly(parameter("D") if D is None else D)
-    E = as_poly(parameter("E") if E is None else E)
-    coords = torus_coords()
-    half = Fraction(1, 2)
-    return from_named_table(
-        coords,
-        {
-            "z1.tau.tau": A,
-            "z2.tau.tau": B,
-            "z1.z1.z1": C,
-            "tau.tau.z1": C * half,
-            "z1.z1.z2": C * half,
-            "z2.z2.z2": D,
-            "tau.tau.z2": D * half,
-            "z2.z1.z2": D * half,
-            "tau.tau.tau": E,
-            "z1.z1.tau": E * half,
-            "z2.z2.tau": E * half,
-        },
-    )
+    return from_table(torus_coords(), _torus_table(A, B, C, D, E))
 
 
 def torus_n(n: int, A=None, B=None, C=None, D=None, E=None) -> Connection:
@@ -87,10 +88,11 @@ def torus_n(n: int, A=None, B=None, C=None, D=None, E=None) -> Connection:
         raise ConstructionError("torus_n needs n >= 4; use torus3 below that")
     if n > MAX_TORUS_DIM:
         raise ConstructionError(f"torus_n takes n <= {MAX_TORUS_DIM}")
-    base = torus3(A, B, C, D, E)
     names = ["tau", "z1", "z2"] + [f"z{i}" for i in range(4, n + 1)]
     coords = tuple(coordinate(name) for name in names)
-    return from_table(coords, dict(base.nonzero_entries()))
+    table = _torus_table(A, B, C, D, E)
+    _check_chart(set(names[:3]), table.values())  # as torus3 would: nothing on z4..zn
+    return from_table(coords, table)
 
 
 def kuga_shimura(with_trace: bool) -> Connection:

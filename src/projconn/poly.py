@@ -31,7 +31,7 @@ from itertools import chain
 from operator import or_
 
 from .errors import DegreeError, EvalError, KindError, SubstError
-from .rational import GaussianRational, ZERO, ONE, as_gaussian
+from .rational import GaussianRational, ZERO, ONE, _make, _reduced, as_gaussian
 from .symbols import COORDINATE, FUNCTION, Symbol
 
 MAX_DEGREE = 2**15 - 1
@@ -428,11 +428,74 @@ def _wrap(terms: dict) -> DiffPoly:
     return out
 
 
+def _check_degrees(monos) -> None:
+    """Raise DegreeError when a packed monomial has an exponent beyond MAX_DEGREE."""
+    if reduce(or_, monos, 0) & _guard:
+        raise DegreeError(f"an exponent exceeds the bound of {MAX_DEGREE}")
+
+
 def _checked(terms: dict) -> DiffPoly:
     """_wrap(terms), unless an exponent exceeds MAX_DEGREE."""
-    if reduce(or_, terms, 0) & _guard:
-        raise DegreeError(f"an exponent exceeds the bound of {MAX_DEGREE}")
+    _check_degrees(terms)
     return _wrap(terms)
+
+
+# -- accumulators ---------------------------------------------------------------
+#
+# A kernel that sums many products into one output entry builds it in an
+# accumulator: a plain dict from packed monomial to an unreduced (a, b, d)
+# int triple, (a + b*i)/d with d > 0.  Adding a term is int arithmetic only,
+# with no gcd and no intermediate GaussianRational or DiffPoly.  A monomial
+# stays in the map once added, even where its sum cancels to zero, so the
+# guard-bit check of _settle covers every product monomial ever formed.
+
+
+def _add(acc: dict, mono: int, a: int, b: int, d: int) -> None:
+    """acc[mono] += (a + b*i)/d."""
+    cur = acc.get(mono)
+    if cur is None:
+        acc[mono] = (a, b, d)
+    elif cur[2] == d:
+        acc[mono] = (cur[0] + a, cur[1] + b, d)
+    else:
+        a0, b0, d0 = cur
+        acc[mono] = (a0 * d + a * d0, b0 * d + b * d0, d0 * d)
+
+
+def _accumulate(acc: dict, p: DiffPoly, num: int = 1, den: int = 1) -> None:
+    """acc += p * num/den, for ints num and den > 0."""
+    for mono, c in p._terms.items():
+        _add(acc, mono, c._a * num, c._b * num, c._d * den)
+
+
+def _accumulate_product(targets, g: DiffPoly, h: DiffPoly) -> None:
+    """acc += sign * g * h for each (acc, sign) in targets, sign = 1 or -1.
+
+    With no target the product lands nowhere, but its monomials are still
+    held to MAX_DEGREE.
+    """
+    if not targets:
+        _check_degrees([ma + mb for ma in g._terms for mb in h._terms])
+        return
+    hterms = [(mb, cb._a, cb._b, cb._d) for mb, cb in h._terms.items()]
+    for ma, ca in g._terms.items():
+        a1, b1, d1 = ca._a, ca._b, ca._d
+        for mb, a2, b2, d2 in hterms:
+            mono = ma + mb
+            re, im, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            for acc, sign in targets:
+                _add(acc, mono, re * sign, im * sign, d)
+
+
+def _settle(acc: dict):
+    """(p, -p) for the sum p in an accumulator: one gcd per surviving term."""
+    _check_degrees(acc)
+    pos, neg = {}, {}
+    for mono, (a, b, d) in acc.items():
+        if a or b:
+            pos[mono] = c = _reduced(a, b, d)
+            neg[mono] = _make(-c._a, -c._b, c._d)
+    return _wrap(pos), _wrap(neg)
 
 
 def symbols_of(polys) -> list:

@@ -28,6 +28,8 @@ DOWN = "down"
 def _flat(dim, idx):
     flat = 0
     for i in idx:
+        if not 0 <= i < dim:
+            raise ShapeError(f"index {tuple(idx)} outside range({dim})")
         flat = flat * dim + i
     return flat
 

@@ -1,6 +1,7 @@
 """Connections: construction, curvature conventions, Weyl, Lie derivative."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,9 +17,10 @@ from projconn.connection import (
     trace_r,
     weyl3,
 )
-from projconn.errors import ConstructionError, DimensionError
+from projconn.errors import ConstructionError, DegreeError, DimensionError
 from projconn.families import kuga_shimura, torus3, torus_n
-from projconn.poly import ZERO_POLY, as_poly
+from projconn.projective import with_one_form
+from projconn.poly import MAX_DEGREE, ZERO_POLY, as_poly
 from projconn.symbols import function, parameter
 from projconn.tensor import DOWN, Tensor, UP
 
@@ -27,6 +29,7 @@ from helpers import (
     coords_named,
     naive_curvature,
     rand_deg2_table,
+    rand_one_form,
     rand_torsionfree,
 )
 
@@ -36,8 +39,18 @@ def family():
     return torus3()
 
 
+def _shifted_deg2_table(seed):
+    # a criterion-06 table moved by a one-form with Gaussian coefficients,
+    # as the weyl-random benchmark workload does
+    rng = random.Random(seed)
+    coords = coords_named("x", "y", "z")
+    return with_one_form(rand_deg2_table(rng, coords), rand_one_form(rng, coords))
+
+
 # Tables on which weyl3 is checked against the Ricci-only form: both
-# families plus random tables shaped like acceptance criterion 06.
+# families, random real tables shaped like acceptance criterion 06, and two
+# groups with Gaussian coefficients (imaginary parts, denominators up to 4):
+# random polynomial tables, and criterion-06 tables shifted by a one-form.
 WEYL_CASES = {
     "torus3": torus3,
     "kuga-shimura": lambda: kuga_shimura(with_trace=True),
@@ -48,7 +61,18 @@ WEYL_CASES = {
         )
         for seed in range(20240960, 20240984)
     },
+    **{
+        f"gaussian-{seed}": lambda seed=seed: rand_torsionfree(
+            random.Random(seed), coords_named("x", "y", "z")
+        )
+        for seed in range(20241020, 20241032)
+    },
+    **{
+        f"shifted-{seed}": lambda seed=seed: _shifted_deg2_table(seed)
+        for seed in range(20241040, 20241052)
+    },
 }
+GAUSSIAN_GROUPS = ("gaussian-", "shifted-")
 
 
 @pytest.fixture(scope="module")
@@ -243,12 +267,16 @@ class TestGoldenWeyl:
 
     @pytest.mark.parametrize("case", list(WEYL_CASES))
     def test_ricci_only_form_recomputed_independently(self, case):
-        """Cross-check against an in-test transcription of the Ricci form."""
+        """Cross-check against an in-test transcription of the Ricci form,
+        on the dense curvature oracle, so that no kernel of the engine's
+        curvature, Ricci or Weyl code enters the expected value."""
         conn = WEYL_CASES[case]()
-        R = curvature(conn)
-        ric = ricci(conn)
+        R = naive_curvature(conn)
+        ric = {
+            (j, k): sum((R[i, i, j, k] for i in range(3)), ZERO_POLY)
+            for j, k in product(range(3), repeat=2)
+        }
         W = weyl3(conn)
-        from fractions import Fraction
 
         for l, i, j, k in W.indices():
             value = R[l, i, j, k]
@@ -259,6 +287,18 @@ class TestGoldenWeyl:
             if l == i:
                 value = value - (ric[j, k] * 3 + ric[k, j]) * Fraction(1, 8)
             assert W[l, i, j, k] == value
+
+    @pytest.mark.parametrize("group", GAUSSIAN_GROUPS)
+    def test_gaussian_groups_reach_imaginary_cross_terms(self, group):
+        # most tables of the group give a curvature with nonreal
+        # coefficients; the Weyl tensor of a shifted table is that of the
+        # real table it was shifted from
+        cases = [c for c in WEYL_CASES if c.startswith(group)]
+        nonreal = sum(
+            any(c.im for e in curvature(WEYL_CASES[case]()).entries for c in e.coefficients())
+            for case in cases
+        )
+        assert nonreal > len(cases) // 2
 
     def test_weyl_requires_dimension_three(self):
         with pytest.raises(DimensionError):
@@ -336,6 +376,46 @@ class TestCurvatureOracle:
     @pytest.mark.parametrize("case", list(ORACLE_FAMILIES))
     def test_families(self, case):
         assert_matches_dense_oracle(ORACLE_FAMILIES[case]())
+
+
+def _power_tables(exp):
+    """Tables whose Christoffel products have x0 at exponent 2 * exp."""
+    x = coords_named("x0", "x1", "x2")
+    p = as_poly(x[0]) ** exp
+    return {
+        # dimension 1: every product is G^0_{00} G^0_{00} and lands on no
+        # entry of R
+        "lands-nowhere": from_table(x[:1], {(0, 0, 0): p}),
+        # G^0_{01} G^1_{11} is a term of R^0_{011}
+        "lands": from_table(x[:2], {(0, 0, 1): p, (1, 1, 1): p}),
+        # every entry p: the products of S^l_{ijk} and S^l_{jik} cancel in R
+        "cancels-in-R": from_table(x[:2], {idx: p for idx in product(range(2), repeat=3)}),
+        # G^2 = -G^0, so S^l_{ijk} = (G^l_{i0} - G^l_{i2}) G^0_{jk} = 0: every
+        # product lands on an entry of R and cancels inside S, so only the
+        # derivative terms, of exponent exp - 1, survive
+        "cancels-in-S": from_table(
+            x, {(0, 0, 1): p, (0, 1, 2): p, (2, 0, 1): -p, (2, 1, 2): -p}
+        ),
+    }
+
+
+class TestDegreeBound:
+    """A Christoffel product with an exponent above MAX_DEGREE raises
+    DegreeError, also where the product lands on no entry or cancels."""
+
+    @pytest.mark.parametrize("case", list(_power_tables(1)))
+    def test_overflowing_product_rejected(self, case):
+        conn = _power_tables(MAX_DEGREE // 2 + 1)[case]
+        with pytest.raises(DegreeError, match=f"^an exponent exceeds the bound of {MAX_DEGREE}$"):
+            curvature(conn)
+
+    @pytest.mark.parametrize("case", list(_power_tables(1)))
+    def test_products_at_the_bound_accepted(self, case):
+        R = assert_matches_dense_oracle(_power_tables(MAX_DEGREE // 2)[case])
+        if case.startswith("cancels"):
+            # only derivative terms survive: no exponent above exp - 1
+            assert all(exp < MAX_DEGREE // 2 for e in R.entries
+                       for mono in e.terms() for _, exp in mono)
 
 
 class TestBianchi:

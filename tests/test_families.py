@@ -28,7 +28,7 @@ from projconn.projective import (
     projective_equiv,
 )
 from projconn.rational import GaussianRational, I, ONE, ZERO
-from projconn.symbols import function, parameter
+from projconn.symbols import coordinate, function, parameter
 from projconn.tensor import DOWN, Tensor, UP
 
 from helpers import rand_fraction, restrict, run_python
@@ -85,6 +85,14 @@ class TestTorusN:
     def test_small_n_rejected(self):
         with pytest.raises(ConstructionError):
             torus_n(3)
+
+    @pytest.mark.parametrize("coefficient", [coordinate("z4"), function("f", ("z4",))])
+    def test_coefficient_off_the_torus3_chart_rejected(self, coefficient):
+        # z4 is a coordinate of torus_n(4), but a coefficient in it would
+        # break the restriction to {tau, z1, z2}; torus3 refuses it too
+        for build in (torus3, lambda A: torus_n(4, A)):
+            with pytest.raises(ConstructionError, match="z4|outside this chart"):
+                build(A=coefficient)
 
 
 class TestKugaShimura:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from projconn.errors import ShapeError
+from projconn.families import torus3
 from projconn.poly import ZERO_POLY, DiffPoly, as_poly
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable, coordinate, parameter
@@ -172,6 +173,23 @@ def test_uncoercible_entry_rejected(position):
     entries[position] = "x"
     with pytest.raises(TypeError, match="cannot coerce str"):
         Tensor(2, (DOWN, DOWN), entries)
+
+
+@pytest.mark.parametrize("idx", [(0, 0, 3), (0, 0, -1), (3, 0, 0), (0, -3, 1)])
+def test_index_outside_range_rejected(idx):
+    # row-major offsets would alias: (0, 0, 3) is where G^0_{10} sits, and
+    # (0, 0, -1) would read G^2_{22} from the end of the entries
+    t = torus3().table
+    with pytest.raises(ShapeError, match=r"outside range\(3\)"):
+        t[idx]
+
+
+def test_single_index_outside_range_rejected():
+    form = Tensor(2, (DOWN,), [1, 2])
+    assert form[1] == as_poly(2)
+    for idx in (2, -1):
+        with pytest.raises(ShapeError, match=r"outside range\(2\)"):
+            form[idx]
 
 
 def test_json_round_trip_omits_zeros():
