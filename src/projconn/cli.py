@@ -4,7 +4,9 @@ Subcommands: curvature, ricci, weyl, flat, equiv, normalize, conditions,
 family, pullback-check, geodesic.  Reports go to stdout as text (default)
 or JSON (--format json) and are byte-identical across runs for identical
 inputs; timing and diagnostics go to stderr.  Exit codes: 0 on success,
-1 for negative analysis results under --strict, 2 on input errors.
+1 for negative analysis results under --strict, 2 on input errors.  The
+handlers import `families`, `projective` and `geodesic` themselves, so a
+process compiles only the modules its subcommand uses.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 import sys
 import time
 
-from . import families, projective
 from .connection import Connection, curvature, ricci, weyl3
 from .errors import EngineError
 from .parser import parse_constant
@@ -85,6 +86,7 @@ def _bound(conns, assignments):
 
 
 def _family(name, args):
+    from . import families
     if name == "torus3":
         return families.torus3()
     if name == "torus_n":
@@ -167,6 +169,7 @@ def _cmd_tensor(args):
 
 
 def _cmd_flat(args):
+    from . import projective
     (conn,), (source,) = _load(args, args.spec)
     flat = projective.is_projectively_flat(conn)
     result = {"source": source, "projectively_flat": flat}
@@ -175,6 +178,7 @@ def _cmd_flat(args):
 
 
 def _cmd_equiv(args):
+    from . import projective
     (a, b), _ = _load(args, args.spec_a, args.spec_b)
     theta = projective.projective_equiv(a, b)
     equivalent = theta is not None
@@ -188,6 +192,7 @@ def _cmd_equiv(args):
 
 
 def _cmd_normalize(args):
+    from . import projective
     (conn,), (source,) = _load(args, args.spec)
     normalized = projective.volume_normalize(conn)
     theta = projective.projective_equiv(conn, normalized)
@@ -223,6 +228,7 @@ def _parse_sweep(items):
 
 
 def _cmd_conditions(args):
+    from . import projective
     ranges = _parse_sweep(args.sweep)
     (conn,), (source,) = _load(args, args.spec)
     # names checked once against the connection; the conditions may lack some
@@ -273,6 +279,7 @@ def _parse_tuple(option: str, count: int, label: str):
 def _cmd_pullback_check(args):
     import random
 
+    from . import families
     if args.points < 1:
         raise EngineError(f"--points must be at least 1, got {args.points}")
     gamma = _parse_tuple(args.gamma, 4, "gamma")
@@ -309,7 +316,7 @@ def _cmd_pullback_check(args):
 
 
 def _cmd_geodesic(args):
-    from . import geodesic  # compiled only by the subcommand that uses it
+    from . import geodesic
 
     if args.tol is not None and not args.tol >= 0:
         raise EngineError(f"--tol must be a non-negative number, got {args.tol:g}")

@@ -2,7 +2,8 @@
 
 A `Connection` is its coordinates plus one (up, down, down) `Tensor`,
 `table`, with table[k, i, j] = G^k_{ij}; `gamma` is a read-only view of it
-as nested tuples gamma[k][i][j], sliced from `table.entries` when read.
+as nested tuples gamma[k][i][j], sliced from the dense `table.entries` view
+when read; no kernel reads either view.
 
 Component conventions, fixed once and pinned by the golden tests:
 
@@ -33,12 +34,13 @@ variance (up,).
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import product
 
 from .errors import ConstructionError, DimensionError, ShapeError
-from .poly import ZERO_POLY, _accumulate, _accumulate_product, _settle, as_poly, symbols_of
+from .poly import _accumulate, _accumulate_product, _settle, as_poly, symbols_of
 from .symbols import COORDINATE, FUNCTION, PARAMETER
-from .tensor import DOWN, Tensor, UP, contract, symmetry_check
+from .tensor import DOWN, Tensor, UP, _unflat, contract, symmetry_check
 
 
 FIELD = (UP, DOWN, DOWN)
@@ -63,7 +65,7 @@ class Connection:
             raise ConstructionError(
                 "Christoffel table not symmetric in its lower indices"
             )
-        _check_chart({c.name for c in coords}, table.entries)
+        _check_chart({c.name for c in coords}, table._stored.values())
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "table", table)
 
@@ -93,9 +95,10 @@ class Connection:
         return hash((self.coords, self.table))
 
     def nonzero_entries(self):
-        """Nonzero (k, i, j) entries with i <= j."""
-        for (k, i, j), g in zip(self.table.indices(), self.table.entries):
-            if i <= j and g._terms:  # bool(g) would cost a Python call per entry
+        """Nonzero (k, i, j) entries with i <= j, in row-major order."""
+        for f, g in sorted(self.table._stored.items()):
+            k, i, j = _unflat(self.dim, 3, f)
+            if i <= j:
                 yield (k, i, j), g
 
 
@@ -119,21 +122,19 @@ def from_table(coords, entries) -> Connection:
     """
     coords = tuple(coords)
     n = len(coords)
-    table = [None] * n**3
+    table = {}  # flat offset -> value; Tensor drops the zero ones
     for (k, i, j), value in entries.items():
         if not {k, i, j} <= set(range(n)):
             raise ConstructionError(f"index ({k}, {i}, {j}) outside range({n})")
         value = as_poly(value)
         for a, b in ((i, j), (j, i)):
             flat = (k * n + a) * n + b
-            if table[flat] is not None and table[flat] != value:
+            if table.get(flat, value) != value:
                 raise ConstructionError(
                     f"conflicting symmetric entries for ({k}, {i}, {j})"
                 )
             table[flat] = value
-    return Connection(
-        coords, Tensor(n, FIELD, [ZERO_POLY if e is None else e for e in table])
-    )
+    return Connection(coords, Tensor(n, FIELD, table))
 
 
 def from_named_table(coords, entries) -> Connection:
@@ -189,12 +190,10 @@ def curvature(c: Connection) -> Tensor:
                 for j, k, h in rows[m]:
                     _accumulate_product(targets(l, i, j, k), g, h)
 
-    entries = [ZERO_POLY] * n**4
+    entries = {}  # flat offset -> entry; Tensor drops the zero ones
     for (l, i, j, k), terms in acc.items():
-        value, negated = _settle(terms)
-        if value._terms:  # see nonzero_entries
-            entries[((l * n + i) * n + j) * n + k] = value
-            entries[((l * n + j) * n + i) * n + k] = negated
+        f, g = ((l * n + i) * n + j) * n + k, ((l * n + j) * n + i) * n + k
+        entries[f], entries[g] = _settle(terms)
     return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
@@ -208,34 +207,49 @@ def trace_r(c: Connection) -> Tensor:
     return contract(curvature(c), 0, 3)
 
 
+@lru_cache(maxsize=4)
+def _weyl_corrections(n) -> tuple:
+    """The W^l_{ijk} with i < j that Ricci or TrR can make differ from R^l_{ijk},
+    as (f, f', addends): f and f' are the offsets of W^l_{ijk} and W^l_{jik},
+    and an addend (source, offset, num, den) adds num/den times the entry at
+    offset of source 0 (Ricci) or 1 (TrR).  Dimension 3 builds it once."""
+    plan = []
+    for l, i, j, k in product(range(n), repeat=4):
+        if i >= j:
+            continue
+        addends = []
+        if l == k:
+            addends.append((1, i * n + j, -1, 4))
+        if l == i:
+            addends += [(0, j * n + k, -1, 2), (1, j * n + k, -1, 8)]
+        if l == j:
+            addends += [(0, i * n + k, 1, 2), (1, i * n + k, 1, 8)]
+        if addends:
+            plan.append((((l * n + i) * n + j) * n + k, ((l * n + j) * n + i) * n + k, addends))
+    return tuple(plan)
+
+
 def _weyl3_from(r: Tensor, ric: Tensor, trr: Tensor) -> Tensor:
     """W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/4 - d^l_i H_{jk} + d^l_j H_{ik},
-    with H = Ricci/2 + TrR/8, on flat offsets.
+    with H = Ricci/2 + TrR/8, on the stored entries.
 
     W is antisymmetric in (i, j) like R and TrR, and vanishes at i == j, so
     each W^l_{ijk} with i < j is one accumulation whose negation is W^l_{jik}.
     """
-    n = r.dim
-    R, ric, trr = r.entries, ric.entries, trr.entries
-    entries = list(R)
-    for l, i, j, k in product(range(n), repeat=4):
-        if i >= j:
-            continue
-        addends = []  # (entry, num, den): entry * num/den is added to R^l_{ijk}
-        if l == k:
-            addends.append((trr[i * n + j], -1, 4))
-        if l == i:
-            addends += [(ric[j * n + k], -1, 2), (trr[j * n + k], -1, 8)]
-        if l == j:
-            addends += [(ric[i * n + k], 1, 2), (trr[i * n + k], 1, 8)]
-        if not any(p._terms for p, _, _ in addends):  # see nonzero_entries
-            continue  # W = R here, and entries holds it already
-        f = ((l * n + i) * n + j) * n + k
+    R, sources = r._stored, (ric._stored, trr._stored)
+    entries = dict(R)  # W = R wherever no Ricci or TrR entry adds to it
+    for f, f_neg, addends in _weyl_corrections(r.dim):
         terms = {}
-        for p, num, den in [(R[f], 1, 1), *addends]:
-            _accumulate(terms, p, num, den)
-        entries[f], entries[((l * n + j) * n + i) * n + k] = _settle(terms)
-    return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
+        for source, offset, num, den in addends:
+            p = sources[source].get(offset)
+            if p is not None:
+                _accumulate(terms, p, num, den)
+        if terms:
+            p = R.get(f)
+            if p is not None:
+                _accumulate(terms, p)
+            entries[f], entries[f_neg] = _settle(terms)
+    return Tensor(r.dim, (UP, DOWN, DOWN, DOWN), entries)
 
 
 def weyl3(c: Connection) -> Tensor:

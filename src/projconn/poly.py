@@ -316,7 +316,7 @@ class DiffPoly:
                     rest = mono - (1 << slot * _WIDTH) + _unit(derived)
                 else:  # a parameter
                     continue
-                _add_term(terms, rest, coeff * exp)
+                _add_term(terms, rest, _reduced(coeff._a * exp, coeff._b * exp, coeff._d))
         return _checked(terms)
 
     def subst(self, bindings: dict) -> "DiffPoly":

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .connection import FIELD, Connection, weyl3
 from .errors import DimensionError, ShapeError
-from .poly import DiffPoly, ZERO_POLY
+from .poly import DiffPoly
 from .tensor import DOWN, Tensor, contract
 
 
@@ -37,14 +37,13 @@ def divergence(t: Tensor) -> Tensor:
 
 def inject(f: Tensor) -> Tensor:
     """J(theta)^k_{ij} = theta_i delta^k_j + theta_j delta^k_i."""
-    n, theta = f.dim, f.entries
-    entries = [ZERO_POLY] * n**3
-    for k in range(n):
-        for m in range(n):
-            # (k, m, k) and (k, k, m) hold theta_m; both are (k, k, k) when m == k
-            entries[(k * n + m) * n + k] = theta[m]
-            entries[(k * n + k) * n + m] = theta[m]
-        entries[(k * n + k) * n + k] = theta[k] + theta[k]
+    n = f.dim
+    entries = {}
+    for m, theta in f._stored.items():
+        for k in range(n):
+            # (k, m, k) and (k, k, m) hold theta_m; both are (m, m, m) when k == m
+            entries[(k * n + m) * n + k] = entries[(k * n + k) * n + m] = theta
+        entries[(m * n + m) * n + m] = theta + theta
     return Tensor(n, FIELD, entries)
 
 
@@ -98,12 +97,8 @@ def flatness_conditions(c: Connection) -> list[DiffPoly]:
     """
     if c.dim != 3:
         raise DimensionError("flatness conditions implemented for dimension 3")
-    w = weyl3(c)
     seen = []
-    for idx in w.indices():
-        entry = w[idx]
-        if entry.is_zero():
-            continue
+    for _, entry in sorted(weyl3(c)._stored.items()):
         normalized = entry.monic()
         if normalized not in seen:
             seen.append(normalized)

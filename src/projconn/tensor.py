@@ -1,15 +1,16 @@
-"""Dense multi-index tensors of polynomials with variance-aware contraction.
+"""Sparse multi-index tensors of polynomials with variance-aware contraction.
 
-Entries are stored row-major over index tuples in {0..n-1}^arity; reports
-and the JSON form use coordinate names instead of numbers.  Storage stays
-dense, so indexing is plain arithmetic, and the kernels (`contract`,
-`swap_slots`, `symmetry_check`) walk precomputed flat offsets instead of
-building index tuples.  Nearly every entry of a high-dimensional tensor is
-empty, and an empty entry costs no Python call: loops read emptiness off the
-term map, `contract` adds only nonzero addends, `+` and `-` keep an entry
-where the other operand's entry is empty, and `curvature` iterates only over
-the nonzero Christoffel entries.  `Tensor.__init__` is the one way a tensor
-is built; it finds in one pass whether any entry needs coercing.
+A tensor stores only its nonzero entries, as a dict from flat row-major
+offset over index tuples in {0..n-1}^arity to a nonzero `DiffPoly`; reports
+and the JSON form use coordinate names instead of numbers.  Every kernel
+(`+`, `-`, `map`, `swap_slots`, `contract`, `symmetry_check`, the JSON form,
+and `curvature`, `weyl3` and `inject` beside them) walks the stored entries
+only, so its cost follows the nonzeros and not n^arity.  Slot moves read
+where each offset goes from a map cached per (dim, arity, slots).
+`Tensor.__init__` is the one way a tensor is built: it takes a dense sequence
+of entries or an offset -> entry dict, coerces entries outside the ring and
+drops empty ones, so equal tensors store equal dicts.  `entries` is a dense
+read-only view for display and tests; no kernel reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ DOWN = "down"
 def _flat(dim, idx):
     flat = 0
     for i in idx:
-        if not 0 <= i < dim:
+        if not isinstance(i, int) or not 0 <= i < dim:
             raise ShapeError(f"index {tuple(idx)} outside range({dim})")
         flat = flat * dim + i
     return flat
@@ -39,45 +40,76 @@ def _strides(dim, arity):
     return [dim ** (arity - 1 - s) for s in range(arity)]
 
 
-@lru_cache(maxsize=16)
-def _offsets(dim, strides: tuple) -> tuple:
+def _unflat(dim, arity, flat) -> tuple:
+    """The index tuple at a row-major offset."""
+    return tuple(flat // step % dim for step in _strides(dim, arity))
+
+
+def _offsets(dim, strides) -> list:
     """Flat offsets met by a row-major walk whose slot s steps strides[s]."""
     offsets = [0]
     for step in strides:
         offsets = [base + i * step for base in offsets for i in range(dim)]
-    return tuple(offsets)
+    return offsets
 
 
+@lru_cache(maxsize=32)
 def _swapped_offsets(dim, arity, s1, s2) -> tuple:
-    """offsets[f]: where entry f with slots s1 and s2 swapped sits."""
+    """offsets[f]: where entry f with slots s1 and s2 swapped sits.
+
+    A swap is an involution, so the map is its own inverse.
+    """
     strides = _strides(dim, arity)
     strides[s1], strides[s2] = strides[s2], strides[s1]
-    return _offsets(dim, tuple(strides))
+    return tuple(_offsets(dim, strides))
+
+
+@lru_cache(maxsize=32)
+def _diagonal_targets(dim, arity, up, down) -> dict:
+    """{f: g} for each entry f with equal indices in slots up and down, g the
+    offset of its remaining indices in the contracted tensor."""
+    strides = _strides(dim, arity)
+    keep = [strides[s] for s in range(arity) if s not in (up, down)]
+    diagonal = _offsets(dim, (*keep, strides[up] + strides[down]))
+    return {f: pos // dim for pos, f in enumerate(diagonal)}
 
 
 _terms_of = attrgetter("_terms")  # emptiness without a DiffPoly.__bool__ call per entry
 
 
 class Tensor:
-    """Immutable dense tensor; variance lists one 'up'/'down' per slot."""
+    """Immutable sparse tensor; variance lists one 'up'/'down' per slot."""
 
-    __slots__ = ("dim", "variance", "entries")
+    __slots__ = ("dim", "variance", "_stored")
 
     def __init__(self, dim, variance, entries):
+        """entries: all dim**arity entries in row-major order, or a dict from
+        flat offset to entry whose missing offsets are zero."""
         variance = tuple(variance)
         for slot in variance:
             if slot not in (UP, DOWN):
                 raise ShapeError(f"bad variance slot {slot!r}")
-        entries = tuple(entries)
-        if not {DiffPoly}.issuperset(map(type, entries)):
-            entries = tuple([e if type(e) is DiffPoly else as_poly(e) for e in entries])
-        if len(entries) != dim ** len(variance):
-            raise ShapeError(
-                f"expected {dim ** len(variance)} entries, got {len(entries)}"
-            )
+        size = dim ** len(variance)
+        if isinstance(entries, dict):
+            if entries and not ({int}.issuperset(map(type, entries))
+                                and min(entries) >= 0 and max(entries) < size):
+                raise ShapeError(f"entry offsets must be ints in range({size})")
+        else:
+            dense = tuple(entries)
+            if len(dense) != size:
+                raise ShapeError(f"expected {size} entries, got {len(dense)}")
+            entries = dict(enumerate(dense))
+        values = entries.values()
+        if not {DiffPoly}.issuperset(map(type, values)):
+            entries = {f: e if type(e) is DiffPoly else as_poly(e) for f, e in entries.items()}
+            values = entries.values()
+        if all(map(_terms_of, values)):  # the usual kernel output: a plain copy
+            stored = dict(entries)
+        else:
+            stored = dict(compress(entries.items(), map(_terms_of, values)))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_stored", stored)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -92,12 +124,20 @@ class Tensor:
     def arity(self) -> int:
         return len(self.variance)
 
+    @property
+    def entries(self) -> tuple:
+        """All dim**arity entries in row-major order, zeros included."""
+        out = [ZERO_POLY] * self.dim ** self.arity
+        for f, p in self._stored.items():
+            out[f] = p
+        return tuple(out)
+
     def __getitem__(self, idx) -> DiffPoly:
-        if isinstance(idx, int):
+        if not isinstance(idx, tuple):
             idx = (idx,)
         if len(idx) != self.arity:
             raise ShapeError(f"expected {self.arity} indices, got {len(idx)}")
-        return self.entries[_flat(self.dim, idx)]
+        return self._stored.get(_flat(self.dim, idx), ZERO_POLY)
 
     def indices(self):
         return product(range(self.dim), repeat=self.arity)
@@ -108,24 +148,29 @@ class Tensor:
         return (
             self.dim == other.dim
             and self.variance == other.variance
-            and self.entries == other.entries
+            and self._stored == other._stored
         )
 
     def __hash__(self):
-        return hash((self.dim, self.variance, self.entries))
+        return hash((self.dim, self.variance, frozenset(self._stored.items())))
 
     def is_zero(self) -> bool:
-        return not any(map(_terms_of, self.entries))
+        return not self._stored
 
     def map(self, fn) -> "Tensor":
-        return Tensor(self.dim, self.variance, [fn(e) for e in self.entries])
+        size = self.dim ** self.arity
+        zero = fn(ZERO_POLY) if len(self._stored) < size else None  # what empty entries map to
+        out = [zero] * size if zero else {}
+        for f, p in self._stored.items():
+            out[f] = fn(p)
+        return Tensor(self.dim, self.variance, out)
 
     def _zip(self, other, op) -> "Tensor":
         if self.dim != other.dim or self.variance != other.variance:
             raise ShapeError("tensor shape mismatch")
-        out, e = list(self.entries), other.entries
-        for f in compress(range(len(e)), map(_terms_of, e)):  # see _terms_of
-            out[f] = op(out[f], e[f])
+        out = dict(self._stored)
+        for f, p in other._stored.items():
+            out[f] = op(out.get(f, ZERO_POLY), p)  # a cancelled entry is dropped on build
         return Tensor(self.dim, self.variance, out)
 
     def __add__(self, other):
@@ -141,8 +186,8 @@ class Tensor:
 
     def swap_slots(self, s1, s2) -> "Tensor":
         """Transpose two index positions."""
-        offsets = _swapped_offsets(self.dim, self.arity, s1, s2)
-        return Tensor(self.dim, self.variance, list(map(self.entries.__getitem__, offsets)))
+        moved = _swapped_offsets(self.dim, self.arity, s1, s2)
+        return Tensor(self.dim, self.variance, {moved[f]: p for f, p in self._stored.items()})
 
 
 def contract(t: Tensor, up: int, down: int) -> Tensor:
@@ -153,15 +198,13 @@ def contract(t: Tensor, up: int, down: int) -> Tensor:
         raise ShapeError(f"slot {up} is not contravariant")
     if t.variance[down] != DOWN:
         raise ShapeError(f"slot {down} is not covariant")
-    keep = [s for s in range(t.arity) if s not in (up, down)]
-    strides = _strides(t.dim, t.arity)
-    # per output entry, in output order, the t.dim entries on its diagonal
-    diagonal = _offsets(t.dim, (*[strides[s] for s in keep], strides[up] + strides[down]))
-    addends = list(map(t.entries.__getitem__, diagonal))
-    out = [ZERO_POLY] * t.dim ** len(keep)
-    for f in compress(range(len(addends)), map(_terms_of, addends)):  # see _terms_of
-        out[f // t.dim] += addends[f]
-    return Tensor(t.dim, [t.variance[s] for s in keep], out)
+    targets = _diagonal_targets(t.dim, t.arity, up, down)
+    out = {}
+    for f, p in t._stored.items():
+        g = targets.get(f)
+        if g is not None:
+            out[g] = out.get(g, ZERO_POLY) + p
+    return Tensor(t.dim, [t.variance[s] for s in range(t.arity) if s not in (up, down)], out)
 
 
 def symmetry_check(t: Tensor, slots, mode: str) -> bool:
@@ -171,12 +214,14 @@ def symmetry_check(t: Tensor, slots, mode: str) -> bool:
         raise ShapeError("symmetry slots must share variance")
     if mode not in ("symmetric", "antisymmetric"):
         raise ShapeError(f"unknown symmetry mode {mode!r}")
-    e = t.entries
-    mirrored = tuple(map(e.__getitem__, _swapped_offsets(t.dim, t.arity, s1, s2)))
+    moved = _swapped_offsets(t.dim, t.arity, s1, s2)
+    stored = t._stored
     if mode == "antisymmetric":
-        mirrored = tuple([-x for x in mirrored])
-    # a tuple comparison tries identity before DiffPoly.__eq__, entry by entry
-    return mirrored == e
+        mirrored = {moved[f]: -p for f, p in stored.items()}
+    else:
+        mirrored = {moved[f]: p for f, p in stored.items()}
+    # a dict comparison tries identity before DiffPoly.__eq__, entry by entry
+    return mirrored == stored
 
 
 def tensor_to_json(t: Tensor, coord_names) -> dict:
@@ -185,9 +230,7 @@ def tensor_to_json(t: Tensor, coord_names) -> dict:
     if len(coord_names) != t.dim:
         raise ShapeError("coordinate names must match the dimension")
     entries = {}
-    for idx in t.indices():
-        value = t[idx]
-        if value.is_zero():
-            continue
+    for f, value in sorted(t._stored.items()):
+        idx = _unflat(t.dim, t.arity, f)
         entries[".".join(coord_names[i] for i in idx)] = str(value)
     return {"variance": list(t.variance), "entries": entries}

@@ -1,7 +1,7 @@
 """Shared random generators for the property tests, reference oracles for
-the curvature and geodesic kernels, the Bianchi identity and restriction to
-a coordinate subspace, and a runner for code that must start in a fresh
-interpreter.
+the tensor, curvature and geodesic kernels, the Bianchi identity and
+restriction to a coordinate subspace, and a runner for code that must start
+in a fresh interpreter.
 
 Everything is seeded explicitly by the caller; no global randomness.
 """
@@ -20,7 +20,7 @@ import projconn
 from projconn.connection import Connection, from_table
 from projconn.errors import DivergenceError, ShapeError
 from projconn.geodesic import MAX_HORIZON, GeodesicPath
-from projconn.poly import DiffPoly, as_poly
+from projconn.poly import ZERO_POLY, DiffPoly, as_poly
 from projconn.projective import OneForm
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable
@@ -134,6 +134,56 @@ def naive_curvature(conn) -> Tensor:
         return value
 
     return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+
+
+# -- dense tensor oracles -------------------------------------------------------
+#
+# The kernels as they were while every tensor stored all dim**arity entries:
+# each walks the dense `entries` view and returns the row-major entries of
+# its result.
+
+
+def _dense_offsets(dim, strides) -> list:
+    """Flat offsets met by a row-major walk whose slot s steps strides[s]."""
+    offsets = [0]
+    for step in strides:
+        offsets = [base + i * step for base in offsets for i in range(dim)]
+    return offsets
+
+
+def _dense_strides(dim, arity) -> list:
+    return [dim ** (arity - 1 - s) for s in range(arity)]
+
+
+def dense_swap_slots(t, s1, s2) -> tuple:
+    strides = _dense_strides(t.dim, t.arity)
+    strides[s1], strides[s2] = strides[s2], strides[s1]
+    return tuple(map(t.entries.__getitem__, _dense_offsets(t.dim, strides)))
+
+
+def dense_contract(t, up, down) -> tuple:
+    keep = [s for s in range(t.arity) if s not in (up, down)]
+    strides = _dense_strides(t.dim, t.arity)
+    diagonal = _dense_offsets(t.dim, [*[strides[s] for s in keep], strides[up] + strides[down]])
+    out = [ZERO_POLY] * t.dim ** len(keep)
+    for pos, f in enumerate(diagonal):
+        out[pos // t.dim] += t.entries[f]
+    return tuple(out)
+
+
+def dense_symmetry_check(t, slots, mode) -> bool:
+    mirrored = dense_swap_slots(t, *slots)
+    if mode == "antisymmetric":
+        mirrored = tuple(-x for x in mirrored)
+    return mirrored == t.entries
+
+
+def dense_add(s, t) -> tuple:
+    return tuple(a + b for a, b in zip(s.entries, t.entries))
+
+
+def dense_sub(s, t) -> tuple:
+    return tuple(a - b for a, b in zip(s.entries, t.entries))
 
 
 def bianchi_holds(t) -> bool:

@@ -7,12 +7,14 @@ EngineError, or exit with 0, 1 or 2.
 
 The exact kernel agrees with simple reference models: Q(i) arithmetic with a
 pair of Fractions, equal values with equal hashes and display, DiffPoly with
-the ring axioms and the Leibniz rule, and parsing with display.
+the ring axioms and the Leibniz rule, parsing with display, and the sparse
+tensor kernels with their dense oracles.
 """
 
 import contextlib
 import io
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -23,6 +25,15 @@ from projconn.poly import DiffPoly, as_poly
 from projconn.rational import GaussianRational
 from projconn.specfile import parse_spec
 from projconn.symbols import SymbolTable
+from projconn.tensor import DOWN, UP, Tensor, contract, symmetry_check
+
+from helpers import (
+    dense_add,
+    dense_contract,
+    dense_sub,
+    dense_swap_slots,
+    dense_symmetry_check,
+)
 
 # the characters of the expression grammar, so that generated text gets past
 # the tokenizer often enough to reach the parser and the ring
@@ -207,3 +218,60 @@ def test_tuple_form_round_trips(p):
 @given(polys)
 def test_parse_of_display_is_identity(p):
     assert parse_expr(str(p), RING) == p
+
+
+# -- Tensor: sparse kernels against their dense oracles -----------------------
+
+# small entries whose sums and differences often cancel; ZERO among them
+TENSOR_ENTRIES = [as_poly(c) + as_poly(RING.lookup("A")) * d
+                  for c in (-1, 0, 1, 2) for d in (-1, 0, 1)]
+
+
+@st.composite
+def tensor_pairs(draw):
+    """Two tensors of one shape, dims 0-5 and arity 0-4, each either dense
+    or with a few random entries (possibly none) set."""
+    dim = draw(st.integers(0, 5))
+    variance = draw(st.lists(st.sampled_from((UP, DOWN)), max_size=4))
+    size = dim ** len(variance)
+
+    def one():
+        if size <= 81 and draw(st.booleans()):
+            return Tensor(dim, variance, draw(st.lists(
+                st.sampled_from(TENSOR_ENTRIES), min_size=size, max_size=size)))
+        entries = [0] * size
+        if size:
+            for f, p in draw(st.dictionaries(st.integers(0, size - 1),
+                                             st.sampled_from(TENSOR_ENTRIES), max_size=12)).items():
+                entries[f] = p
+        return Tensor(dim, variance, entries)
+
+    return one(), one()
+
+
+@FAST
+@given(tensor_pairs())
+def test_sparse_tensor_kernels_match_dense_oracles(pair):
+    s, t = pair
+    zero = Tensor(t.dim, t.variance, [0] * len(t.entries))
+    for x in (s, t, zero, t - t, s + t):
+        assert x.is_zero() == all(e.is_zero() for e in x.entries)
+        # the same entries given densely and as a reversed offset map
+        for again in (Tensor(x.dim, x.variance, x.entries),
+                      Tensor(x.dim, x.variance, dict(reversed(list(enumerate(x.entries)))))):
+            assert again == x and hash(again) == hash(x)
+    assert t - t == zero and hash(t - t) == hash(zero)
+    assert (s + t).entries == dense_add(s, t) and s + t == t + s
+    assert (s - t).entries == dense_sub(s, t)
+    assert t.map(lambda e: e + 1).entries == tuple(e + 1 for e in t.entries)
+    assert (t * 2).entries == tuple(e * 2 for e in t.entries)
+    for s1, s2 in combinations(range(t.arity), 2):
+        assert t.swap_slots(s1, s2).entries == dense_swap_slots(t, s1, s2)
+        if t.variance[s1] == t.variance[s2]:
+            for mode in ("symmetric", "antisymmetric"):
+                for x in (t, t + t.swap_slots(s1, s2), t - t.swap_slots(s1, s2)):
+                    assert symmetry_check(x, (s1, s2), mode) == dense_symmetry_check(
+                        x, (s1, s2), mode)
+        for up, down in ((s1, s2), (s2, s1)):
+            if (t.variance[up], t.variance[down]) == (UP, DOWN):
+                assert contract(t, up, down).entries == dense_contract(t, up, down)

@@ -548,6 +548,15 @@ class TestCli:
         check = "import projconn.cli, sys; assert 'numpy' not in sys.modules"
         subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
+    def test_import_leaves_subcommand_modules_out(self):
+        # the handlers import these themselves, so `curvature` compiles none of them
+        src = str(Path(projconn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        check = ("import projconn.cli, sys; loaded = set(sys.modules); assert not loaded & "
+                 "{'projconn.families', 'projconn.projective', 'projconn.geodesic'}, loaded")
+        subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
     def test_pullback_check(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,4 +1,5 @@
-"""Dense tensor container: contraction, symmetry, JSON round trip."""
+"""Sparse tensor container: contraction, symmetry, JSON round trip, and
+kernels that never walk the dense view."""
 
 import random
 from fractions import Fraction
@@ -6,8 +7,15 @@ from itertools import product
 
 import pytest
 
+from projconn.connection import curvature, weyl3
 from projconn.errors import ShapeError
-from projconn.families import torus3
+from projconn.families import torus3, torus_n
+from projconn.projective import (
+    flatness_conditions,
+    is_projectively_flat,
+    projective_equiv,
+    volume_normalize,
+)
 from projconn.poly import ZERO_POLY, DiffPoly, as_poly
 from projconn.rational import GaussianRational
 from projconn.symbols import SymbolTable, coordinate, parameter
@@ -190,6 +198,48 @@ def test_single_index_outside_range_rejected():
     for idx in (2, -1):
         with pytest.raises(ShapeError, match=r"outside range\(2\)"):
             form[idx]
+
+
+@pytest.mark.parametrize("idx", [(1.0, 0, 0), (1, 0, 0.0), (True, 0, 0.5), ("1", 0, 0)])
+def test_non_int_index_rejected(idx):
+    # offset 9.0 would find G^1_{00} in a dict keyed by int offsets
+    t = torus3().table
+    with pytest.raises(ShapeError, match=r"outside range\(3\)"):
+        t[idx]
+
+
+@pytest.mark.parametrize("idx", [1.0, 0.5, "1", None])
+def test_non_int_single_index_rejected(idx):
+    with pytest.raises(ShapeError, match=r"outside range\(2\)"):
+        Tensor(2, (DOWN,), [1, 2])[idx]
+
+
+def test_offset_map_is_checked():
+    assert Tensor(2, (DOWN,), {1: 2, 0: ZERO_POLY}) == Tensor(2, (DOWN,), [0, 2])
+    for bad in ({2: 1}, {-1: 1}, {1.0: 1}, {True: 1}):
+        with pytest.raises(ShapeError, match=r"offsets must be ints in range\(2\)"):
+            Tensor(2, (DOWN,), bad)
+    with pytest.raises(TypeError, match="cannot coerce str"):
+        Tensor(2, (DOWN,), {0: "x"})
+
+
+def test_kernels_never_read_the_dense_view(monkeypatch):
+    """Curvature, contraction, normalization, equivalence and the Weyl tensor
+    work on the stored entries: only 40 of the 12^4 curvature entries of
+    torus_n(12) are nonzero, and no step builds the other 20,696."""
+    def dense(self):
+        raise AssertionError("a kernel read Tensor.entries")
+
+    monkeypatch.setattr(Tensor, "entries", property(dense))
+    conn = torus_n(12)
+    r = curvature(conn)
+    assert len(r._stored) == 40
+    assert contract(r, 0, 1).arity == contract(r, 0, 3).arity == 2
+    assert projective_equiv(conn, volume_normalize(conn)) is not None
+    assert projective_equiv(conn, torus_n(12, E=0)) is None
+    t3 = torus3()
+    assert not weyl3(t3).is_zero() and not is_projectively_flat(t3)
+    assert len(flatness_conditions(t3)) == 4
 
 
 def test_json_round_trip_omits_zeros():
