@@ -118,28 +118,17 @@ def _tensor_lines(t: Tensor, names, label: str) -> list[str]:
     (1,3) tensors are shown per argument tuple with the output direction
     spelled out; antisymmetric first arguments are printed once.
     """
-    lines = []
     if t.variance == ("up", "down", "down", "down"):
-        for i in range(t.dim):
-            for j in range(i + 1, t.dim):
-                for k in range(t.dim):
-                    parts = [
-                        f"({t[l, i, j, k]}) d_{names[l]}"
-                        for l in range(t.dim)
-                        if not t[l, i, j, k].is_zero()
-                    ]
-                    if parts:
-                        lines.append(
-                            f"{label}({names[i]},{names[j]}){names[k]} = "
-                            + " + ".join(parts)
-                        )
+        parts = {}  # (i, j, k) with i < j -> its terms, in l order
+        for (l, i, j, k), value in t.items():
+            if i < j:
+                parts.setdefault((i, j, k), []).append(f"({value}) d_{names[l]}")
+        lines = [f"{label}({names[i]},{names[j]}){names[k]} = " + " + ".join(terms)
+                 for (i, j, k), terms in sorted(parts.items())]
         if lines:
             lines.append("(first two arguments antisymmetric; zero components omitted)")
     else:
-        for i in range(t.dim):
-            for j in range(t.dim):
-                if not t[i, j].is_zero():
-                    lines.append(f"{label}({names[i]},{names[j]}) = {t[i, j]}")
+        lines = [f"{label}({names[i]},{names[j]}) = {value}" for (i, j), value in t.items()]
     return lines or [f"{label} = 0"]
 
 
@@ -333,7 +322,7 @@ def _cmd_geodesic(args):
     paths = (args.spec, args.compare) if args.compare else (args.spec,)
     conns, (source, *_) = _load(args, *paths)
     conns = _bound(conns, _parse_set(args.at))
-    missing = {sym.name for c in conns for sym in symbols_of(c.table.entries)}
+    missing = {sym.name for c in conns for sym in symbols_of(e for _, e in c.table.items())}
     if missing:
         raise EngineError(
             f"--at must bind every symbol in the tables; missing {', '.join(sorted(missing))}"

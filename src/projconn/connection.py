@@ -1,9 +1,9 @@
 """Torsionfree affine connections as symmetric Christoffel tables.
 
-A `Connection` is its coordinates plus one (up, down, down) `Tensor`,
-`table`, with table[k, i, j] = G^k_{ij}; `gamma` is a read-only view of it
-as nested tuples gamma[k][i][j], sliced from the dense `table.entries` view
-when read; no kernel reads either view.
+A `Connection` is its coordinates, at most `MAX_DIM` of them, plus one
+(up, down, down) `Tensor`, `table`, with table[k, i, j] = G^k_{ij}; `gamma`
+is a read-only view of it as nested tuples gamma[k][i][j], sliced from the
+dense `table.entries` view when read, the one reader of that view in `src/`.
 
 Component conventions, fixed once and pinned by the golden tests:
 
@@ -40,10 +40,11 @@ from itertools import product
 from .errors import ConstructionError, DimensionError, ShapeError
 from .poly import _accumulate, _accumulate_product, _settle, as_poly, symbols_of
 from .symbols import COORDINATE, FUNCTION, PARAMETER
-from .tensor import DOWN, Tensor, UP, _unflat, contract, symmetry_check
+from .tensor import DOWN, Tensor, UP, contract, symmetry_check
 
 
 FIELD = (UP, DOWN, DOWN)
+MAX_DIM = 12  # the offset maps cached by contract and symmetry_check hold up to n^4 entries
 
 
 class Connection:
@@ -53,14 +54,17 @@ class Connection:
 
     def __init__(self, coords, table):
         coords = tuple(coords)
-        for pos, c in enumerate(coords):
+        for c in coords:
             if c.kind != COORDINATE:
                 raise ConstructionError(f"{c!r} is not a coordinate symbol")
-            if c in coords[:pos]:
-                raise ConstructionError(f"coordinate {c.name!r} is declared twice")
+        if len(set(coords)) != len(coords):
+            twice = next(c for pos, c in enumerate(coords) if c in coords[:pos])
+            raise ConstructionError(f"coordinate {twice.name!r} is declared twice")
         shape = (len(coords), FIELD)
         if not isinstance(table, Tensor) or (table.dim, table.variance) != shape:
             raise ConstructionError("Christoffel table must be an n-dim (up, down, down) Tensor")
+        if table.dim > MAX_DIM:
+            raise ConstructionError(f"a connection takes n <= {MAX_DIM}, got n = {table.dim}")
         if not symmetry_check(table, (1, 2), "symmetric"):
             raise ConstructionError(
                 "Christoffel table not symmetric in its lower indices"
@@ -96,8 +100,7 @@ class Connection:
 
     def nonzero_entries(self):
         """Nonzero (k, i, j) entries with i <= j, in row-major order."""
-        for f, g in sorted(self.table._stored.items()):
-            k, i, j = _unflat(self.dim, 3, f)
+        for (k, i, j), g in self.table.items():
             if i <= j:
                 yield (k, i, j), g
 

@@ -4,7 +4,7 @@ Families
 --------
 torus3          three-dimensional translation-invariant family with constant
                 parameters A..E in coordinates (tau, z1, z2)
-torus_n         its n-dimensional extension (4 <= n <= MAX_TORUS_DIM) whose
+torus_n         its n-dimensional extension (4 <= n <= connection.MAX_DIM) whose
                 restriction to {tau, z1, z2} is totally geodesic and equals
                 torus3
 kuga_shimura    the fibered family over a curve: coefficients are formal
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import Connection, _check_chart, from_named_table, from_table
+from .connection import MAX_DIM, Connection, _check_chart, from_named_table, from_table
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
 from .poly import as_poly
 from .rational import GaussianRational, ONE, ZERO, as_gaussian
@@ -36,8 +36,6 @@ from .tensor import Tensor
 
 _ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 _KUGA_SHIMURA_WEIGHTS = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
-
-MAX_TORUS_DIM = 12  # curvature stores 40 of its n^4 entries: about 0.2 ms at n = 12
 
 
 def torus_coords():
@@ -82,12 +80,12 @@ def torus3(A=None, B=None, C=None, D=None, E=None) -> Connection:
 
 
 def torus_n(n: int, A=None, B=None, C=None, D=None, E=None) -> Connection:
-    """The n-dimensional extension, 4 <= n <= MAX_TORUS_DIM; extra coordinates
+    """The n-dimensional extension, 4 <= n <= MAX_DIM; extra coordinates
     z4..zn carry only trivial symbols, so {tau, z1, z2} is totally geodesic."""
     if n < 4:
         raise ConstructionError("torus_n needs n >= 4; use torus3 below that")
-    if n > MAX_TORUS_DIM:
-        raise ConstructionError(f"torus_n takes n <= {MAX_TORUS_DIM}")
+    if n > MAX_DIM:  # before any symbol is built
+        raise ConstructionError(f"torus_n takes n <= {MAX_DIM}")
     names = ["tau", "z1", "z2"] + [f"z{i}" for i in range(4, n + 1)]
     coords = tuple(coordinate(name) for name in names)
     table = _torus_table(A, B, C, D, E)
@@ -203,9 +201,9 @@ class GroupElement:
         return jac, jac_inv
 
 
-def _field_values(field: Tensor, coords, functions, point, coeff_values):
-    """The field's entries at one point (tau, z1, z2), flat in
-    field.indices() order; function symbols take their values at tau."""
+def _field_values(field: Tensor, coords, functions, point, coeff_values) -> dict:
+    """The field's nonzero values at one point (tau, z1, z2), keyed by index;
+    function symbols take their values at tau."""
     tau = point[0]
     bindings = dict(zip(coords, point))
     for sym in functions:
@@ -213,7 +211,8 @@ def _field_values(field: Tensor, coords, functions, point, coeff_values):
         if values is None or tau not in values:
             raise ConsistencyError(f"no value supplied for {sym.name} at tau = {tau}")
         bindings[sym] = as_gaussian(values[tau])
-    return [entry.evaluate(bindings) for entry in field.entries]
+    found = {idx: entry.evaluate(bindings) for idx, entry in field.items()}
+    return {idx: value for idx, value in found.items() if not value.is_zero()}
 
 
 def invariance_check(
@@ -239,11 +238,10 @@ def invariance_check(
         raise ShapeError("the action is defined on three coordinates")
     coords = torus_coords()
     functions = []  # bound at each point; evaluate refuses any other symbol
-    for entry in field.entries:
+    for _, entry in field.items():
         for sym in entry.symbols():
             if sym.kind == FUNCTION and not sym.is_derived() and sym not in functions:
                 functions.append(sym)
-    indices = list(field.indices())
     for point in points:
         point = tuple(as_gaussian(p) for p in point)
         tau = point[0]
@@ -269,16 +267,15 @@ def invariance_check(
         ]
         at_image = _field_values(field, coords, functions, g.apply(point), coeff_values)
         at_point = _field_values(field, coords, functions, point, coeff_values)
-        for expected, (k, i, j) in zip(at_point, indices):
+        for k, i, j in field.indices():
             pulled = ZERO
             for kp, a in inv_rows[k]:
                 for ip, b in jac_cols[i]:
                     for jp, c in jac_cols[j]:
-                        value = at_image[9 * kp + 3 * ip + jp]
-                        if value.is_zero():
-                            continue
-                        pulled = pulled + a * value * b * c
-            if pulled != expected:
+                        value = at_image.get((kp, ip, jp))
+                        if value is not None:
+                            pulled = pulled + a * value * b * c
+            if pulled != at_point.get((k, i, j), ZERO):
                 return False
     return True
 

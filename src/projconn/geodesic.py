@@ -95,10 +95,10 @@ class NumericConnection:
         result is constant-coefficient by construction.
         """
         point = {sym: as_gaussian(v) for sym, v in assignment.items()}
-        values = [complex(e.evaluate(point)) for e in conn.table.entries]
-        n = conn.dim
-        return cls([[values[(k * n + i) * n:(k * n + i + 1) * n] for i in range(n)]
-                    for k in range(n)])
+        gamma = [[[0j] * conn.dim for _ in conn.coords] for _ in conn.coords]
+        for (k, i, j), e in conn.table.items():
+            gamma[k][i][j] = complex(e.evaluate(point))
+        return cls(gamma)
 
 
 class GeodesicPath:

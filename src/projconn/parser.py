@@ -36,7 +36,7 @@ import re as _re
 
 from .errors import DegreeError, ParseError
 from .poly import ONE_POLY, DiffPoly
-from .rational import GaussianRational
+from .rational import GaussianRational, _power
 from .symbols import COORDINATE, FUNCTION, Symbol, SymbolTable
 
 _TOKEN = _re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,]))")
@@ -143,14 +143,7 @@ class _Parser:
 
     def power(self, base: DiffPoly, exponent: int, tok: _Token) -> DiffPoly:
         """base ** exponent by square-and-multiply, each step a checked product."""
-        result = None
-        while True:
-            if exponent & 1:
-                result = base if result is None else self.product(result, base, tok)
-            exponent >>= 1
-            if not exponent:
-                return ONE_POLY if result is None else result
-            base = self.product(base, base, tok)
+        return _power(base, exponent, ONE_POLY, lambda x, y: self.product(x, y, tok))
 
     # -- grammar -------------------------------------------------------------
 

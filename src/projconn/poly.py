@@ -31,7 +31,7 @@ from itertools import chain
 from operator import or_
 
 from .errors import DegreeError, EvalError, KindError, SubstError
-from .rational import GaussianRational, ZERO, ONE, _make, _reduced, as_gaussian
+from .rational import GaussianRational, ZERO, ONE, _make, _power, _reduced, as_gaussian
 from .symbols import COORDINATE, FUNCTION, Symbol
 
 MAX_DEGREE = 2**15 - 1
@@ -271,15 +271,7 @@ class DiffPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return ONE_POLY if result is None else result
-            base = base * base
+        return _power(self, n, ONE_POLY, DiffPoly.__mul__)
 
     def __eq__(self, other):
         if isinstance(other, DiffPoly):

@@ -98,7 +98,7 @@ def flatness_conditions(c: Connection) -> list[DiffPoly]:
     if c.dim != 3:
         raise DimensionError("flatness conditions implemented for dimension 3")
     seen = []
-    for _, entry in sorted(weyl3(c)._stored.items()):
+    for _, entry in weyl3(c).items():
         normalized = entry.monic()
         if normalized not in seen:
             seen.append(normalized)

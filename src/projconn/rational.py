@@ -129,15 +129,7 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return ONE if result is None else result
-            base = base * base
+        return _power(self, n, ONE, GaussianRational.__mul__)
 
     # -- comparison / hashing -----------------------------------------------
 
@@ -208,6 +200,18 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     x._b = b
     x._d = d
     return x
+
+
+def _power(base, n: int, one, mul):
+    """base ** n, n >= 0, by square-and-multiply; forms no product the result does not use."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = mul(base, base)
 
 
 ZERO = GaussianRational(0)

@@ -170,18 +170,17 @@ def load_spec(path) -> ConnectionSpec:
 def spec_of_connection(conn: Connection, title="", tag="") -> ConnectionSpec:
     """Spec document describing an existing connection; its parameters and
     function symbols are those the table mentions."""
+    names = conn.coord_names()
     params = set()
     functions = {}
-    for _, value in conn.nonzero_entries():
+    gamma = {}
+    for (k, i, j), value in conn.nonzero_entries():
+        gamma[f"{names[k]}.{names[i]}.{names[j]}"] = str(value)
         for sym in value.symbols():
             if sym.kind == PARAMETER:
                 params.add(sym.name)
             elif sym.kind == FUNCTION:
                 functions[sym.name] = sym.depends_on
-    names = conn.coord_names()
-    gamma = {}
-    for (k, i, j), value in conn.nonzero_entries():
-        gamma[f"{names[k]}.{names[i]}.{names[j]}"] = str(value)
     return ConnectionSpec(
         dim=conn.dim,
         coords=names,

@@ -133,7 +133,6 @@ class SymbolTable:
 
     def __init__(self):
         self._by_name: dict[str, Symbol] = {}
-        self.coordinates: list[Symbol] = []
 
     def _declare(self, sym: Symbol) -> Symbol:
         existing = self._by_name.get(sym.name)
@@ -150,10 +149,7 @@ class SymbolTable:
         return self._declare(parameter(name))
 
     def coordinate(self, name: str) -> Symbol:
-        sym = self._declare(coordinate(name))
-        if sym not in self.coordinates:
-            self.coordinates.append(sym)
-        return sym
+        return self._declare(coordinate(name))
 
     def function(self, name: str, depends_on) -> Symbol:
         sym = function(name, depends_on)

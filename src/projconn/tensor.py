@@ -9,8 +9,9 @@ only, so its cost follows the nonzeros and not n^arity.  Slot moves read
 where each offset goes from a map cached per (dim, arity, slots).
 `Tensor.__init__` is the one way a tensor is built: it takes a dense sequence
 of entries or an offset -> entry dict, coerces entries outside the ring and
-drops empty ones, so equal tensors store equal dicts.  `entries` is a dense
-read-only view for display and tests; no kernel reads it.
+drops empty ones, so equal tensors store equal dicts.  Readers outside the
+kernels walk `items()`, the nonzero entries by index tuple; the dense view
+`entries` is for tests, and nothing in `src/` but `Connection.gamma` reads it.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ def _flat(dim, idx):
 def _strides(dim, arity):
     """Flat-offset step of each slot in row-major storage."""
     return [dim ** (arity - 1 - s) for s in range(arity)]
-
-
-def _unflat(dim, arity, flat) -> tuple:
-    """The index tuple at a row-major offset."""
-    return tuple(flat // step % dim for step in _strides(dim, arity))
 
 
 def _offsets(dim, strides) -> list:
@@ -142,6 +138,12 @@ class Tensor:
     def indices(self):
         return product(range(self.dim), repeat=self.arity)
 
+    def items(self) -> list:
+        """(index tuple, entry) pairs of the nonzero entries, in row-major order."""
+        dim, steps = self.dim, _strides(self.dim, self.arity)
+        return [(tuple(f // step % dim for step in steps), p)
+                for f, p in sorted(self._stored.items())]
+
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -229,8 +231,5 @@ def tensor_to_json(t: Tensor, coord_names) -> dict:
     coord_names = list(coord_names)
     if len(coord_names) != t.dim:
         raise ShapeError("coordinate names must match the dimension")
-    entries = {}
-    for f, value in sorted(t._stored.items()):
-        idx = _unflat(t.dim, t.arity, f)
-        entries[".".join(coord_names[i] for i in idx)] = str(value)
+    entries = {".".join(coord_names[i] for i in idx): str(value) for idx, value in t.items()}
     return {"variance": list(t.variance), "entries": entries}

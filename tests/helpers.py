@@ -186,6 +186,34 @@ def dense_sub(s, t) -> tuple:
     return tuple(a - b for a, b in zip(s.entries, t.entries))
 
 
+def dense_tensor_lines(t, names, label) -> list:
+    """The CLI text report of a (1,3) or (0,2) tensor by the full index loop,
+    two index reads per tuple, as it was before the report walked items()."""
+    lines = []
+    if t.variance == ("up", "down", "down", "down"):
+        for i in range(t.dim):
+            for j in range(i + 1, t.dim):
+                for k in range(t.dim):
+                    parts = [
+                        f"({t[l, i, j, k]}) d_{names[l]}"
+                        for l in range(t.dim)
+                        if not t[l, i, j, k].is_zero()
+                    ]
+                    if parts:
+                        lines.append(
+                            f"{label}({names[i]},{names[j]}){names[k]} = "
+                            + " + ".join(parts)
+                        )
+        if lines:
+            lines.append("(first two arguments antisymmetric; zero components omitted)")
+    else:
+        for i in range(t.dim):
+            for j in range(t.dim):
+                if not t[i, j].is_zero():
+                    lines.append(f"{label}({names[i]},{names[j]}) = {t[i, j]}")
+    return lines or [f"{label} = 0"]
+
+
 def bianchi_holds(t) -> bool:
     """First Bianchi identity of a (1,3) tensor: the cyclic sum over its
     three arguments is zero."""

@@ -166,6 +166,9 @@ class TestConstructorChecks:
         (x,) = coords_named("x")
         with pytest.raises(ConstructionError, match="coordinate 'x' is declared twice"):
             from_table((x, x), {(0, 0, 0): as_poly(x)})
+        x, y, z = coords_named("x", "y", "z")
+        with pytest.raises(ConstructionError, match="coordinate 'y' is declared twice"):
+            from_table((x, y, z, y), {})
 
     def test_undeclared_coordinate_rejected(self):
         (w,) = coords_named("w")

@@ -256,6 +256,7 @@ def test_sparse_tensor_kernels_match_dense_oracles(pair):
     zero = Tensor(t.dim, t.variance, [0] * len(t.entries))
     for x in (s, t, zero, t - t, s + t):
         assert x.is_zero() == all(e.is_zero() for e in x.entries)
+        assert x.items() == [(i, e) for i, e in zip(x.indices(), x.entries) if e]
         # the same entries given densely and as a reversed offset map
         for again in (Tensor(x.dim, x.variance, x.entries),
                       Tensor(x.dim, x.variance, dict(reversed(list(enumerate(x.entries)))))):

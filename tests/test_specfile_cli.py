@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 
 import projconn
 from projconn import specfile
-from projconn.cli import main
+from projconn.cli import _tensor_lines, main
+from projconn.connection import curvature, ricci
 from projconn.errors import SpecFileError
 from projconn.families import torus3
 from projconn.geodesic import NumericConnection, write_csv
@@ -25,7 +27,13 @@ from projconn.specfile import (
     spec_of_connection,
 )
 
-from helpers import naive_integrate, run_python
+from helpers import (
+    coords_named,
+    dense_tensor_lines,
+    naive_integrate,
+    rand_torsionfree,
+    run_python,
+)
 
 CLI = "import sys; from projconn.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -392,6 +400,22 @@ class TestCli:
         assert out == ""
         assert "n <= 12" in err
 
+    @pytest.mark.parametrize("dim, code", [(12, 0), (13, 2)])
+    def test_spec_dimension_bound(self, capsys, tmp_path, dim, code):
+        # the offset maps that ricci's contraction caches grow with dim:
+        # a 2 KB spec of dim 300 would need gigabytes
+        names = ", ".join(f"x{i}" for i in range(1, dim + 1))
+        path = tmp_path / f"dim{dim}.conn"
+        path.write_text(f"dim = {dim}\ncoords = {names}\n[gamma]\nx1.x1.x2 = x1\n",
+                        encoding="utf-8")
+        got, out, err = run_cli(capsys, "ricci", str(path))
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert "n <= 12, got n = 13" in err
+        else:
+            assert "Ricci(x2,x1) = 1\nRicci(x2,x2) = -x1^2\n" in out
+
     def test_exponent_bound(self, capsys, tmp_path):
         path = tmp_path / "power.conn"
         path.write_text("dim = 3\ncoords = x, y, z\nparams = A\n[gamma]\nx.x.x = A^65\n",
@@ -636,6 +660,19 @@ def readme_commands():
     return commands
 
 
+@pytest.mark.parametrize("dim", range(6))
+def test_report_matches_dense_index_loop(dim):
+    """The text report groups Tensor.items() by argument tuple; the loop
+    over every index tuple that it replaced is the oracle."""
+    rng = random.Random(f"report:{dim}")
+    coords = coords_named(*(f"x{i}" for i in range(dim)))
+    for fill in (0.3, 0.6):
+        conn = rand_torsionfree(rng, coords, fill=fill)
+        names = conn.coord_names()
+        for t, label in ((curvature(conn), "R"), (ricci(conn), "Ricci")):
+            assert _tensor_lines(t, names, label) == dense_tensor_lines(t, names, label)
+
+
 def test_readme_commands_golden_corpus(capsys, tmp_path, monkeypatch):
     """Every README command, run in-process in order, against a stored corpus
     of exit codes and stdout."""
@@ -667,7 +704,8 @@ for sym in order:
     DiffPoly.of(sym)
 assert _SYMBOLS == order, _SYMBOLS
 
-from projconn.cli import main
+from projconn.cli import _tensor_lines, main
+from projconn.connection import curvature, ricci
 from test_specfile_cli import readme_commands
 
 corpus = []
@@ -688,7 +726,8 @@ sys.stdout.write("".join(corpus))
 NUMPY_FREE_CORPUS = r"""
 import contextlib, io, json, shlex, sys
 sys.modules["numpy"] = None
-from projconn.cli import main
+from projconn.cli import _tensor_lines, main
+from projconn.connection import curvature, ricci
 
 corpus = []
 for argv, target in json.loads(sys.argv[1]):

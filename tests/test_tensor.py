@@ -7,9 +7,19 @@ from itertools import product
 
 import pytest
 
+from projconn.cli import main
 from projconn.connection import curvature, weyl3
 from projconn.errors import ShapeError
-from projconn.families import torus3, torus_n
+from projconn.families import (
+    GroupElement,
+    invariance_check,
+    kuga_shimura,
+    orbit_safe_points,
+    torus3,
+    torus_n,
+    transported_values,
+)
+from projconn.geodesic import NumericConnection
 from projconn.projective import (
     flatness_conditions,
     is_projectively_flat,
@@ -223,10 +233,11 @@ def test_offset_map_is_checked():
         Tensor(2, (DOWN,), {0: "x"})
 
 
-def test_kernels_never_read_the_dense_view(monkeypatch):
+def test_kernels_never_read_the_dense_view(monkeypatch, capsys):
     """Curvature, contraction, normalization, equivalence and the Weyl tensor
     work on the stored entries: only 40 of the 12^4 curvature entries of
-    torus_n(12) are nonzero, and no step builds the other 20,696."""
+    torus_n(12) are nonzero, and no step builds the other 20,696.  The CLI
+    reports, the numeric table and the pullback check walk Tensor.items()."""
     def dense(self):
         raise AssertionError("a kernel read Tensor.entries")
 
@@ -240,6 +251,26 @@ def test_kernels_never_read_the_dense_view(monkeypatch):
     t3 = torus3()
     assert not weyl3(t3).is_zero() and not is_projectively_flat(t3)
     assert len(flatness_conditions(t3)) == 4
+
+    for command in ("curvature", "ricci", "conditions"):
+        assert main([command, "--family", "torus3"]) == 0
+    capsys.readouterr()
+    reads = []
+    getitem = Tensor.__getitem__
+    monkeypatch.setattr(Tensor, "__getitem__", lambda t, idx: reads.append(idx) or getitem(t, idx))
+    assert main(["curvature", "--family", "torus_n", "--n", "12"]) == 0
+    out = capsys.readouterr().out
+    assert "(dim 12," in out and "R(tau,z1)z1 = (1/4*C^2) d_tau + (-1/4*C*E) d_z1\n" in out
+    assert reads == []  # the report reads no entry by index
+
+    numeric = NumericConnection.from_connection(t3, dict(zip(map(parameter, "ABCDE"), range(1, 6))))
+    assert numeric.gamma[1][0][0] == 1 and numeric.gamma[0][0][1] == numeric.gamma[0][1][0] == 1.5
+    assert numeric.gamma[0][1][1] == 0
+
+    g = GroupElement(0, -1, 1, 0, 1, 2, 3, 4)
+    points = orbit_safe_points(g, 3, random.Random(5))
+    base = {name: {p[0]: GaussianRational(1, 2) for p in points} for name in "ABC"}
+    assert invariance_check(kuga_shimura(True).table, g, points, transported_values(g, points, base))
 
 
 def test_json_round_trip_omits_zeros():
