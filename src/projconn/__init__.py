@@ -1,6 +1,6 @@
 """Exact symbolic tensor calculus for torsionfree holomorphic affine
-connections: curvature, Ricci and trace curvatures, the dimension-3 Weyl
-projective tensor, projective equivalence with explicit witnesses, volume
+connections: curvature, Ricci and trace curvatures, the Weyl projective
+tensor for n >= 3, projective equivalence with explicit witnesses, volume
 normalization, flatness classification of parametric families, and a numeric
 geodesic cross-check.  All symbolic arithmetic is exact over Q(i)."""
 

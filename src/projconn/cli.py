@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_connection_source(p)
         p.set_defaults(run=_cmd_tensor)
 
-    p = sub.add_parser("flat", help="decide projective flatness (dim 3)")
+    p = sub.add_parser("flat", help="decide projective flatness")
     _add_connection_source(p)
     p.set_defaults(run=_cmd_flat)
 

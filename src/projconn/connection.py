@@ -24,11 +24,11 @@ every product is formed once and an empty entry costs nothing.  Each term of
 S goes straight into the accumulator of R^l_{ijk} (with +) or of R^l_{jik}
 (with -), whichever has its first two lower indices ascending, and one
 settle step per accumulator gives R^l_{ijk} and R^l_{jik} = -R^l_{ijk}
-together (see the accumulators in `poly`).  The dimension-3 Weyl projective
-tensor is evaluated in its TrR form, one accumulation per W^l_{ijk} with
-i < j; the tests check it against the Ricci-only form.  Curvature, Ricci,
-Weyl and Lie derivatives are `Tensor`s, and a vector field is a `Tensor` of
-variance (up,).
+together (see the accumulators in `poly`).  The Weyl projective tensor, for
+any n >= 3, is evaluated in its TrR form, one accumulation per W^l_{ijk}
+with i < j; the tests check it against the Ricci-only form.  Curvature,
+Ricci, Weyl and Lie derivatives are `Tensor`s, and a vector field is a
+`Tensor` of variance (up,).
 """
 
 from __future__ import annotations
@@ -210,31 +210,31 @@ def trace_r(c: Connection) -> Tensor:
     return contract(curvature(c), 0, 3)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=MAX_DIM)  # one plan per dimension
 def _weyl_corrections(n) -> tuple:
     """The W^l_{ijk} with i < j that Ricci or TrR can make differ from R^l_{ijk},
     as (f, f', addends): f and f' are the offsets of W^l_{ijk} and W^l_{jik},
     and an addend (source, offset, num, den) adds num/den times the entry at
-    offset of source 0 (Ricci) or 1 (TrR).  Dimension 3 builds it once."""
-    plan = []
+    offset of source 0 (Ricci) or 1 (TrR).  Each dimension builds it once."""
+    plan, m = [], (n - 1) * (n + 1)
     for l, i, j, k in product(range(n), repeat=4):
         if i >= j:
             continue
         addends = []
         if l == k:
-            addends.append((1, i * n + j, -1, 4))
+            addends.append((1, i * n + j, -1, n + 1))
         if l == i:
-            addends += [(0, j * n + k, -1, 2), (1, j * n + k, -1, 8)]
+            addends += [(0, j * n + k, -1, n - 1), (1, j * n + k, -1, m)]
         if l == j:
-            addends += [(0, i * n + k, 1, 2), (1, i * n + k, 1, 8)]
+            addends += [(0, i * n + k, 1, n - 1), (1, i * n + k, 1, m)]
         if addends:
             plan.append((((l * n + i) * n + j) * n + k, ((l * n + j) * n + i) * n + k, addends))
     return tuple(plan)
 
 
 def _weyl3_from(r: Tensor, ric: Tensor, trr: Tensor) -> Tensor:
-    """W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/4 - d^l_i H_{jk} + d^l_j H_{ik},
-    with H = Ricci/2 + TrR/8, on the stored entries.
+    """W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/(n+1) - d^l_i P_{jk} + d^l_j P_{ik},
+    with P = Ricci/(n-1) + TrR/((n-1)(n+1)), on the stored entries.
 
     W is antisymmetric in (i, j) like R and TrR, and vanishes at i == j, so
     each W^l_{ijk} with i < j is one accumulation whose negation is W^l_{jik}.
@@ -256,13 +256,15 @@ def _weyl3_from(r: Tensor, ric: Tensor, trr: Tensor) -> Tensor:
 
 
 def weyl3(c: Connection) -> Tensor:
-    """Weyl projective tensor in dimension three, in its TrR form.
+    """Weyl projective tensor in any dimension n >= 3, in its TrR form.
 
-    The Ricci-only form agrees identically, since TrR(X,Y) = Ricci(Y,X) -
-    Ricci(X,Y); the test suite recomputes it as a check on this one.
+    The Ricci-only form, with P = Ricci_sym/(n-1) + Ricci_alt/(n+1), agrees
+    identically, since TrR(X,Y) = Ricci(Y,X) - Ricci(X,Y); the test suite
+    recomputes it as a check on this one.  W = 0 is projective flatness for
+    n >= 3; in dimension 2 W vanishes identically, so n < 3 is refused.
     """
-    if c.dim != 3:
-        raise DimensionError("the Weyl projective formula here is dimension 3 only")
+    if c.dim < 3:
+        raise DimensionError(f"the projective Weyl tensor needs dimension n >= 3, got n = {c.dim}")
     r = curvature(c)
     ric = contract(r, 0, 1)
     trr = contract(r, 0, 3)

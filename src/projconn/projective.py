@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .connection import FIELD, Connection, weyl3
-from .errors import DimensionError, ShapeError
+from .errors import ShapeError
 from .poly import DiffPoly
 from .tensor import DOWN, Tensor, contract
 
@@ -83,9 +83,7 @@ def volume_normalize(c: Connection) -> Connection:
 
 
 def is_projectively_flat(c: Connection) -> bool:
-    """Dimension-3 flatness: the Weyl projective tensor vanishes."""
-    if c.dim != 3:
-        raise DimensionError("projective flatness test implemented for dimension 3")
+    """Flatness in dimension n >= 3: the Weyl projective tensor vanishes."""
     return weyl3(c).is_zero()
 
 
@@ -95,8 +93,6 @@ def flatness_conditions(c: Connection) -> list[DiffPoly]:
     Each survivor is normalized monic; the connection is projectively flat
     exactly when every listed polynomial vanishes.
     """
-    if c.dim != 3:
-        raise DimensionError("flatness conditions implemented for dimension 3")
     seen = []
     for _, entry in weyl3(c).items():
         normalized = entry.monic()

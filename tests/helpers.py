@@ -1,5 +1,6 @@
 """Shared random generators for the property tests, reference oracles for
-the tensor, curvature and geodesic kernels, the Bianchi identity and
+the tensor, curvature and geodesic kernels, a sympy recomputation of
+curvature, Ricci and the Weyl projective tensor, the Bianchi identity and
 restriction to a coordinate subspace, and a runner for code that must start
 in a fresh interpreter.
 
@@ -10,20 +11,22 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
 import numpy as np
+import sympy as sp
 
 import projconn
 
-from projconn.connection import Connection, from_table
+from projconn.connection import Connection, curvature, from_table, ricci, weyl3
 from projconn.errors import DivergenceError, ShapeError
 from projconn.geodesic import MAX_HORIZON, GeodesicPath
 from projconn.poly import ZERO_POLY, DiffPoly, as_poly
 from projconn.projective import OneForm
 from projconn.rational import GaussianRational
-from projconn.symbols import SymbolTable
+from projconn.symbols import FUNCTION, SymbolTable
 from projconn.tensor import DOWN, Tensor, UP
 
 
@@ -134,6 +137,99 @@ def naive_curvature(conn) -> Tensor:
         return value
 
     return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+
+
+# -- sympy engine -----------------------------------------------------------------
+#
+# Curvature, Ricci and the Weyl projective tensor recomputed by sympy from the
+# Christoffel entries alone, in the Ricci-only form of Eastwood, "Notes on
+# projective differential geometry" (IMA Vol. Math. Appl. 144, 2008):
+#
+#     P_jk = Ric_(jk)/(n-1) + Ric_[jk]/(n+1)
+#     W^l_ijk = R^l_ijk - d^l_i P_jk + d^l_j P_ik + d^l_k (P_ij - P_ji)
+#
+# with Ric_(jk) and Ric_[jk] the symmetric and alternating parts of Ricci.
+# Nothing of projconn's curvature, Ricci or Weyl code enters: the engine is
+# read only through each entry's public term map.
+
+
+@lru_cache(maxsize=None)
+def _sympy_symbol(sym):
+    """A parameter or coordinate as a sympy Symbol; a formal function as the
+    sympy Function of its coordinates, derived by its multi-index, so that
+    sympy differentiates it by the chain rule."""
+    if sym.kind != FUNCTION:
+        return sp.Symbol(sym.name)
+    f = sp.Function(sym.name)(*map(sp.Symbol, sym.depends_on))
+    return f.diff(*((sp.Symbol(c), o) for c, o in sym.deriv)) if sym.deriv else f
+
+
+def to_sympy(poly):
+    """A projconn polynomial as a sympy expression."""
+    total = sp.Integer(0)
+    for mono, c in poly.terms().items():
+        term = sp.Rational(c.re.numerator, c.re.denominator)
+        term += sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+        for sym, exp in mono:
+            term *= _sympy_symbol(sym) ** exp
+        total += term
+    return total
+
+
+def to_poly(poly, gens):
+    """A projconn polynomial as a sympy Poly over Q(i) in gens; a symbol
+    outside gens is a KeyError."""
+    index = {g: pos for pos, g in enumerate(gens)}
+    terms = {}
+    for mono, c in poly.terms().items():
+        exps = [0] * len(gens)
+        for sym, exp in mono:
+            exps[index[_sympy_symbol(sym)]] = exp
+        terms[tuple(exps)] = sp.QQ_I(sp.QQ(c.re.numerator, c.re.denominator),
+                                     sp.QQ(c.im.numerator, c.im.denominator))
+    return sp.Poly.from_dict(terms, *gens, domain=sp.QQ_I)
+
+
+def sympy_weyl(conn) -> tuple:
+    """(R, Ric, W, gens) of a connection of any dimension n >= 3 by sympy: the
+    tensors as dicts from index tuples to Polys over Q(i) in gens, which are
+    the coordinates and every symbol that the entries or their first
+    derivatives mention."""
+    n = conn.dim
+    x = [sp.Symbol(c.name) for c in conn.coords]
+    G = {idx: to_sympy(conn.table[idx]) for idx in product(range(n), repeat=3)}
+    dG = {(i, *idx): sp.diff(g, x[i]) for idx, g in G.items() for i in range(n)}
+    polys, opt = sp.parallel_poly_from_expr([*G.values(), *dG.values(), *x], domain=sp.QQ_I)
+    G, dG = dict(zip(G, polys)), dict(zip(dG, polys[len(G):]))
+    R = {}
+    for l, i, j, k in product(range(n), repeat=4):
+        value = dG[i, l, j, k] - dG[j, l, i, k]
+        for m in range(n):
+            value += G[l, i, m] * G[m, j, k] - G[l, j, m] * G[m, i, k]
+        R[l, i, j, k] = value
+    ric = {(j, k): sum(R[i, i, j, k] for i in range(n)) for j, k in product(range(n), repeat=2)}
+    sym, alt = sp.Rational(1, 2 * (n - 1)), sp.Rational(1, 2 * (n + 1))
+    P = {(j, k): (ric[j, k] + ric[k, j]) * sym + (ric[j, k] - ric[k, j]) * alt for j, k in ric}
+    W = {}
+    for l, i, j, k in R:
+        value = R[l, i, j, k]
+        if l == i:
+            value -= P[j, k]
+        if l == j:
+            value += P[i, k]
+        if l == k:
+            value += P[i, j] - P[j, i]
+        W[l, i, j, k] = value
+    return R, ric, W, opt.gens
+
+
+def assert_matches_sympy(conn):
+    """The engine's curvature, Ricci and Weyl tensors of conn equal the sympy
+    engine's, entry by entry."""
+    R, ric, W, gens = sympy_weyl(conn)
+    for tensor, expected in ((curvature(conn), R), (ricci(conn), ric), (weyl3(conn), W)):
+        for idx, value in expected.items():
+            assert to_poly(tensor[idx], gens) == value, idx
 
 
 # -- dense tensor oracles -------------------------------------------------------

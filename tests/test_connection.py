@@ -22,9 +22,10 @@ from projconn.families import kuga_shimura, torus3, torus_n
 from projconn.projective import with_one_form
 from projconn.poly import MAX_DEGREE, ZERO_POLY, as_poly
 from projconn.symbols import function, parameter
-from projconn.tensor import DOWN, Tensor, UP
+from projconn.tensor import DOWN, Tensor, UP, contract
 
 from helpers import (
+    assert_matches_sympy,
     bianchi_holds,
     coords_named,
     naive_curvature,
@@ -307,17 +308,37 @@ class TestGoldenWeyl:
         with pytest.raises(DimensionError):
             weyl3(from_table(coords_named("x", "y"), {}))
 
-    def test_weyl_endomorphism_trace_free_random_tables(self):
-        rng = random.Random(20240817)
-        coords = coords_named("x", "y", "z")
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_weyl_endomorphism_trace_free_random_tables(self, n):
+        # both traces of W vanish: over its last argument and over its first
+        rng = random.Random(20240817 + n - 3)
+        coords = coords_named(*"xyzuvw"[:n])
         for _ in range(10):
-            conn = rand_torsionfree(rng, coords)
-            W = weyl3(conn)
-            for i, j in product(range(3), repeat=2):
-                total = ZERO_POLY
-                for k in range(3):
-                    total = total + W[k, i, j, k]
-                assert total.is_zero()
+            W = weyl3(rand_torsionfree(rng, coords))
+            assert contract(W, 0, 1).is_zero() and contract(W, 0, 3).is_zero()
+
+
+# Tables on which projconn's curvature, Ricci and Weyl tensors are checked
+# against the sympy engine: criterion-06 tables in dims 3-5, both families of
+# dimension 3 and torus_n in dims 4-6.
+SYMPY_CASES = {
+    **{
+        f"criterion-06-dim{n}-{seed}": lambda n=n, seed=seed: rand_deg2_table(
+            random.Random(seed), coords_named(*(f"x{i}" for i in range(n)))
+        )
+        for n in (3, 4, 5)
+        for seed in range(20241060, 20241064)
+    },
+    "torus3": torus3,
+    "kuga-shimura": lambda: kuga_shimura(with_trace=True),
+    "kuga-shimura-no-trace": lambda: kuga_shimura(with_trace=False),
+    **{f"torus_n-{n}": lambda n=n: torus_n(n) for n in (4, 5, 6)},
+}
+
+
+@pytest.mark.parametrize("case", list(SYMPY_CASES))
+def test_engine_matches_sympy(case):
+    assert_matches_sympy(SYMPY_CASES[case]())
 
 
 ORACLE_FAMILIES = {

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from projconn.connection import from_table, weyl3
 from projconn.errors import ConstructionError, DimensionError, ShapeError
-from projconn.families import kuga_shimura, torus3
+from projconn.families import kuga_shimura, torus3, torus_n
 from projconn.poly import as_poly
 from projconn.projective import (
     OneForm,
@@ -22,7 +23,7 @@ from projconn.projective import (
 )
 from projconn.symbols import coordinate, function, parameter
 
-from helpers import coords_named, rand_one_form, rand_torsionfree
+from helpers import coords_named, rand_one_form, rand_torsionfree, sympy_weyl, to_poly
 
 
 class TestDivergenceInjection:
@@ -228,6 +229,28 @@ class TestFlatness:
         }
         assert any(not p.subst(sample).is_zero() for p in conds)
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_torus_n_flat_exactly_where_c_d_e_vanish(self, n):
+        """The conditions of torus_n are the sympy engine's nonzero Weyl
+        entries up to scale, and they cut out C = D = E = 0 with A and B
+        free: each of C, D and E lies in the radical of their ideal (adjoining
+        1 - t*v puts 1 in it), and every entry vanishes on C = D = E = 0."""
+        conn = torus_n(n)
+        _, _, W, gens = sympy_weyl(conn)
+        ideal = [w for w in W.values() if not w.is_zero]
+        conds = flatness_conditions(conn)
+        assert {to_poly(p, gens).monic() for p in conds} == {w.monic() for w in ideal}
+        assert len(conds) == 16
+        A, B, C, D, E, t = sp.symbols("A B C D E t")
+        for v in (C, D, E):
+            basis = sp.groebner([*(w.as_expr() for w in ideal), 1 - t * v], t, A, B, C, D, E)
+            assert list(basis.exprs) == [1]
+        assert all(w.as_expr().subs({C: 0, D: 0, E: 0}) == 0 for w in ideal)
+        zero = {parameter(name): as_poly(0) for name in "CDE"}
+        assert all(p.subst(zero).is_zero() for p in conds)
+        assert is_projectively_flat(torus_n(n, A=1, B=2, C=0, D=0, E=0))
+        assert not is_projectively_flat(torus_n(n, A=1, B=2, C=0, D=0, E=3))
+
     def test_conditions_empty_for_flat(self):
         assert flatness_conditions(from_table(coords_named("x", "y", "z"), {})) == []
 
@@ -259,9 +282,10 @@ class TestFlatness:
 
 
 class TestWeylInvariance:
-    def test_weyl_unchanged_by_one_form_shift(self):
-        rng = random.Random(20240826)
-        coords = coords_named("x", "y", "z")
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_weyl_unchanged_by_one_form_shift(self, n):
+        rng = random.Random(20240826 + n - 3)
+        coords = coords_named(*"xyzuvw"[:n])
         for _ in range(20):
             c = rand_torsionfree(rng, coords)
             theta = rand_one_form(rng, coords)

@@ -8,11 +8,13 @@ EngineError, or exit with 0, 1 or 2.
 The exact kernel agrees with simple reference models: Q(i) arithmetic with a
 pair of Fractions, equal values with equal hashes and display, DiffPoly with
 the ring axioms and the Leibniz rule, parsing with display, and the sparse
-tensor kernels with their dense oracles.
+tensor kernels with their dense oracles; curvature, Ricci and the Weyl
+projective tensor agree with the sympy engine on small random tables.
 """
 
 import contextlib
 import io
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,11 +30,14 @@ from projconn.symbols import SymbolTable
 from projconn.tensor import DOWN, UP, Tensor, contract, symmetry_check
 
 from helpers import (
+    assert_matches_sympy,
+    coords_named,
     dense_add,
     dense_contract,
     dense_sub,
     dense_swap_slots,
     dense_symmetry_check,
+    rand_torsionfree,
 )
 
 # the characters of the expression grammar, so that generated text gets past
@@ -276,3 +281,14 @@ def test_sparse_tensor_kernels_match_dense_oracles(pair):
         for up, down in ((s1, s2), (s2, s1)):
             if (t.variance[up], t.variance[down]) == (UP, DOWN):
                 assert contract(t, up, down).entries == dense_contract(t, up, down)
+
+
+# -- Curvature, Ricci and Weyl against the sympy engine -------------------------
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(st.integers(3, 4), st.integers(0, 2**32 - 1), st.sampled_from((0.2, 0.4)))
+def test_weyl_matches_sympy_on_random_tables(n, seed, fill):
+    coords = coords_named(*(f"x{i}" for i in range(n)))
+    symbols = [*coords, RING.lookup("A")]
+    assert_matches_sympy(rand_torsionfree(random.Random(seed), coords, symbols, fill=fill))

@@ -235,13 +235,23 @@ class TestCli:
         assert "error:" in err
 
     def test_dimension_error_is_exit_2(self, capsys, tmp_path):
-        code = main(["family", "torus_n", "--n", "5"])
-        assert code == 0
-        path = tmp_path / "torus5.conn"
-        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        path = tmp_path / "dim2.conn"
+        path.write_text("dim = 2\ncoords = x, y\n[gamma]\nx.x.y = x\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "weyl", str(path))
         assert code == 2
         assert "dimension" in err
+
+    def test_weyl_flat_and_conditions_answer_above_dimension_3(self, capsys):
+        family = ["--family", "torus_n", "--n", "5"]
+        code, out, _ = run_cli(capsys, "weyl", *family)
+        assert code == 0
+        assert out.startswith("# projconn weyl") and "W(tau,z1)tau = " in out
+        code, out, _ = run_cli(capsys, "flat", *family)
+        assert code == 0
+        assert "projectively flat: false" in out
+        code, out, _ = run_cli(capsys, "conditions", *family)
+        assert code == 0
+        assert "16 distinct up to scale" in out
 
     def test_malformed_spec_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.conn"
