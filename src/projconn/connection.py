@@ -22,23 +22,23 @@ symmetric.  `curvature` evaluates R as S^l_{ijk} - S^l_{jik} with
 in one pass over the nonzero Christoffel entries, so every derivative and
 every product is formed once and an empty entry costs nothing.  Each term of
 S goes straight into the accumulator of R^l_{ijk} (with +) or of R^l_{jik}
-(with -), whichever has its first two lower indices ascending, and one
-settle step per accumulator gives R^l_{ijk} and R^l_{jik} = -R^l_{ijk}
-together (see the accumulators in `poly`).  The Weyl projective tensor, for
-any n >= 3, is evaluated in its TrR form, one accumulation per W^l_{ijk}
-with i < j; the tests check it against the Ricci-only form.  Curvature,
-Ricci, Weyl and Lie derivatives are `Tensor`s, and a vector field is a
-`Tensor` of variance (up,).
+(with -), whichever has its first two lower indices ascending (see the
+accumulators in `poly`); `curvature` settles each once into R^l_{ijk} and
+R^l_{jik} = -R^l_{ijk}.  `weyl3`, the Weyl projective tensor for any n >= 3
+in its TrR form, never settles R: it sums TrR, P and each W^l_{ijk}, i < j,
+from the R accumulators and settles only W; the tests check it against the
+Ricci-only form.  Curvature, Ricci, Weyl and Lie derivatives are `Tensor`s,
+and a vector field is a `Tensor` of variance (up,).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import ConstructionError, DimensionError, ShapeError
-from .poly import _accumulate, _accumulate_product, _settle, as_poly, symbols_of
+from .poly import _accumulate, _accumulate_product, _accumulate_sum, _settle, as_poly, symbols_of
 from .symbols import COORDINATE, FUNCTION, PARAMETER
 from .tensor import DOWN, Tensor, UP, contract, symmetry_check
 
@@ -156,15 +156,15 @@ def from_named_table(coords, entries) -> Connection:
     return from_table(coords, resolved)
 
 
-def curvature(c: Connection) -> Tensor:
-    """Curvature tensor R^l_{ijk}, antisymmetric in (i, j)."""
+def _curvature_accumulators(c: Connection) -> dict:
+    """The unsettled accumulator of each R^l_{ijk} with i < j, in a defaultdict keyed (l, i, j, k)."""
     n = c.dim
     coords = c.coords
     # rows[m]: the nonzero G^m_{jk} with j <= k
     rows = [[] for _ in range(n)]
     for (m, j, k), g in c.nonzero_entries():
         rows[m].append((j, k, g))
-    acc = defaultdict(dict)  # (l, i, j, k) with i < j -> accumulator of R^l_{ijk}
+    acc = defaultdict(dict)
 
     def targets(l, i, j, k):
         # a term of S^l_{ijk} is one of S^l_{ikj} too, as G^m_{jk} = G^m_{kj};
@@ -192,12 +192,24 @@ def curvature(c: Connection) -> Tensor:
             for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
                 for j, k, h in rows[m]:
                     _accumulate_product(targets(l, i, j, k), g, h)
+    return acc
 
+
+def _settled(n, acc) -> Tensor:
+    """The tensor with entry (l, i, j, k) settled from acc[l, i, j, k], i < j, and
+    entry (l, j, i, k) its negation; keys of another length are skipped."""
     entries = {}  # flat offset -> entry; Tensor drops the zero ones
-    for (l, i, j, k), terms in acc.items():
-        f, g = ((l * n + i) * n + j) * n + k, ((l * n + j) * n + i) * n + k
-        entries[f], entries[g] = _settle(terms)
+    for key, terms in acc.items():
+        if terms and len(key) == 4:
+            l, i, j, k = key
+            f, g = ((l * n + i) * n + j) * n + k, ((l * n + j) * n + i) * n + k
+            entries[f], entries[g] = _settle(terms)
     return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
+
+
+def curvature(c: Connection) -> Tensor:
+    """Curvature tensor R^l_{ijk}, antisymmetric in (i, j)."""
+    return _settled(c.dim, _curvature_accumulators(c))
 
 
 def ricci(c: Connection) -> Tensor:
@@ -212,52 +224,37 @@ def trace_r(c: Connection) -> Tensor:
 
 @lru_cache(maxsize=MAX_DIM)  # one plan per dimension
 def _weyl_corrections(n) -> tuple:
-    """The W^l_{ijk} with i < j that Ricci or TrR can make differ from R^l_{ijk},
-    as (f, f', addends): f and f' are the offsets of W^l_{ijk} and W^l_{jik},
-    and an addend (source, offset, num, den) adds num/den times the entry at
-    offset of source 0 (Ricci) or 1 (TrR).  Each dimension builds it once."""
-    plan, m = [], (n - 1) * (n + 1)
-    for l, i, j, k in product(range(n), repeat=4):
-        if i >= j:
-            continue
-        addends = []
-        if l == k:
-            addends.append((1, i * n + j, -1, n + 1))
+    """Steps (target, addends) over accumulator keys that turn R into W, an addend
+    (source, num, den) adding num/den times the source: R^l_{ijk}, then W^l_{ijk},
+    sits at (l, i, j, k) with i < j, TrR_{ij} at ("T", i, j) with i < j and
+    P_{jk} = ((n+1) Ricci_{jk} + TrR_{jk})/((n-1)(n+1)) at ("P", j, k)."""
+    m = (n - 1) * (n + 1)
+    pairs = list(combinations(range(n), 2))
+    steps = [(("T", i, j), [((k, i, j, k), 1, 1) for k in range(n)]) for i, j in pairs]
+    for j, k in product(range(n), repeat=2):
+        # Ricci_{jk} = sum_i R^i_{ijk}, and R^i_{ijk} = -R^i_{jik}
+        addends = [((i, i, j, k), n + 1, m) if i < j else ((i, j, i, k), -n - 1, m)
+                   for i in range(n) if i != j]
+        if j != k:
+            addends.append((("T", j, k), 1, m) if j < k else (("T", k, j), -1, m))
+        steps.append((("P", j, k), addends))
+    for l, k, (i, j) in product(range(n), range(n), pairs):
+        # W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/(n+1) - d^l_i P_{jk} + d^l_j P_{ik}
+        addends = [(("T", i, j), -1, n + 1)] if l == k else []
         if l == i:
-            addends += [(0, j * n + k, -1, n - 1), (1, j * n + k, -1, m)]
+            addends.append((("P", j, k), -1, 1))
         if l == j:
-            addends += [(0, i * n + k, 1, n - 1), (1, i * n + k, 1, m)]
+            addends.append((("P", i, k), 1, 1))
         if addends:
-            plan.append((((l * n + i) * n + j) * n + k, ((l * n + j) * n + i) * n + k, addends))
-    return tuple(plan)
-
-
-def _weyl3_from(r: Tensor, ric: Tensor, trr: Tensor) -> Tensor:
-    """W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/(n+1) - d^l_i P_{jk} + d^l_j P_{ik},
-    with P = Ricci/(n-1) + TrR/((n-1)(n+1)), on the stored entries.
-
-    W is antisymmetric in (i, j) like R and TrR, and vanishes at i == j, so
-    each W^l_{ijk} with i < j is one accumulation whose negation is W^l_{jik}.
-    """
-    R, sources = r._stored, (ric._stored, trr._stored)
-    entries = dict(R)  # W = R wherever no Ricci or TrR entry adds to it
-    for f, f_neg, addends in _weyl_corrections(r.dim):
-        terms = {}
-        for source, offset, num, den in addends:
-            p = sources[source].get(offset)
-            if p is not None:
-                _accumulate(terms, p, num, den)
-        if terms:
-            p = R.get(f)
-            if p is not None:
-                _accumulate(terms, p)
-            entries[f], entries[f_neg] = _settle(terms)
-    return Tensor(r.dim, (UP, DOWN, DOWN, DOWN), entries)
+            steps.append(((l, i, j, k), addends))
+    return tuple(steps)
 
 
 def weyl3(c: Connection) -> Tensor:
     """Weyl projective tensor in any dimension n >= 3, in its TrR form.
 
+    One pass: the unsettled R accumulators take in TrR and P, summed from them
+    by `_weyl_corrections`, and each W^l_{ijk} with i < j is settled once.
     The Ricci-only form, with P = Ricci_sym/(n-1) + Ricci_alt/(n+1), agrees
     identically, since TrR(X,Y) = Ricci(Y,X) - Ricci(X,Y); the test suite
     recomputes it as a check on this one.  W = 0 is projective flatness for
@@ -265,10 +262,13 @@ def weyl3(c: Connection) -> Tensor:
     """
     if c.dim < 3:
         raise DimensionError(f"the projective Weyl tensor needs dimension n >= 3, got n = {c.dim}")
-    r = curvature(c)
-    ric = contract(r, 0, 1)
-    trr = contract(r, 0, 3)
-    return _weyl3_from(r, ric, trr)
+    acc = _curvature_accumulators(c)
+    for target, addends in _weyl_corrections(c.dim):
+        terms = acc[target]
+        for source, num, den in addends:
+            if source in acc:
+                _accumulate_sum(terms, acc[source], num, den)
+    return _settled(c.dim, acc)
 
 
 def lie_derivative(c: Connection, field: Tensor) -> Tensor:

@@ -26,6 +26,7 @@ leaves the family invariant exactly for the cube factor on A and B.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .connection import MAX_DIM, Connection, _check_chart, from_named_table, from_table
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
@@ -38,17 +39,21 @@ _ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 _KUGA_SHIMURA_WEIGHTS = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
 
 
+@lru_cache(maxsize=1)
+def _torus_symbols() -> tuple:
+    """The coordinates tau, z1, z2, z4..z{MAX_DIM} and the parameters A..E as
+    polynomials, built once per process for every torus family to share."""
+    names = ("tau", "z1", "z2", *(f"z{i}" for i in range(4, MAX_DIM + 1)))
+    return tuple(map(coordinate, names)), tuple(as_poly(parameter(p)) for p in "ABCDE")
+
+
 def torus_coords():
-    return tuple(coordinate(n) for n in ("tau", "z1", "z2"))
+    return _torus_symbols()[0][:3]
 
 
-def _torus_table(A, B, C, D, E) -> dict:
-    """The torus3 table keyed (k, i, j), with tau, z1, z2 = 0, 1, 2."""
-    A = as_poly(parameter("A") if A is None else A)
-    B = as_poly(parameter("B") if B is None else B)
-    C = as_poly(parameter("C") if C is None else C)
-    D = as_poly(parameter("D") if D is None else D)
-    E = as_poly(parameter("E") if E is None else E)
+def _torus_table(*values) -> dict:
+    """The torus3 table of A..E (None: the parameter), with tau, z1, z2 = 0, 1, 2."""
+    A, B, C, D, E = (p if v is None else as_poly(v) for p, v in zip(_torus_symbols()[1], values))
     half = Fraction(1, 2)
     return {
         (1, 0, 0): A,
@@ -86,11 +91,9 @@ def torus_n(n: int, A=None, B=None, C=None, D=None, E=None) -> Connection:
         raise ConstructionError("torus_n needs n >= 4; use torus3 below that")
     if n > MAX_DIM:  # before any symbol is built
         raise ConstructionError(f"torus_n takes n <= {MAX_DIM}")
-    names = ["tau", "z1", "z2"] + [f"z{i}" for i in range(4, n + 1)]
-    coords = tuple(coordinate(name) for name in names)
     table = _torus_table(A, B, C, D, E)
-    _check_chart(set(names[:3]), table.values())  # as torus3 would: nothing on z4..zn
-    return from_table(coords, table)
+    _check_chart({"tau", "z1", "z2"}, table.values())  # as torus3 would: nothing on z4..zn
+    return from_table(_torus_symbols()[0][:n], table)
 
 
 def kuga_shimura(with_trace: bool) -> Connection:

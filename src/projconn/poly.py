@@ -460,6 +460,12 @@ def _accumulate(acc: dict, p: DiffPoly, num: int = 1, den: int = 1) -> None:
         _add(acc, mono, c._a * num, c._b * num, c._d * den)
 
 
+def _accumulate_sum(acc: dict, src: dict, num: int, den: int) -> None:
+    """acc += src * num/den, for an accumulator src and ints num and den > 0."""
+    for mono, (a, b, d) in src.items():
+        _add(acc, mono, a * num, b * num, d * den)
+
+
 def _accumulate_product(targets, g: DiffPoly, h: DiffPoly) -> None:
     """acc += sign * g * h for each (acc, sign) in targets, sign = 1 or -1.
 

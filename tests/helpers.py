@@ -1,5 +1,5 @@
 """Shared random generators for the property tests, reference oracles for
-the tensor, curvature and geodesic kernels, a sympy recomputation of
+the tensor, curvature, Weyl and geodesic kernels, a sympy recomputation of
 curvature, Ricci and the Weyl projective tensor, the Bianchi identity and
 restriction to a coordinate subspace, and a runner for code that must start
 in a fresh interpreter.
@@ -27,7 +27,7 @@ from projconn.poly import ZERO_POLY, DiffPoly, as_poly
 from projconn.projective import OneForm
 from projconn.rational import GaussianRational
 from projconn.symbols import FUNCTION, SymbolTable
-from projconn.tensor import DOWN, Tensor, UP
+from projconn.tensor import DOWN, Tensor, UP, contract
 
 
 def run_python(code, *args, timeout, cwd=None) -> subprocess.CompletedProcess:
@@ -134,6 +134,36 @@ def naive_curvature(conn) -> Tensor:
         value = g[l][j][k].diff(coords[i]) - g[l][i][k].diff(coords[j])
         for m in range(n):
             value = value + g[l][i][m] * g[m][j][k] - g[l][j][m] * g[m][i][k]
+        return value
+
+    return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+
+
+def trr_weyl(conn) -> Tensor:
+    """The Weyl projective tensor by the settle-then-correct path that weyl3
+    took before it summed W straight from the curvature accumulators: the
+    settled curvature, Ricci and TrR as its two traces by contract, then
+
+        W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/(n+1) - d^l_i P_{jk} + d^l_j P_{ik},
+        P_{jk} = Ricci_{jk}/(n-1) + TrR_{jk}/((n-1)(n+1)),
+
+    entry by entry in DiffPoly arithmetic, over all n^4 entries."""
+    n = conn.dim
+    R = curvature(conn)
+    ric, trr = contract(R, 0, 1), contract(R, 0, 3)
+    m = Fraction(1, (n - 1) * (n + 1))
+    P = {(j, k): ric[j, k] * Fraction(1, n - 1) + trr[j, k] * m
+         for j, k in product(range(n), repeat=2)}
+
+    def entry(idx):
+        l, i, j, k = idx
+        value = R[idx]
+        if l == k:
+            value = value - trr[i, j] * Fraction(1, n + 1)
+        if l == i:
+            value = value - P[j, k]
+        if l == j:
+            value = value + P[i, k]
         return value
 
     return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)

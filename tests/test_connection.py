@@ -32,6 +32,7 @@ from helpers import (
     rand_deg2_table,
     rand_one_form,
     rand_torsionfree,
+    trr_weyl,
 )
 
 
@@ -402,18 +403,19 @@ class TestCurvatureOracle:
         assert_matches_dense_oracle(ORACLE_FAMILIES[case]())
 
 
-def _power_tables(exp):
-    """Tables whose Christoffel products have x0 at exponent 2 * exp."""
+def _power_tables(exp, n=None):
+    """Tables whose Christoffel products have x0 at exponent 2 * exp, on their
+    first one, two or three coordinates, or on the first n for every table."""
     x = coords_named("x0", "x1", "x2")
     p = as_poly(x[0]) ** exp
     return {
         # dimension 1: every product is G^0_{00} G^0_{00} and lands on no
         # entry of R
-        "lands-nowhere": from_table(x[:1], {(0, 0, 0): p}),
+        "lands-nowhere": from_table(x[:n or 1], {(0, 0, 0): p}),
         # G^0_{01} G^1_{11} is a term of R^0_{011}
-        "lands": from_table(x[:2], {(0, 0, 1): p, (1, 1, 1): p}),
+        "lands": from_table(x[:n or 2], {(0, 0, 1): p, (1, 1, 1): p}),
         # every entry p: the products of S^l_{ijk} and S^l_{jik} cancel in R
-        "cancels-in-R": from_table(x[:2], {idx: p for idx in product(range(2), repeat=3)}),
+        "cancels-in-R": from_table(x[:n or 2], {idx: p for idx in product(range(2), repeat=3)}),
         # G^2 = -G^0, so S^l_{ijk} = (G^l_{i0} - G^l_{i2}) G^0_{jk} = 0: every
         # product lands on an entry of R and cancels inside S, so only the
         # derivative terms, of exponent exp - 1, survive
@@ -421,6 +423,15 @@ def _power_tables(exp):
             x, {(0, 0, 1): p, (0, 1, 2): p, (2, 0, 1): -p, (2, 1, 2): -p}
         ),
     }
+
+
+def _outcome(kernel, conn):
+    """The kernel's result on conn, or DegreeError when it refuses it."""
+    try:
+        return kernel(conn)
+    except DegreeError as exc:
+        assert str(exc) == f"an exponent exceeds the bound of {MAX_DEGREE}"
+        return DegreeError
 
 
 class TestDegreeBound:
@@ -440,6 +451,19 @@ class TestDegreeBound:
             # only derivative terms survive: no exponent above exp - 1
             assert all(exp < MAX_DEGREE // 2 for e in R.entries
                        for mono in e.terms() for _, exp in mono)
+
+    @pytest.mark.parametrize("case", list(_power_tables(1)))
+    @pytest.mark.parametrize("exp", [MAX_DEGREE // 2 + 1, MAX_DEGREE // 2])
+    def test_weyl_refuses_exactly_where_curvature_does(self, case, exp):
+        # weyl3 never settles R, so its W accumulators must still hold every
+        # monomial of the R accumulators up to the guard-bit check
+        conn = _power_tables(exp, n=3)[case]
+        refused = exp > MAX_DEGREE // 2
+        assert (_outcome(curvature, conn) is DegreeError) == refused
+        W = _outcome(weyl3, conn)
+        assert (W is DegreeError) == refused
+        if not refused:
+            assert W == trr_weyl(conn)
 
 
 class TestBianchi:

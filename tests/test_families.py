@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from projconn.connection import curvature, from_table, weyl3
+from projconn.connection import MAX_DIM, curvature, from_table, weyl3
 from projconn.errors import ConsistencyError, ConstructionError, EvalError, PoleError
 from projconn.families import (
     GroupElement,
@@ -85,6 +85,25 @@ class TestTorusN:
     def test_small_n_rejected(self):
         with pytest.raises(ConstructionError):
             torus_n(3)
+
+    def test_repeated_calls_share_their_symbols(self):
+        first, second = torus_n(8), torus_n(8)
+        assert first == second
+        assert all(a is b for a, b in zip(first.coords, second.coords, strict=True))
+        assert torus_n(4).coords == first.coords[:4] and torus3().coords == first.coords[:3]
+
+    def test_large_n_rejected_before_any_symbol_is_built(self):
+        code = (
+            "from projconn.connection import MAX_DIM\n"
+            "from projconn.errors import ConstructionError\n"
+            "from projconn import families\n"
+            "try:\n"
+            "    families.torus_n(MAX_DIM + 1)\n"
+            "except ConstructionError as exc:\n"
+            "    print(exc, families._torus_symbols.cache_info().currsize)\n"
+        )
+        out = run_python(code, timeout=60)
+        assert out.stdout == f"torus_n takes n <= {MAX_DIM} 0\n", out.stderr
 
     @pytest.mark.parametrize("coefficient", [coordinate("z4"), function("f", ("z4",))])
     def test_coefficient_off_the_torus3_chart_rejected(self, coefficient):

@@ -9,7 +9,8 @@ The exact kernel agrees with simple reference models: Q(i) arithmetic with a
 pair of Fractions, equal values with equal hashes and display, DiffPoly with
 the ring axioms and the Leibniz rule, parsing with display, and the sparse
 tensor kernels with their dense oracles; curvature, Ricci and the Weyl
-projective tensor agree with the sympy engine on small random tables.
+projective tensor agree with the sympy engine on small random tables, and
+weyl3 with the settle-then-correct path of `helpers.trr_weyl` in dims 3-6.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from itertools import combinations
 from hypothesis import assume, given, settings, strategies as st
 
 from projconn.cli import main
+from projconn.connection import weyl3
 from projconn.errors import EngineError
 from projconn.parser import parse_expr
 from projconn.poly import DiffPoly, as_poly
@@ -38,6 +40,7 @@ from helpers import (
     dense_swap_slots,
     dense_symmetry_check,
     rand_torsionfree,
+    trr_weyl,
 )
 
 # the characters of the expression grammar, so that generated text gets past
@@ -292,3 +295,22 @@ def test_weyl_matches_sympy_on_random_tables(n, seed, fill):
     coords = coords_named(*(f"x{i}" for i in range(n)))
     symbols = [*coords, RING.lookup("A")]
     assert_matches_sympy(rand_torsionfree(random.Random(seed), coords, symbols, fill=fill))
+
+
+def _weyl_chart(n):
+    """Coordinates x0..x{n-1} and a pool of them, a parameter A and functions
+    f(x0) and g(x1, x2), one of them differentiated."""
+    t = SymbolTable()
+    coords = tuple(t.coordinate(f"x{i}") for i in range(n))
+    f, g = t.function("f", ("x0",)), t.function("g", ("x1", "x2"))
+    return coords, [*coords, t.parameter("A"), f, g, g.derivative("x2")]
+
+
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(st.integers(3, 6), st.integers(0, 2**32 - 1), st.sampled_from((0.2, 0.4)))
+def test_weyl_matches_settle_then_correct_path(n, seed, fill):
+    # Gaussian coefficients, with imaginary parts, over coordinates,
+    # a parameter and formal functions
+    coords, symbols = _weyl_chart(n)
+    conn = rand_torsionfree(random.Random(seed), coords, symbols, fill=fill)
+    assert weyl3(conn) == trr_weyl(conn)
