@@ -327,11 +327,13 @@ def _cmd_geodesic(args):
         raise EngineError(
             f"--at must bind every symbol in the tables; missing {', '.join(sorted(missing))}"
         )
-    conn = conns[0]
-    numeric, *other = [geodesic.NumericConnection.from_connection(c, {}) for c in conns]
+    conn, *other = conns
     x0 = [complex(v) for v in _parse_tuple(args.x0, conn.dim, "x0")]
     v0 = [complex(v) for v in _parse_tuple(args.v0, conn.dim, "v0")]
-    path = geodesic.integrate(numeric, x0, v0, args.step, args.count)
+    path = geodesic.integrate(conn, x0, v0, args.step, args.count)
+    if args.compare:  # before any output, so a bad reference table writes no csv
+        # reference trace gets twice the horizon so the probe stays interior
+        reference = geodesic.integrate(other[0], x0, v0, args.step, 2 * args.count)
     result = {
         "source": source,
         "steps": args.count,
@@ -348,8 +350,6 @@ def _cmd_geodesic(args):
         lines.append(f"csv written to {args.csv}")
     negative = False
     if args.compare:
-        # reference trace gets twice the horizon so the probe stays interior
-        reference = geodesic.integrate(other[0], x0, v0, args.step, 2 * args.count)
         deviation = geodesic.unparametrized_match(path, reference)
         result["compare"] = args.compare
         result["deviation"] = f"{deviation:.6e}"

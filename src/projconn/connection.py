@@ -140,22 +140,6 @@ def from_table(coords, entries) -> Connection:
     return Connection(coords, Tensor(n, FIELD, table))
 
 
-def from_named_table(coords, entries) -> Connection:
-    """Same as from_table with 'k.i.j' coordinate-name keys."""
-    coords = tuple(coords)
-    index = {c.name: pos for pos, c in enumerate(coords)}
-    resolved = {}
-    for key, value in entries.items():
-        parts = key.split(".")
-        if len(parts) != 3:
-            raise ConstructionError(f"gamma key {key!r} must look like k.i.j")
-        try:
-            resolved[tuple(index[p] for p in parts)] = value
-        except KeyError:
-            raise ConstructionError(f"unknown coordinate in gamma key {key!r}") from None
-    return from_table(coords, resolved)
-
-
 def _curvature_accumulators(c: Connection) -> dict:
     """The unsettled accumulator of each R^l_{ijk} with i < j, in a defaultdict keyed (l, i, j, k)."""
     n = c.dim

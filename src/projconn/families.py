@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .connection import MAX_DIM, Connection, _check_chart, from_named_table, from_table
+from .connection import MAX_DIM, Connection, _check_chart, from_table
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
 from .poly import as_poly
 from .rational import GaussianRational, ONE, ZERO, as_gaussian
@@ -97,16 +97,16 @@ def torus_n(n: int, A=None, B=None, C=None, D=None, E=None) -> Connection:
 
 
 def kuga_shimura(with_trace: bool) -> Connection:
-    """Fibered family with formal coefficients A(tau), B(tau) and optionally
-    the trace part C(tau)."""
+    """Fibered family on (tau, z1, z2) = (0, 1, 2) with formal coefficients
+    A(tau), B(tau) and optionally the trace part C(tau)."""
     A, B, C = (as_poly(function(n, ("tau",))) for n in "ABC")
-    entries = {"z1.tau.tau": A, "z2.tau.tau": B}
+    entries = {(1, 0, 0): A, (2, 0, 0): B}
     if with_trace:
         half = Fraction(1, 2)
-        entries["tau.tau.tau"] = C
-        entries["z1.z1.tau"] = C * half
-        entries["z2.z2.tau"] = C * half
-    return from_named_table(torus_coords(), entries)
+        entries[0, 0, 0] = C
+        entries[1, 1, 0] = C * half
+        entries[2, 2, 0] = C * half
+    return from_table(torus_coords(), entries)
 
 
 class WeightedCoefficient:

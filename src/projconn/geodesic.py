@@ -7,10 +7,11 @@ module integrates the geodesic equation
 
 along real time with a fixed-step classical 4th-order scheme and compares
 position traces as point sets.  Complex time is restricted to real rays,
-which is all the trace comparison needs.  Everything runs on Python lists
-of `complex` and `float`; the numpy forms of the step and of the all-pairs
-match are kept in the tests as oracles, and both kernels reproduce them
-bit for bit.
+which is all the trace comparison needs.  `integrate` converts each entry
+of the `Connection`'s table to `complex` once, and then everything runs on
+Python lists of `complex` and `float`; the numpy forms of the step and of
+the all-pairs match are kept in the tests as oracles, and both kernels
+reproduce them bit for bit.
 
 The RK4 step runs over the nonzero G^k_{ij} only.  It performs the
 floating-point operations of the numpy form of the step in the same order
@@ -57,48 +58,11 @@ from functools import lru_cache
 from itertools import chain, islice, zip_longest
 from operator import itemgetter
 
+from .connection import Connection
 from .errors import DivergenceError, RangeError, ShapeError
-from .rational import as_gaussian
 
 MAX_HORIZON = 10
 MAX_STEPS = 20_000  # --compare then matches 10,001 against 20,001 samples
-
-
-class NumericConnection:
-    """Constant complex Christoffel coefficients, symmetric in (i, j)."""
-
-    __slots__ = ("gamma",)
-
-    def __init__(self, gamma):
-        gamma = [[[complex(g) for g in row] for row in plane] for plane in gamma]
-        n = len(gamma)
-        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in gamma):
-            raise ShapeError("gamma must be an n x n x n array")
-        if any(t[i][j] != t[j][i] for t in gamma for i in range(n) for j in range(i)):
-            raise ShapeError("gamma must be symmetric in its lower indices")
-        if not all(cmath.isfinite(g) for plane in gamma for row in plane for g in row):
-            raise ShapeError("gamma entries must be finite")
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumericConnection is immutable")
-
-    @property
-    def dim(self):
-        return len(self.gamma)
-
-    @classmethod
-    def from_connection(cls, conn, assignment) -> "NumericConnection":
-        """Evaluate a symbolic connection exactly, then convert to complex.
-
-        The assignment must bind every symbol the table mentions, so the
-        result is constant-coefficient by construction.
-        """
-        point = {sym: as_gaussian(v) for sym, v in assignment.items()}
-        gamma = [[[0j] * conn.dim for _ in conn.coords] for _ in conn.coords]
-        for (k, i, j), e in conn.table.items():
-            gamma[k][i][j] = complex(e.evaluate(point))
-        return cls(gamma)
 
 
 class GeodesicPath:
@@ -141,9 +105,10 @@ def _fill(path, *samples) -> GeodesicPath:
     return path
 
 
-def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> GeodesicPath:
+def integrate(conn: Connection, x0, v0, step: float, count: int) -> GeodesicPath:
     """Classical fixed-step RK4 over the horizon step * count (<= MAX_HORIZON)
-    in at most MAX_STEPS steps."""
+    in at most MAX_STEPS steps.  EvalError where a table entry mentions a
+    symbol, RangeError where one is beyond the float range."""
     if not 0 < step < math.inf:
         raise ShapeError("step must be a positive finite number")
     if count < 1:
@@ -154,13 +119,13 @@ def integrate(c: NumericConnection, x0, v0, step: float, count: int) -> Geodesic
         raise ShapeError(f"horizon step * count exceeds the bound of {MAX_HORIZON}")
     x = [complex(z) for z in x0]
     v = [complex(z) for z in v0]
-    if len(x) != c.dim or len(v) != c.dim:
+    if len(x) != conn.dim or len(v) != conn.dim:
         raise ShapeError("initial state does not match the dimension")
-    # the nonzero G^k_ij of each row k, in the i-then-j order einsum sums them
-    rows = [
-        [(g, i, j) for i, plane in enumerate(table) for j, g in enumerate(plane) if g]
-        for table in c.gamma
-    ]
+    # the G^k_ij of each row k nonzero as complex, in the i-then-j order einsum sums them
+    rows = [[] for _ in range(conn.dim)]
+    for (k, i, j), e in conn.table.items():
+        if g := complex(e.evaluate({})):
+            rows[k].append((g, i, j))
 
     def acceleration(w):
         out = []

@@ -3,7 +3,9 @@
 A spec is a header of `key = value` lines followed by a `[gamma]` section of
 `k.i.j = expression` lines, where k, i, j are coordinate names and the
 expression grammar is the one of the parser module.  Blank lines and
-`#` comments are skipped.  Example:
+`#` comments are skipped.  `to_connection` resolves each key to indices
+and parses its expression, where an error names the entry's line, and
+builds the connection with `from_table`.  Example:
 
     title = constant family
     dim = 3
@@ -16,7 +18,7 @@ expression grammar is the one of the parser module.  Blank lines and
 
 from __future__ import annotations
 
-from .connection import Connection, from_named_table
+from .connection import Connection, from_table
 from .errors import EngineError, ParseError, SpecFileError
 from .parser import parse_expr
 from .poly import DiffPoly
@@ -55,13 +57,20 @@ class ConnectionSpec:
                 f"dim = {self.dim} but {len(self.coords)} coordinates declared",
                 filename,
             )
-        entries: dict[str, DiffPoly] = {}
+        index = {name: pos for pos, name in enumerate(self.coords)}
+        entries: dict[tuple, DiffPoly] = {}
         try:
             table = self.symbol_table()
             coords = [table.lookup(name) for name in self.coords]
             for key, text in self.gamma.items():
-                entries[key] = parse_expr(text, table)
-            return from_named_table(coords, entries)
+                indices = tuple(index.get(name) for name in key.split("."))
+                if None in indices:
+                    raise SpecFileError(f"unknown coordinate in gamma key {key!r}",
+                                        filename, self.gamma_lines.get(key))
+                entries[indices] = parse_expr(text, table)
+            return from_table(coords, entries)
+        except SpecFileError:
+            raise
         except ParseError as exc:  # raised only by parse_expr, so key names the entry
             raise SpecFileError(
                 f"in gamma entry {key!r}: {exc}",

@@ -367,9 +367,20 @@ def restrict(conn, names) -> Connection:
     return from_table([conn.coords[pos] for pos in kept], entries)
 
 
+def exact_connection(gamma) -> Connection:
+    """The exact connection of a complex n x n x n array symmetric in its lower
+    indices, on coordinates x0..x(n-1).  Each float part becomes the Fraction
+    it equals, so every entry converts back to the same complex number."""
+    gamma = np.asarray(gamma, dtype=complex)
+    entries = {idx: GaussianRational(Fraction(g.real), Fraction(g.imag))
+               for idx, g in np.ndenumerate(gamma) if g}
+    return from_table(coords_named(*(f"x{k}" for k in range(len(gamma)))), entries)
+
+
 def naive_integrate(c, x0, v0, step, count) -> GeodesicPath:
     """Reference RK4: the step written with numpy array operations and einsum
-    on the full Christoffel array, zero entries included."""
+    on the full Christoffel array of the constant connection c, zero entries
+    included, each entry read from the dense view `gamma` by `evaluate`."""
     if step <= 0:
         raise ShapeError("step must be positive")
     if count < 1:
@@ -380,7 +391,8 @@ def naive_integrate(c, x0, v0, step, count) -> GeodesicPath:
     v = np.asarray(v0, dtype=complex)
     if x.shape != (c.dim,) or v.shape != (c.dim,):
         raise ShapeError("initial state does not match the dimension")
-    gamma = np.array(c.gamma, dtype=complex)
+    gamma = np.array([[[complex(g.evaluate({})) for g in row] for row in plane]
+                      for plane in c.gamma], dtype=complex)
 
     def acceleration(w):
         return -np.einsum("kij,i,j->k", gamma, w, w)

@@ -23,7 +23,7 @@ from projconn.families import (
     torus3,
     transported_values,
 )
-from projconn.geodesic import NumericConnection, integrate, unparametrized_match
+from projconn.geodesic import integrate, unparametrized_match
 from projconn.poly import as_poly
 from projconn.projective import (
     divergence,
@@ -260,16 +260,16 @@ def test_criterion_11_geodesic_cross_check():
         D=Fraction(-1, 5),
         E=Fraction(1, 2),
     )
-    probe_conn = NumericConnection.from_connection(torus3(**sample), {})
-    reference_conn = NumericConnection.from_connection(torus3(**dict(sample, E=0)), {})
+    probe_conn = torus3(**sample)
+    reference_conn = torus3(**dict(sample, E=0))
     x0 = np.zeros(3)
     v0 = np.ones(3)
     p = integrate(probe_conn, x0, v0, 1e-3, 300)
     q = integrate(reference_conn, x0, v0, 1e-3, 600)
     equivalent_dev = unparametrized_match(p, q)
     ok = equivalent_dev < 1e-6
-    control = NumericConnection.from_connection(torus3(0, 0, 1, 0, 0), {})
-    flat = NumericConnection(np.zeros((3, 3, 3)))
+    control = torus3(0, 0, 1, 0, 0)
+    flat = torus3(0, 0, 0, 0, 0)
     p2 = integrate(control, x0, v0, 1e-3, 300)
     q2 = integrate(flat, x0, v0, 1e-3, 600)
     control_dev = unparametrized_match(p2, q2)

@@ -10,7 +10,6 @@ import golden
 from projconn.connection import (
     Connection,
     curvature,
-    from_named_table,
     from_table,
     lie_derivative,
     ricci,
@@ -20,6 +19,7 @@ from projconn.connection import (
 from projconn.errors import ConstructionError, DegreeError, DimensionError
 from projconn.families import kuga_shimura, torus3, torus_n
 from projconn.projective import with_one_form
+from projconn.specfile import parse_spec
 from projconn.poly import MAX_DEGREE, ZERO_POLY, as_poly
 from projconn.symbols import function, parameter
 from projconn.tensor import DOWN, Tensor, UP, contract
@@ -103,7 +103,9 @@ class TestConstruction:
     def test_named_single_entry(self):
         coords = coords_named("tau", "z1", "z2")
         A = parameter("A")
-        conn = from_named_table(coords, {"z1.tau.tau": A})
+        conn = parse_spec("dim = 3\ncoords = tau, z1, z2\nparams = A\n[gamma]\n"
+                          "z1.tau.tau = A\n").to_connection()
+        assert conn.coords == coords
         assert conn.gamma[1][0][0] == as_poly(A)
         nonzero = list(conn.nonzero_entries())
         assert nonzero == [((1, 0, 0), as_poly(A))]
@@ -119,7 +121,8 @@ class TestConstruction:
         built = [
             from_table(coords, {(2, 0, 1): A, (1, 1, 1): 3}),
             from_table(coords, {(2, 1, 0): A, (1, 1, 1): 3}),
-            from_named_table(coords, {"z.y.x": A, "y.y.y": 3}),
+            parse_spec("dim = 3\ncoords = x, y, z\nparams = A\n[gamma]\n"
+                       "z.y.x = A\ny.y.y = 3\n").to_connection(),
         ]
         assert built[0] == built[1] == built[2]
         assert len({hash(c) for c in built}) == 1

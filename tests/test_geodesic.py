@@ -9,15 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from projconn.errors import DivergenceError, RangeError, ShapeError
+from projconn.errors import DivergenceError, EvalError, RangeError, ShapeError
 from projconn.families import torus3
-from projconn.geodesic import (
-    GeodesicPath,
-    NumericConnection,
-    integrate,
-    unparametrized_match,
-    write_csv,
-)
+from projconn.geodesic import GeodesicPath, integrate, unparametrized_match, write_csv
+
+from helpers import exact_connection
 
 
 def random_path(count, seed):
@@ -25,11 +21,6 @@ def random_path(count, seed):
     rng = np.random.default_rng(seed)
     positions = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
     return GeodesicPath(np.arange(count, dtype=float), positions, np.zeros((count, 3), complex))
-
-
-def numeric_torus(A, B, C, D, E):
-    conn = torus3(A, B, C, D, E)
-    return NumericConnection.from_connection(conn, {})
 
 
 SAMPLE = dict(
@@ -43,7 +34,7 @@ SAMPLE = dict(
 
 class TestIntegrate:
     def test_flat_straight_line_to_roundoff(self):
-        c = NumericConnection(np.zeros((3, 3, 3)))
+        c = exact_connection(np.zeros((3, 3, 3)))
         path = integrate(c, np.zeros(3), np.array([1.0, 0, 0]), 1e-2, 100)
         for t, x in zip(path.times, path.positions):
             assert abs(x[0] - t) < 1e-12
@@ -51,14 +42,14 @@ class TestIntegrate:
 
     def test_dim1_closed_form(self):
         # x'' = -x'^2 with x(0)=0, x'(0)=1 solves to x(t) = log(1 + t)
-        c = NumericConnection(np.ones((1, 1, 1)))
+        c = exact_connection(np.ones((1, 1, 1)))
         path = integrate(c, np.zeros(1), np.ones(1), 1e-3, 500)
         exact = math.log(1.5)
         rel = abs(path.positions[-1][0] - exact) / exact
         assert rel < 1e-8
 
     def test_fourth_order_convergence(self):
-        c = NumericConnection(np.ones((1, 1, 1)))
+        c = exact_connection(np.ones((1, 1, 1)))
 
         def max_error(step, count):
             path = integrate(c, np.zeros(1), np.ones(1), step, count)
@@ -73,31 +64,25 @@ class TestIntegrate:
         assert 10 < ratio < 24, f"expected ~16x error reduction, got {ratio:.2f}"
 
     def test_horizon_bound(self):
-        c = NumericConnection(np.zeros((2, 2, 2)))
+        c = exact_connection(np.zeros((2, 2, 2)))
         with pytest.raises(ShapeError):
             integrate(c, np.zeros(2), np.ones(2), 1.0, 11)
 
     def test_divergence_reported_with_last_time(self):
-        c = NumericConnection(np.ones((1, 1, 1)) * -1)
+        c = exact_connection(np.ones((1, 1, 1)) * -1)
         with pytest.raises(DivergenceError) as err:
             integrate(c, np.zeros(1), np.array([1e160]), 1e-2, 100)
         assert err.value.last_time >= 0.0
 
-    def test_from_symbolic_connection(self):
-        numeric = NumericConnection.from_connection(
-            torus3(**{k: v for k, v in SAMPLE.items()}), {}
-        )
-        assert numeric.gamma[0][0][0] == complex(Fraction(1, 2))
-        assert numeric.gamma[0][0][1] == complex(Fraction(1, 8))
+    def test_symbolic_table_is_refused(self):
+        # the CLI refuses an unbound table first; the library call still ends in an EngineError
+        with pytest.raises(EvalError, match="unbound symbol"):
+            integrate(torus3(**dict(SAMPLE, E=None)), np.zeros(3), np.ones(3), 1e-2, 5)
 
-    def test_tables_are_checked(self):
-        assert NumericConnection(np.ones((2, 2, 2))).gamma == [[[1 + 0j] * 2] * 2] * 2
-        with pytest.raises(ShapeError, match="n x n x n"):
-            NumericConnection([[[0, 0], [0, 0]]])
-        with pytest.raises(ShapeError, match="symmetric"):
-            NumericConnection([[[0, 1], [2, 0]], [[0, 0], [0, 0]]])
-        with pytest.raises(ShapeError, match="finite"):
-            NumericConnection([[[math.inf]]])
+    def test_table_beyond_float_range_is_refused(self):
+        beyond = Fraction(2**1024 - 1)
+        with pytest.raises(RangeError, match="too large for floating point"):
+            integrate(torus3(**dict(SAMPLE, A=beyond)), np.zeros(3), np.ones(3), 1e-2, 5)
 
     def test_samples_are_checked(self):
         with pytest.raises(ShapeError, match="share a dimension"):
@@ -110,26 +95,26 @@ class TestIntegrate:
 
 class TestMatch:
     def test_identical_paths(self):
-        c = numeric_torus(**SAMPLE)
+        c = torus3(**SAMPLE)
         p = integrate(c, np.zeros(3), np.ones(3), 1e-3, 300)
         assert unparametrized_match(p, p) == 0.0
 
     def test_equivalent_pair_shares_trace(self):
-        probe = numeric_torus(**SAMPLE)
-        reference = numeric_torus(**dict(SAMPLE, E=0))
+        probe = torus3(**SAMPLE)
+        reference = torus3(**dict(SAMPLE, E=0))
         p = integrate(probe, np.zeros(3), np.ones(3), 1e-3, 300)
         q = integrate(reference, np.zeros(3), np.ones(3), 1e-3, 600)
         assert unparametrized_match(p, q) < 1e-6
 
     def test_control_pair_diverges(self):
-        probe = numeric_torus(0, 0, 1, 0, 0)
-        flat = NumericConnection(np.zeros((3, 3, 3)))
+        probe = torus3(0, 0, 1, 0, 0)
+        flat = exact_connection(np.zeros((3, 3, 3)))
         p = integrate(probe, np.zeros(3), np.ones(3), 1e-3, 300)
         q = integrate(flat, np.zeros(3), np.ones(3), 1e-3, 600)
         assert unparametrized_match(p, q) > 1e-2
 
     def test_time_reversal_retraces(self):
-        c = numeric_torus(**SAMPLE)
+        c = torus3(**SAMPLE)
         p = integrate(c, np.zeros(3), np.ones(3), 1e-3, 300)
         q = integrate(c, p.positions[-1], [-z for z in p.velocities[-1]], 1e-3, 300)
         assert unparametrized_match(q, p) < 1e-6
@@ -157,8 +142,8 @@ class TestMatch:
                             jtheta[k, i, j] += complex(theta_values[i])
                         if k == i:
                             jtheta[k, i, j] += complex(theta_values[j])
-            probe = NumericConnection(gamma + jtheta)
-            reference = NumericConnection(gamma)
+            probe = exact_connection(gamma + jtheta)
+            reference = exact_connection(gamma)
             p = integrate(probe, np.zeros(3), np.ones(3), 1e-3, 300)
             q = integrate(reference, np.zeros(3), np.ones(3), 1e-3, 600)
             assert unparametrized_match(p, q) < 1e-6
@@ -200,7 +185,7 @@ class TestMatch:
         empty = GeodesicPath(
             np.zeros(0), np.zeros((0, 2), complex), np.zeros((0, 2), complex)
         )
-        c = NumericConnection(np.zeros((2, 2, 2)))
+        c = exact_connection(np.zeros((2, 2, 2)))
         p = integrate(c, np.zeros(2), np.ones(2), 1e-2, 10)
         with pytest.raises(ShapeError):
             unparametrized_match(p, empty)
@@ -208,7 +193,7 @@ class TestMatch:
 
 class TestCsv:
     def test_dump_columns_and_rows(self):
-        c = numeric_torus(**SAMPLE)
+        c = torus3(**SAMPLE)
         path = integrate(c, np.zeros(3), np.ones(3), 1e-2, 5)
         buffer = io.StringIO()
         write_csv(buffer, path, ["tau", "z1", "z2"])

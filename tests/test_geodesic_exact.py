@@ -14,9 +14,9 @@ import pytest
 
 from projconn.errors import DivergenceError, RangeError
 from projconn.families import torus3
-from projconn.geodesic import GeodesicPath, NumericConnection, integrate, unparametrized_match
+from projconn.geodesic import GeodesicPath, integrate, unparametrized_match
 
-from helpers import naive_integrate, naive_match
+from helpers import exact_connection, naive_integrate, naive_match
 
 README_PARAMS = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(-1, 5))
 
@@ -68,8 +68,8 @@ def cloud(count, dim, seed, scale=1.0, walk=False):
 
 
 def readme_pair(x0=(0, 0, 0), step=1e-3, count=300):
-    probe = NumericConnection.from_connection(torus3(*README_PARAMS, Fraction(1, 2)), {})
-    reference = NumericConnection.from_connection(torus3(*README_PARAMS, 0), {})
+    probe = torus3(*README_PARAMS, Fraction(1, 2))
+    reference = torus3(*README_PARAMS, 0)
     p = integrate(probe, x0, np.ones(3), step, count)
     q = integrate(reference, x0, np.ones(3), step, 2 * count)
     return p, q
@@ -86,7 +86,7 @@ class TestIntegrateOracle:
         diverged = 0
         for _ in range(20):
             real = rng.random() < 0.4
-            c = NumericConnection(rand_gamma(rng, dim, real))
+            c = exact_connection(rand_gamma(rng, dim, real))
             x0 = [rand_complex(rng, real, 1.0) if rng.random() < 0.5 else 0j for _ in range(dim)]
             v0 = [rand_complex(rng, real, 3.0) for _ in range(dim)]
             step, count = rng.choice([1e-3, 1e-2, 5e-2]), rng.randint(1, 80)
@@ -102,12 +102,12 @@ class TestIntegrateOracle:
     def test_readme_paths_bit_identical(self):
         p, q = readme_pair()
         for path, e, count in ((p, Fraction(1, 2), 300), (q, 0, 600)):
-            c = NumericConnection.from_connection(torus3(*README_PARAMS, e), {})
+            c = torus3(*README_PARAMS, e)
             assert same_bytes(path, naive_integrate(c, np.zeros(3), np.ones(3), 1e-3, count))
 
     @pytest.mark.parametrize("speed", [1e100, 1e154, 1e160])
     def test_divergence_time_matches(self, speed):
-        c = NumericConnection(-np.ones((1, 1, 1)))
+        c = exact_connection(-np.ones((1, 1, 1)))
         ours = outcome(integrate, c, [0], [speed], 1e-2, 100)
         assert isinstance(ours, str)
         assert ours == outcome(naive_integrate, c, [0], [speed], 1e-2, 100)
@@ -118,8 +118,8 @@ class TestMatchOracle:
         p, q = readme_pair()
         assert unparametrized_match(p, q) == naive_match(p, q)
         assert unparametrized_match(q, p) == naive_match(q, p)
-        control = NumericConnection.from_connection(torus3(0, 0, 1, 0, 0), {})
-        flat = NumericConnection(np.zeros((3, 3, 3)))
+        control = torus3(0, 0, 1, 0, 0)
+        flat = exact_connection(np.zeros((3, 3, 3)))
         a = integrate(control, np.zeros(3), np.ones(3), 1e-3, 300)
         b = integrate(flat, np.zeros(3), np.ones(3), 1e-3, 600)
         assert unparametrized_match(a, b) == naive_match(a, b)
@@ -140,6 +140,15 @@ class TestMatchOracle:
         for trial in range(8):
             p = cloud(rng.randint(1, 80), dim, 2 * trial, walk=trial % 2 == 1)
             q = cloud(rng.randint(2, 120), dim, 2 * trial + 1, walk=trial % 2 == 1)
+            assert unparametrized_match(p, q) == naive_match(p, q)
+
+    @pytest.mark.parametrize("dim", range(65, 71))
+    def test_widest_clouds(self, dim):
+        # widths 130-140: numpy sums by halves above 128 terms
+        rng = random.Random(7400 + dim)
+        for trial in range(3):
+            p = cloud(rng.randint(1, 30), dim, 2 * trial, walk=trial % 2 == 1)
+            q = cloud(rng.randint(2, 40), dim, 2 * trial + 1, walk=trial % 2 == 1)
             assert unparametrized_match(p, q) == naive_match(p, q)
 
     def test_reversed_traces(self):

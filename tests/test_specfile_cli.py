@@ -19,7 +19,7 @@ from projconn.cli import _tensor_lines, main
 from projconn.connection import curvature, ricci
 from projconn.errors import SpecFileError
 from projconn.families import torus3
-from projconn.geodesic import NumericConnection, write_csv
+from projconn.geodesic import write_csv
 from projconn.specfile import (
     load_spec,
     parse_spec,
@@ -93,6 +93,13 @@ class TestSpecFile:
         assert "byte offset" in str(err.value)
         assert "bad.conn" in str(err.value)
 
+    def test_unknown_coordinate_in_key_names_its_line_once(self):
+        text = "dim = 2\ncoords = x, y\n[gamma]\nx.x.y = 1\nx.q.y = 1\n"
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(text, filename="bad.conn").to_connection(filename="bad.conn")
+        assert err.value.line == 5
+        assert str(err.value) == "bad.conn:5: unknown coordinate in gamma key 'x.q.y'"
+
     def test_conflicting_symmetric_entries(self):
         text = "dim = 2\ncoords = x, y\n[gamma]\nx.x.y = 1\nx.y.x = 2\n"
         with pytest.raises(SpecFileError):
@@ -119,7 +126,7 @@ class TestSpecFile:
         def broken(coords, entries):
             raise TypeError("a bug, not bad input")
 
-        monkeypatch.setattr(specfile, "from_named_table", broken)
+        monkeypatch.setattr(specfile, "from_table", broken)
         with pytest.raises(TypeError):
             parse_spec(TORUS_SPEC).to_connection()
 
@@ -168,6 +175,10 @@ def control_and_flat(tmp_path, capsys):
         paths.append(str(path))
     return paths
 
+
+PLANE = "dim = 2\ncoords = x, y\n"  # the header of a two-coordinate spec
+F_ENTRY = PLANE + "functions = f(x)\n[gamma]\nx.x.x = "  # line 5 is the entry
+AT_5 = "{spec}:5: in gamma entry 'x.x.x': "
 
 # 2^1024 - 1: within the parser's 1,024-bit budget, beyond the float range
 BEYOND_FLOAT = "(2^63" + "*2^64" * 15 + " - 1)*2 + 1"
@@ -394,6 +405,47 @@ class TestCli:
             assert code == 2
             assert out == ""
             assert f"error: {path}: {message}\n" in err
+
+    @pytest.mark.parametrize("text, command, message", [
+        (PLANE + "[gamma]\nx.x.x = 1\n[gamma]\n", "ricci", "{spec}:5: duplicate [gamma] section"),
+        (PLANE + "[gama]\n", "ricci", "{spec}:3: unknown section '[gama]'"),
+        (PLANE + "dim = 2\n[gamma]\n", "ricci", "{spec}:3: duplicate header key 'dim'"),
+        ("dim = 2\n[gamma]\n", "ricci", "{spec}: missing required header key 'coords'"),
+        ("dim = two\ncoords = x, y\n[gamma]\n", "ricci",
+         "{spec}: dim must be an integer, got 'two'"),
+        (PLANE + "functions = f x\n[gamma]\n", "ricci",
+         "{spec}:3: function declaration 'f x' must look like name(coord, ...)"),
+        (PLANE + "functions = f()\n[gamma]\n", "ricci",
+         "{spec}:3: bad function declaration 'f()'"),
+        (F_ENTRY + "d(1, x)\n", "ricci", AT_5 + "expected a function name (byte offset 2)"),
+        (F_ENTRY + "d(g, x)\n", "ricci", AT_5 + "undeclared identifier 'g' (byte offset 2)"),
+        (PLANE + "params = A\n[gamma]\nx.x.x = d(A, x)\n", "ricci",
+         AT_5 + "'A' is not a function symbol (byte offset 2)"),
+        (PLANE + "params = A\nfunctions = f(x)\n[gamma]\nx.x.x = d(f, A)\n", "ricci",
+         "{spec}:6: in gamma entry 'x.x.x': 'A' is not a declared coordinate (byte offset 5)"),
+        (F_ENTRY + "d(f, y)\n", "ricci", AT_5 + "'f' does not depend on 'y' (byte offset 5)"),
+        (F_ENTRY + "d(f)\n", "ricci",
+         AT_5 + "derivative needs at least one coordinate (byte offset 0)"),
+        (F_ENTRY + "d(f x)\n", "ricci", AT_5 + "expected ',' or ')' (byte offset 4)"),
+        (F_ENTRY + "d2(f, x)\n", "ricci",
+         AT_5 + "marker 'd2' expects 2 coordinates, got 1 (byte offset 0)"),
+        (TORUS_SPEC, "geodesic",
+         "--at must bind every symbol in the tables; missing A, B, C, D, E"),
+    ], ids=["duplicate-gamma", "unknown-section", "duplicate-header-key", "missing-coords",
+            "dim-not-integer", "function-without-parentheses", "function-without-coordinates",
+            "derivative-of-constant", "derivative-of-undeclared", "derivative-of-parameter",
+            "derivative-by-parameter", "derivative-by-independent", "derivative-without-coordinate",
+            "derivative-without-comma", "derivative-count-mismatch", "geodesic-without-at"])
+    def test_reachable_checks_are_exit_2(self, capsys, tmp_path, text, command, message):
+        path = tmp_path / "case.conn"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, str(path)]
+        if command == "geodesic":
+            argv += ["--x0", "0,0,0", "--v0", "1,1,1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message.format(spec=path)}\n"
 
     def test_sweep_grid_bound(self, capsys, torus_file):
         code, out, err = run_cli(capsys, "conditions", torus_file,
@@ -760,8 +812,7 @@ def test_readme_corpus_without_numpy(tmp_path):
     done = run_python(NUMPY_FREE_CORPUS, json.dumps(commands), timeout=120, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout == README_CORPUS.read_text(encoding="utf-8")
-    c = NumericConnection.from_connection(torus3(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4),
-                                                 Fraction(-1, 5), Fraction(1, 2)), {})
+    c = torus3(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(-1, 5), Fraction(1, 2))
     expected = io.StringIO()
     write_csv(expected, naive_integrate(c, [0, 0, 0], [1, 1, 1], 1e-3, 300), ["tau", "z1", "z2"])
     assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == expected.getvalue()

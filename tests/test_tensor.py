@@ -19,7 +19,7 @@ from projconn.families import (
     torus_n,
     transported_values,
 )
-from projconn.geodesic import NumericConnection
+from projconn.geodesic import integrate
 from projconn.projective import (
     flatness_conditions,
     is_projectively_flat,
@@ -38,7 +38,7 @@ from projconn.tensor import (
     tensor_to_json,
 )
 
-from helpers import rand_poly
+from helpers import naive_integrate, rand_poly
 
 
 def naive_contract(t, up, down):
@@ -237,7 +237,10 @@ def test_kernels_never_read_the_dense_view(monkeypatch, capsys):
     """Curvature, contraction, normalization, equivalence and the Weyl tensor
     work on the stored entries: only 40 of the 12^4 curvature entries of
     torus_n(12) are nonzero, and no step builds the other 20,696.  The CLI
-    reports, the numeric table and the pullback check walk Tensor.items()."""
+    reports, the geodesic integration and the pullback check walk Tensor.items()."""
+    constant = torus3(*range(1, 6))
+    expected = naive_integrate(constant, [0] * 3, [1] * 3, 1e-2, 10)  # reads the dense view
+
     def dense(self):
         raise AssertionError("a kernel read Tensor.entries")
 
@@ -263,9 +266,8 @@ def test_kernels_never_read_the_dense_view(monkeypatch, capsys):
     assert "(dim 12," in out and "R(tau,z1)z1 = (1/4*C^2) d_tau + (-1/4*C*E) d_z1\n" in out
     assert reads == []  # the report reads no entry by index
 
-    numeric = NumericConnection.from_connection(t3, dict(zip(map(parameter, "ABCDE"), range(1, 6))))
-    assert numeric.gamma[1][0][0] == 1 and numeric.gamma[0][0][1] == numeric.gamma[0][1][0] == 1.5
-    assert numeric.gamma[0][1][1] == 0
+    path = integrate(constant, [0] * 3, [1] * 3, 1e-2, 10)
+    assert path.positions == expected.positions and path.velocities == expected.velocities
 
     g = GroupElement(0, -1, 1, 0, 1, 2, 3, 4)
     points = orbit_safe_points(g, 3, random.Random(5))
