@@ -22,13 +22,14 @@ symmetric.  `curvature` evaluates R as S^l_{ijk} - S^l_{jik} with
 in one pass over the nonzero Christoffel entries, so every derivative and
 every product is formed once and an empty entry costs nothing.  Each term of
 S goes straight into the accumulator of R^l_{ijk} (with +) or of R^l_{jik}
-(with -), whichever has its first two lower indices ascending (see the
-accumulators in `poly`); `curvature` settles each once into R^l_{ijk} and
-R^l_{jik} = -R^l_{ijk}.  `weyl3`, the Weyl projective tensor for any n >= 3
-in its TrR form, never settles R: it sums TrR, P and each W^l_{ijk}, i < j,
-from the R accumulators and settles only W; the tests check it against the
-Ricci-only form.  Curvature, Ricci, Weyl and Lie derivatives are `Tensor`s,
-and a vector field is a `Tensor` of variance (up,).
+(with -), whichever has its first two lower indices ascending, by a plan of
+n^3 target lists cached per dimension (see the accumulators in `poly`);
+`curvature` settles each once into R^l_{ijk} and R^l_{jik} = -R^l_{ijk}.
+`weyl3`, the Weyl projective tensor for any n >= 3 in its TrR form, never
+settles R: it sums TrR, P and each W^l_{ijk}, i < j, from the R accumulators
+and settles only W; the tests check it against the Ricci-only form.
+Curvature, Ricci, Weyl and Lie derivatives are `Tensor`s, and a vector field
+is a `Tensor` of variance (up,).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import combinations, product
 from .errors import ConstructionError, DimensionError, ShapeError
 from .poly import _accumulate, _accumulate_product, _accumulate_sum, _settle, as_poly, symbols_of
 from .symbols import COORDINATE, FUNCTION, PARAMETER
-from .tensor import DOWN, Tensor, UP, contract, symmetry_check
+from .tensor import DOWN, Tensor, UP, _flat, contract, symmetry_check
 
 
 FIELD = (UP, DOWN, DOWN)
@@ -126,43 +127,48 @@ def from_table(coords, entries) -> Connection:
     coords = tuple(coords)
     n = len(coords)
     table = {}  # flat offset -> value; Tensor drops the zero ones
+    indices = range(n)
     for (k, i, j), value in entries.items():
-        if not {k, i, j} <= set(range(n)):
+        if k not in indices or i not in indices or j not in indices:
             raise ConstructionError(f"index ({k}, {i}, {j}) outside range({n})")
         value = as_poly(value)
-        for a, b in ((i, j), (j, i)):
-            flat = (k * n + a) * n + b
-            if table.get(flat, value) != value:
+        for flat in ((k * n + i) * n + j, (k * n + j) * n + i):
+            held = table.setdefault(flat, value)
+            if held is not value and held != value:
                 raise ConstructionError(
                     f"conflicting symmetric entries for ({k}, {i}, {j})"
                 )
-            table[flat] = value
     return Connection(coords, Tensor(n, FIELD, table))
 
 
+@lru_cache(maxsize=MAX_DIM)  # one plan per dimension, n^3 entries
+def _curvature_targets(n) -> tuple:
+    """plan[(i n + j) n + k]: the (offset, sign) pairs, offset that of R^0_{abc} to be
+    raised by l n^3, that a term of S^l_{ijk} adds to.  It is a term of S^l_{ikj}
+    too, as G^m_{jk} = G^m_{kj}; S^l_{iab} adds to R^l_{iab} when i < a, subtracts
+    from R^l_{aib} when a < i, and drops out when a == i."""
+    plan = []
+    for i, j, k in product(range(n), repeat=3):
+        pairs = ((j, k), (k, j)) if j != k else ((j, k),)
+        plan.append(tuple(((i * n + a) * n + b, 1) if i < a else ((a * n + i) * n + b, -1)
+                          for a, b in pairs if a != i))
+    return tuple(plan)
+
+
 def _curvature_accumulators(c: Connection) -> dict:
-    """The unsettled accumulator of each R^l_{ijk} with i < j, in a defaultdict keyed (l, i, j, k)."""
+    """The unsettled accumulator of each R^l_{ijk}, i < j, in a defaultdict keyed by offset."""
     n = c.dim
     coords = c.coords
+    plan = _curvature_targets(n)
     # rows[m]: the nonzero G^m_{jk} with j <= k
     rows = [[] for _ in range(n)]
-    for (m, j, k), g in c.nonzero_entries():
-        rows[m].append((j, k, g))
+    for f, g in c.table._stored.items():
+        m, j, k = f // (n * n), f // n % n, f % n
+        if j <= k:
+            rows[m].append((j, k, g))
     acc = defaultdict(dict)
-
-    def targets(l, i, j, k):
-        # a term of S^l_{ijk} is one of S^l_{ikj} too, as G^m_{jk} = G^m_{kj};
-        # S^l_{iab} adds to R^l_{iab} when i < a, subtracts from R^l_{aib}
-        # when a < i, and drops out when a == i
-        out = []
-        for a, b in ((j, k), (k, j)) if j != k else ((j, k),):
-            if i < a:
-                out.append((acc[l, i, a, b], 1))
-            elif a < i:
-                out.append((acc[l, a, i, b], -1))
-        return out
-
     for l, row in enumerate(rows):
+        base, lists = l * n**3, {}  # lists: f -> the accumulators, with signs, of plan[f]
         for j, k, g in row:
             # d_i g vanishes unless g mentions x_i or a function of x_i
             reach = {name for sym in g.symbols() if sym.kind != PARAMETER
@@ -170,24 +176,27 @@ def _curvature_accumulators(c: Connection) -> dict:
             for i, x in enumerate(coords):
                 if x.name in reach:
                     d = g.diff(x)
-                    for target, sign in targets(l, i, j, k):
-                        _accumulate(target, d, sign)
+                    for r, sign in plan[(i * n + j) * n + k]:
+                        _accumulate(acc[base + r], d, sign)
         for a, b, g in row:
             for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
                 for j, k, h in rows[m]:
-                    _accumulate_product(targets(l, i, j, k), g, h)
+                    f = (i * n + j) * n + k
+                    targets = lists.get(f)
+                    if targets is None:
+                        targets = lists[f] = [(acc[base + r], sign) for r, sign in plan[f]]
+                    _accumulate_product(targets, g, h)
     return acc
 
 
 def _settled(n, acc) -> Tensor:
-    """The tensor with entry (l, i, j, k) settled from acc[l, i, j, k], i < j, and
-    entry (l, j, i, k) its negation; keys of another length are skipped."""
+    """The tensor with entry (l, i, j, k), i < j, settled from acc at its flat offset
+    and entry (l, j, i, k) its negation; keys that are not ints are skipped."""
     entries = {}  # flat offset -> entry; Tensor drops the zero ones
-    for key, terms in acc.items():
-        if terms and len(key) == 4:
-            l, i, j, k = key
-            f, g = ((l * n + i) * n + j) * n + k, ((l * n + j) * n + i) * n + k
-            entries[f], entries[g] = _settle(terms)
+    for f, terms in acc.items():
+        if terms and type(f) is int:
+            i, j = f // (n * n) % n, f // n % n
+            entries[f], entries[f + (j - i) * (n * n - n)] = _settle(terms)
     return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
@@ -210,15 +219,15 @@ def trace_r(c: Connection) -> Tensor:
 def _weyl_corrections(n) -> tuple:
     """Steps (target, addends) over accumulator keys that turn R into W, an addend
     (source, num, den) adding num/den times the source: R^l_{ijk}, then W^l_{ijk},
-    sits at (l, i, j, k) with i < j, TrR_{ij} at ("T", i, j) with i < j and
-    P_{jk} = ((n+1) Ricci_{jk} + TrR_{jk})/((n-1)(n+1)) at ("P", j, k)."""
+    sits at the flat offset of (l, i, j, k) with i < j, TrR_{ij} at ("T", i, j)
+    with i < j and P_{jk} = ((n+1) Ricci_{jk} + TrR_{jk})/((n-1)(n+1)) at ("P", j, k)."""
     m = (n - 1) * (n + 1)
     pairs = list(combinations(range(n), 2))
-    steps = [(("T", i, j), [((k, i, j, k), 1, 1) for k in range(n)]) for i, j in pairs]
+    steps = [(("T", i, j), [(_flat(n, (k, i, j, k)), 1, 1) for k in range(n)]) for i, j in pairs]
     for j, k in product(range(n), repeat=2):
         # Ricci_{jk} = sum_i R^i_{ijk}, and R^i_{ijk} = -R^i_{jik}
-        addends = [((i, i, j, k), n + 1, m) if i < j else ((i, j, i, k), -n - 1, m)
-                   for i in range(n) if i != j]
+        addends = [(_flat(n, (i, i, j, k)), n + 1, m) if i < j
+                   else (_flat(n, (i, j, i, k)), -n - 1, m) for i in range(n) if i != j]
         if j != k:
             addends.append((("T", j, k), 1, m) if j < k else (("T", k, j), -1, m))
         steps.append((("P", j, k), addends))
@@ -230,7 +239,7 @@ def _weyl_corrections(n) -> tuple:
         if l == j:
             addends.append((("P", i, k), 1, 1))
         if addends:
-            steps.append(((l, i, j, k), addends))
+            steps.append((_flat(n, (l, i, j, k)), addends))
     return tuple(steps)
 
 

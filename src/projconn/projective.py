@@ -9,17 +9,19 @@ J, and the only candidate witness is theta = div(difference) / (n+1), so
 membership reduces to one exact residual check.  Volume normalization
 picks, inside a projective class, the unique representative whose traces
 sum(GG^k_{ik}) all vanish; on the standard chart that is the connection
-making dz1 ^ ... ^ dzn parallel.
+making dz1 ^ ... ^ dzn parallel.  Each result is read off the stored entries
+by `_trace` and `_shift` (T +- J(theta)), building only the `Tensor` returned.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import defaultdict
+from operator import add, sub
 
 from .connection import FIELD, Connection, weyl3
 from .errors import ShapeError
-from .poly import DiffPoly
-from .tensor import DOWN, Tensor, contract
+from .poly import DiffPoly, ZERO_POLY, _accumulate, _settle
+from .tensor import DOWN, Tensor
 
 
 def OneForm(coords, components) -> Tensor:
@@ -30,46 +32,73 @@ def OneForm(coords, components) -> Tensor:
     return Tensor(len(components), (DOWN,), components)
 
 
+def _entries(t: Tensor, variance, n) -> dict:
+    """The stored entries of t, refused unless t has this variance and dimension n."""
+    if t.variance != variance or t.dim != n:
+        raise ShapeError(f"expected variance {variance}, dim {n}; got {t.variance}, dim {t.dim}")
+    return t._stored
+
+
+def _trace(n, stored, num, den, minus=None) -> dict:
+    """{j: num/den * theta_j} for the nonzero theta_j = sum_k (T - S)^k_{kj}, T and S
+    the stored entries of n-dim fields (S empty if not given), settled once each."""
+    sums = defaultdict(dict)
+    for entries, sign in ((stored, num), (minus or {}, -num)):
+        for f, p in entries.items():
+            q, j = divmod(f, n)
+            if not q % (n + 1):  # f is the offset of (k, k, j)
+                _accumulate(sums[j], p, sign, den)
+    return {j: p for j, terms in sums.items() if (p := _settle(terms)[0])._terms}
+
+
+def _shift(n, stored, theta, op) -> dict:
+    """T + J(theta) (op add) or T - J(theta) (op sub), T the stored entries of an
+    n-dim field and theta those of a one-form; entries that cancel are left out."""
+    out = dict(stored)
+    for m, t in theta.items():
+        for k in range(n):
+            # (k, m, k) and (k, k, m) take theta_m, so (m, m, m) takes it twice
+            for f in ((k * n + m) * n + k, (k * n + k) * n + m):
+                if (s := op(out.get(f, ZERO_POLY), t))._terms:
+                    out[f] = s
+                else:
+                    del out[f]
+    return out
+
+
 def divergence(t: Tensor) -> Tensor:
     """(div T)_j = sum_k T^k_{kj}."""
-    return contract(t, 0, 1)
+    return Tensor(t.dim, (DOWN,), _trace(t.dim, _entries(t, FIELD, t.dim), 1, 1))
 
 
 def inject(f: Tensor) -> Tensor:
     """J(theta)^k_{ij} = theta_i delta^k_j + theta_j delta^k_i."""
-    n = f.dim
-    entries = {}
-    for m, theta in f._stored.items():
-        for k in range(n):
-            # (k, m, k) and (k, k, m) hold theta_m; both are (m, m, m) when k == m
-            entries[(k * n + m) * n + k] = entries[(k * n + k) * n + m] = theta
-        entries[(m * n + m) * n + m] = theta + theta
-    return Tensor(n, FIELD, entries)
+    return Tensor(f.dim, FIELD, _shift(f.dim, {}, _entries(f, (DOWN,), f.dim), add))
 
 
 def trace_free_project(t: Tensor) -> Tensor:
     """Projection onto kernel(div) along image(J); idempotent."""
-    return t - inject(divergence(t) * Fraction(1, t.dim + 1))
+    n, stored = t.dim, _entries(t, FIELD, t.dim)
+    return Tensor(n, FIELD, _shift(n, stored, _trace(n, stored, 1, n + 1), sub))
 
 
 def with_one_form(c: Connection, f: Tensor) -> Connection:
     """The projectively equivalent connection c + J(theta)."""
-    return Connection(c.coords, c.table + inject(f))
+    shifted = _shift(c.dim, c.table._stored, _entries(f, (DOWN,), c.dim), add)
+    return Connection(c.coords, Tensor(c.dim, FIELD, shifted))
 
 
 def projective_equiv(c1: Connection, c2: Connection):
     """Witness one-form theta with c1 = c2 + J(theta), or None.
 
     The candidate is forced: theta = div(c1 - c2)/(n+1); the difference is
-    in the image of J exactly when the residual against J(theta) vanishes.
+    in the image of J exactly when c1 - J(theta) stores what c2 stores.
     """
     if c1.coords != c2.coords:
         raise ShapeError("connections live on different coordinates")
-    diff = c1.table - c2.table
-    theta = divergence(diff) * Fraction(1, diff.dim + 1)
-    if (diff - inject(theta)).is_zero():
-        return theta
-    return None
+    n, s1, s2 = c1.dim, c1.table._stored, c2.table._stored
+    theta = _trace(n, s1, 1, n + 1, s2)
+    return Tensor(n, (DOWN,), theta) if _shift(n, s1, theta, sub) == s2 else None
 
 
 def volume_normalize(c: Connection) -> Connection:
@@ -79,7 +108,9 @@ def volume_normalize(c: Connection) -> Connection:
     standard chart says the coordinate volume form is parallel; applied
     twice it is the identity.
     """
-    return with_one_form(c, divergence(c.table) * Fraction(-1, c.dim + 1))
+    n, stored = c.dim, c.table._stored
+    shifted = _shift(n, stored, _trace(n, stored, -1, n + 1), add)
+    return Connection(c.coords, Tensor(n, FIELD, shifted))
 
 
 def is_projectively_flat(c: Connection) -> bool:

@@ -4,9 +4,9 @@ A tensor stores only its nonzero entries, as a dict from flat row-major
 offset over index tuples in {0..n-1}^arity to a nonzero `DiffPoly`; reports
 and the JSON form use coordinate names instead of numbers.  Every kernel
 (`+`, `-`, `map`, `swap_slots`, `contract`, `symmetry_check`, the JSON form,
-and `curvature`, `weyl3` and `inject` beside them) walks the stored entries
-only, so its cost follows the nonzeros and not n^arity.  Slot moves read
-where each offset goes from a map cached per (dim, arity, slots).
+and `curvature`, `weyl3`, the projective trace and shift) walks the stored
+entries only, so its cost follows the nonzeros and not n^arity.  Slot moves
+read where each offset goes from a map cached per (dim, arity, slots).
 `Tensor.__init__` is the one way a tensor is built: it takes a dense sequence
 of entries or an offset -> entry dict, coerces entries outside the ring and
 drops empty ones, so equal tensors store equal dicts.  Readers outside the

@@ -1,8 +1,8 @@
 """Shared random generators for the property tests, reference oracles for
-the tensor, curvature, Weyl and geodesic kernels, a sympy recomputation of
-curvature, Ricci and the Weyl projective tensor, the Bianchi identity and
-restriction to a coordinate subspace, and a runner for code that must start
-in a fresh interpreter.
+the tensor, curvature, Weyl, projective and geodesic kernels, a sympy
+recomputation of curvature, Ricci and the Weyl projective tensor, the Bianchi
+identity and restriction to a coordinate subspace, and a runner for code that
+must start in a fresh interpreter.
 
 Everything is seeded explicitly by the caller; no global randomness.
 """
@@ -167,6 +167,41 @@ def trr_weyl(conn) -> Tensor:
         return value
 
     return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+
+
+# -- composed projective oracles ------------------------------------------------
+#
+# with_one_form, volume_normalize and projective_equiv as they were composed
+# from whole-tensor steps before each became one walk over stored entries:
+# J(theta) from its defining formula over all n^3 entries, div by contract, and
+# the sums, differences and scalings by the Tensor kernels.
+
+
+def composed_inject(theta) -> Tensor:
+    """J(theta)^k_{ij} = theta_i delta^k_j + theta_j delta^k_i, entry by entry."""
+
+    def entry(idx):
+        k, i, j = idx
+        return (theta[i] if k == j else ZERO_POLY) + (theta[j] if k == i else ZERO_POLY)
+
+    return Tensor.from_function(theta.dim, (UP, DOWN, DOWN), entry)
+
+
+def composed_with_one_form(conn, theta) -> Tensor:
+    """The table of conn + J(theta)."""
+    return conn.table + composed_inject(theta)
+
+
+def composed_volume_normalize(conn) -> Tensor:
+    """The table of the volume-normalized connection, conn - J(div(conn)/(n+1))."""
+    return conn.table - composed_inject(contract(conn.table, 0, 1) * Fraction(1, conn.dim + 1))
+
+
+def composed_projective_equiv(c1, c2):
+    """theta = div(c1 - c2)/(n+1) when c1 - c2 - J(theta) vanishes, else None."""
+    diff = c1.table - c2.table
+    theta = contract(diff, 0, 1) * Fraction(1, diff.dim + 1)
+    return theta if (diff - composed_inject(theta)).is_zero() else None
 
 
 # -- sympy engine -----------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 import golden
 from projconn.connection import (
+    MAX_DIM,
     Connection,
+    _curvature_targets,
     curvature,
     from_table,
     lie_derivative,
@@ -404,6 +406,21 @@ class TestCurvatureOracle:
     @pytest.mark.parametrize("case", list(ORACLE_FAMILIES))
     def test_families(self, case):
         assert_matches_dense_oracle(ORACLE_FAMILIES[case]())
+
+    def test_sparse_table_at_max_dim(self):
+        # the largest target plan: curvature against the dense formula and
+        # weyl3 against the settle-then-correct path, with Gaussian coefficients
+        rng = random.Random(20261019)
+        coords = coords_named(*(f"x{i}" for i in range(MAX_DIM)))
+        conn = rand_torsionfree(rng, coords, [*coords, parameter("A")], fill=0.04)
+        assert len(conn.table._stored) > MAX_DIM
+        assert not assert_matches_dense_oracle(conn).is_zero()
+        assert weyl3(conn) == trr_weyl(conn)
+
+    def test_target_plan_is_cubic(self):
+        # cached for the life of the process, one plan per dimension: n^3 entries, not n^4
+        plan = _curvature_targets(MAX_DIM)
+        assert len(plan) <= MAX_DIM**3 and all(len(targets) <= 2 for targets in plan)
 
 
 def _power_tables(exp, n=None):

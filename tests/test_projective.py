@@ -22,6 +22,7 @@ from projconn.projective import (
     with_one_form,
 )
 from projconn.symbols import coordinate, function, parameter
+from projconn.tensor import UP, Tensor
 
 from helpers import coords_named, rand_one_form, rand_torsionfree, sympy_weyl, to_poly
 
@@ -49,6 +50,11 @@ class TestDivergenceInjection:
 
     def test_tracefree_family_divergence_zero(self):
         assert divergence(kuga_shimura(with_trace=False).table).is_zero()
+
+    def test_vector_field_is_not_injected(self):
+        vector = Tensor(3, (UP,), [as_poly(parameter("A")), 0, 0])
+        with pytest.raises(ShapeError, match=r"expected variance \('down',\)"):
+            inject(vector)
 
 
 class TestProjection:
@@ -131,6 +137,12 @@ class TestEquivalence:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             projective_equiv(torus3(), from_table(coords_named("x", "y"), {}))
+
+    def test_shift_takes_only_a_one_form_on_the_chart(self):
+        A = as_poly(parameter("A"))
+        for theta in (Tensor(3, (UP,), [A, 0, 0]), OneForm(coords_named("x", "y"), [A, 0])):
+            with pytest.raises(ShapeError, match="expected variance"):
+                with_one_form(torus3(), theta)
 
 
     @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ The exact kernel agrees with simple reference models: Q(i) arithmetic with a
 pair of Fractions, equal values with equal hashes and display, DiffPoly with
 the ring axioms and the Leibniz rule, parsing with display, and the sparse
 tensor kernels with their dense oracles; curvature, Ricci and the Weyl
-projective tensor agree with the sympy engine on small random tables, and
-weyl3 with the settle-then-correct path of `helpers.trr_weyl` in dims 3-6.
+projective tensor agree with the sympy engine on small random tables,
+weyl3 with the settle-then-correct path of `helpers.trr_weyl` in dims 3-6, and
+the projective results with their composed forms in `helpers` in dims 3-6.
 """
 
 import contextlib
@@ -22,10 +23,11 @@ from itertools import combinations
 from hypothesis import assume, given, settings, strategies as st
 
 from projconn.cli import main
-from projconn.connection import weyl3
+from projconn.connection import from_table, weyl3
 from projconn.errors import EngineError
 from projconn.parser import parse_expr
 from projconn.poly import DiffPoly, as_poly
+from projconn.projective import OneForm, inject, projective_equiv, volume_normalize, with_one_form
 from projconn.rational import GaussianRational
 from projconn.specfile import parse_spec
 from projconn.symbols import SymbolTable
@@ -33,12 +35,17 @@ from projconn.tensor import DOWN, UP, Tensor, contract, symmetry_check
 
 from helpers import (
     assert_matches_sympy,
+    composed_inject,
+    composed_projective_equiv,
+    composed_volume_normalize,
+    composed_with_one_form,
     coords_named,
     dense_add,
     dense_contract,
     dense_sub,
     dense_swap_slots,
     dense_symmetry_check,
+    rand_one_form,
     rand_torsionfree,
     trr_weyl,
 )
@@ -314,3 +321,38 @@ def test_weyl_matches_settle_then_correct_path(n, seed, fill):
     coords, symbols = _weyl_chart(n)
     conn = rand_torsionfree(random.Random(seed), coords, symbols, fill=fill)
     assert weyl3(conn) == trr_weyl(conn)
+
+
+# -- Projective results against their composed forms ----------------------------
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(3, 6), st.integers(0, 2**32 - 1), st.sampled_from((0.2, 0.4)), st.booleans())
+def test_projective_results_match_composed_forms(n, seed, fill, cancel):
+    # Gaussian coefficients over coordinates, a parameter and formal functions;
+    # with cancel, theta_m = -G^k_{mk} for a stored G^k_{mk}, k != m, so that
+    # c + J(theta) cancels at (k, m, k) and (k, k, m)
+    rng = random.Random(seed)
+    coords, symbols = _weyl_chart(n)
+    conn = rand_torsionfree(rng, coords, symbols, fill=fill)
+    theta = rand_one_form(rng, coords, symbols)
+    mixed = [(k, m) for (k, m, j), _ in conn.table.items() if j == k != m]
+    if cancel and mixed:
+        k, m = rng.choice(mixed)
+        theta = OneForm(coords, [-conn.table[k, m, k] if a == m else theta[a] for a in range(n)])
+        assert conn.table[k, m, k] and not with_one_form(conn, theta).table[k, m, k]
+    assert inject(theta) == composed_inject(theta)
+    shifted = with_one_form(conn, theta)
+    assert shifted.table == composed_with_one_form(conn, theta)
+    normalized = volume_normalize(conn)
+    assert normalized.table == composed_volume_normalize(conn)
+    # the witness of each pair is forced, and a cancelled entry must be left
+    # out of c1 - J(theta) for it to be found
+    for c1, c2 in ((shifted, conn), (conn, shifted), (conn, normalized), (normalized, shifted)):
+        witness = projective_equiv(c1, c2)
+        assert witness is not None and witness == composed_projective_equiv(c1, c2)
+    # J(theta) vanishes off k in {i, j}, so a bump at (0, 1, 2) leaves the class
+    entries = {(k, i, j): p for (k, i, j), p in shifted.table.items() if i <= j}
+    entries[0, 1, 2] = entries.get((0, 1, 2), 0) + 1
+    bumped = from_table(coords, entries)
+    assert projective_equiv(bumped, conn) is None and composed_projective_equiv(bumped, conn) is None
