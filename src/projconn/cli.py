@@ -4,7 +4,8 @@ Subcommands: curvature, ricci, weyl, flat, equiv, normalize, conditions,
 family, pullback-check, geodesic.  Reports go to stdout as text (default)
 or JSON (--format json) and are byte-identical across runs for identical
 inputs; timing and diagnostics go to stderr.  Exit codes: 0 on success,
-1 for negative analysis results under --strict, 2 on input errors.  The
+1 for negative analysis results under --strict, 2 on input errors, 141
+when stdout is closed before the report is written.  The
 handlers import `families`, `projective` and `geodesic` themselves, so a
 process compiles only the modules its subcommand uses.
 """
@@ -15,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -29,6 +31,7 @@ from .tensor import Tensor, tensor_to_json
 
 SCHEMA = 1
 MAX_SWEEP_POINTS = 10_000
+EXIT_CLOSED_STDOUT = 141  # stdout was closed before the report was written; 128 + SIGPIPE
 
 
 def _parse_set(option: str | None) -> dict[str, GaussianRational]:
@@ -468,18 +471,27 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    if args.format == "json":
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "input_digest": digest,
-            "result": result,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(f"# projconn {args.command} (input {digest[:12]})")
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            report = {
+                "schema": SCHEMA,
+                "command": args.command,
+                "input_digest": digest,
+                "result": result,
+            }
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            print(f"# projconn {args.command} (input {digest[:12]})")
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; as the signal module's note on SIGPIPE
+        # advises, point stdout at devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     print(f"# elapsed {elapsed * 1000:.1f} ms", file=sys.stderr)
     if negative and args.strict:
         return 1

@@ -21,13 +21,14 @@ symmetric.  `curvature` evaluates R as S^l_{ijk} - S^l_{jik} with
 
 in one pass over the nonzero Christoffel entries, so every derivative and
 every product is formed once and an empty entry costs nothing.  Each term of
-S goes straight into the accumulator of R^l_{ijk} (with +) or of R^l_{jik}
-(with -), whichever has its first two lower indices ascending, by a plan of
-n^3 target lists cached per dimension (see the accumulators in `poly`);
-`curvature` settles each once into R^l_{ijk} and R^l_{jik} = -R^l_{ijk}.
-`weyl3`, the Weyl projective tensor for any n >= 3 in its TrR form, never
-settles R: it sums TrR, P and each W^l_{ijk}, i < j, from the R accumulators
-and settles only W; the tests check it against the Ricci-only form.
+D^2 S, D the lcm of the table's coefficient denominators, goes straight into
+the Gaussian-integer accumulator (see `poly`) of R^l_{ijk} (with +) or of
+R^l_{jik} (with -), whichever has its first two lower indices ascending, by a
+plan of n^3 target lists cached per dimension; `curvature` settles each once
+into R^l_{ijk} and R^l_{jik} = -R^l_{ijk}.  `weyl3`, the Weyl projective
+tensor for any n >= 3 in its TrR form, never settles R: it sums TrR, P and
+each W^l_{ijk}, i < j, from the R accumulators with int weights and settles
+only W; the tests check it against the Ricci-only form.
 Curvature, Ricci, Weyl and Lie derivatives are `Tensor`s, and a vector field
 is a `Tensor` of variance (up,).
 """
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import ConstructionError, DimensionError, ShapeError
-from .poly import _accumulate, _accumulate_product, _accumulate_sum, _settle, as_poly, symbols_of
-from .symbols import COORDINATE, FUNCTION, PARAMETER
+from .poly import (
+    _add_multiple, _add_product, _check_degrees, _partials, _quotient, _scaled, as_poly, symbols_of)
+from .symbols import COORDINATE, FUNCTION
 from .tensor import DOWN, Tensor, UP, _flat, contract, symmetry_check
 
 
@@ -155,54 +157,57 @@ def _curvature_targets(n) -> tuple:
     return tuple(plan)
 
 
-def _curvature_accumulators(c: Connection) -> dict:
-    """The unsettled accumulator of each R^l_{ijk}, i < j, in a defaultdict keyed by offset."""
+def _curvature_accumulators(c: Connection) -> tuple:
+    """(D, acc): D the lcm of the table's coefficient denominators, and acc a
+    defaultdict from the offset of each R^l_{ijk}, i < j, to the accumulator of
+    D^2 R^l_{ijk}.  A derivative term of S is D d_i (D G), a product term (D G)(D G).
+    Every product monomial formed is held to MAX_DEGREE, also where it cancels or
+    lands on no entry."""
     n = c.dim
-    coords = c.coords
     plan = _curvature_targets(n)
-    # rows[m]: the nonzero G^m_{jk} with j <= k
+    stored = [(f, g) for f, g in c.table._stored.items() if f // n % n <= f % n]
+    D, scaled = _scaled((f, g, 1) for f, g in stored)
+    # rows[m]: the nonzero G^m_{jk} with j <= k, each with D G^m_{jk}
     rows = [[] for _ in range(n)]
-    for f, g in c.table._stored.items():
-        m, j, k = f // (n * n), f // n % n, f % n
-        if j <= k:
-            rows[m].append((j, k, g))
+    for f, g in stored:
+        rows[f // (n * n)].append((f // n % n, f % n, g, scaled[f]))
     acc = defaultdict(dict)
     for l, row in enumerate(rows):
         base, lists = l * n**3, {}  # lists: f -> the accumulators, with signs, of plan[f]
-        for j, k, g in row:
-            # d_i g vanishes unless g mentions x_i or a function of x_i
-            reach = {name for sym in g.symbols() if sym.kind != PARAMETER
-                     for name in sym.depends_on or (sym.name,)}
-            for i, x in enumerate(coords):
-                if x.name in reach:
-                    d = g.diff(x)
-                    for r, sign in plan[(i * n + j) * n + k]:
-                        _accumulate(acc[base + r], d, sign)
-        for a, b, g in row:
+        for j, k, g, dg in row:
+            for i, d in _partials(g, dg, D, c.coords):
+                for r, sign in plan[(i * n + j) * n + k]:
+                    _add_multiple(acc[base + r], d, sign)
+        for a, b, _, dg in row:
             for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
-                for j, k, h in rows[m]:
+                for j, k, _, dh in rows[m]:
                     f = (i * n + j) * n + k
                     targets = lists.get(f)
                     if targets is None:
                         targets = lists[f] = [(acc[base + r], sign) for r, sign in plan[f]]
-                    _accumulate_product(targets, g, h)
-    return acc
+                    _add_product(targets, dg, dh)
+    _check_degrees(chain.from_iterable(acc.values()))
+    return D, acc
 
 
-def _settled(n, acc) -> Tensor:
+def _settled(n, acc, den, corrected=frozenset(), m=1) -> Tensor:
     """The tensor with entry (l, i, j, k), i < j, settled from acc at its flat offset
-    and entry (l, j, i, k) its negation; keys that are not ints are skipped."""
+    over den, or over m * den for an offset in corrected, and entry (l, j, i, k) its
+    negation; keys that are not ints are skipped."""
+    memo, memo_m = {}, {}  # one per denominator, shared by every entry
     entries = {}  # flat offset -> entry; Tensor drops the zero ones
     for f, terms in acc.items():
         if terms and type(f) is int:
             i, j = f // (n * n) % n, f // n % n
-            entries[f], entries[f + (j - i) * (n * n - n)] = _settle(terms)
+            entries[f], entries[f + (j - i) * (n * n - n)] = (
+                _quotient(terms, m * den, memo_m) if f in corrected else _quotient(terms, den, memo))
     return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
 def curvature(c: Connection) -> Tensor:
     """Curvature tensor R^l_{ijk}, antisymmetric in (i, j)."""
-    return _settled(c.dim, _curvature_accumulators(c))
+    D, acc = _curvature_accumulators(c)
+    return _settled(c.dim, acc, D * D)
 
 
 def ricci(c: Connection) -> Tensor:
@@ -217,51 +222,59 @@ def trace_r(c: Connection) -> Tensor:
 
 @lru_cache(maxsize=MAX_DIM)  # one plan per dimension
 def _weyl_corrections(n) -> tuple:
-    """Steps (target, addends) over accumulator keys that turn R into W, an addend
-    (source, num, den) adding num/den times the source: R^l_{ijk}, then W^l_{ijk},
-    sits at the flat offset of (l, i, j, k) with i < j, TrR_{ij} at ("T", i, j)
-    with i < j and P_{jk} = ((n+1) Ricci_{jk} + TrR_{jk})/((n-1)(n+1)) at ("P", j, k)."""
+    """(steps, corrected): steps (target, addends) over accumulator keys, each
+    setting the target to the sum of weight times source over its addends
+    (source, weight), int weights, that turn the accumulators of D^2 R into
+    those of m D^2 W, m = (n-1)(n+1), at the offsets in corrected, and of D^2 W
+    elsewhere.  D^2 R^l_{ijk}, then W^l_{ijk}, sits at the flat offset of
+    (l, i, j, k) with i < j, D^2 TrR_{ij} at ("T", i, j) with i < j, and
+    m D^2 P_{jk} = D^2 ((n+1) Ricci_{jk} + TrR_{jk}) at ("P", j, k)."""
     m = (n - 1) * (n + 1)
     pairs = list(combinations(range(n), 2))
-    steps = [(("T", i, j), [(_flat(n, (k, i, j, k)), 1, 1) for k in range(n)]) for i, j in pairs]
+    steps = [(("T", i, j), [(_flat(n, (k, i, j, k)), 1) for k in range(n)]) for i, j in pairs]
     for j, k in product(range(n), repeat=2):
         # Ricci_{jk} = sum_i R^i_{ijk}, and R^i_{ijk} = -R^i_{jik}
-        addends = [(_flat(n, (i, i, j, k)), n + 1, m) if i < j
-                   else (_flat(n, (i, j, i, k)), -n - 1, m) for i in range(n) if i != j]
+        addends = [(_flat(n, (i, i, j, k)), n + 1) if i < j
+                   else (_flat(n, (i, j, i, k)), -n - 1) for i in range(n) if i != j]
         if j != k:
-            addends.append((("T", j, k), 1, m) if j < k else (("T", k, j), -1, m))
+            addends.append((("T", j, k), 1) if j < k else (("T", k, j), -1))
         steps.append((("P", j, k), addends))
     for l, k, (i, j) in product(range(n), range(n), pairs):
-        # W^l_{ijk} = R^l_{ijk} - d^l_k TrR_{ij}/(n+1) - d^l_i P_{jk} + d^l_j P_{ik}
-        addends = [(("T", i, j), -1, n + 1)] if l == k else []
+        # m W^l_{ijk} = m R^l_{ijk} - (n-1) d^l_k TrR_{ij} - d^l_i m P_{jk} + d^l_j m P_{ik}
+        addends = [(("T", i, j), 1 - n)] if l == k else []
         if l == i:
-            addends.append((("P", j, k), -1, 1))
+            addends.append((("P", j, k), -1))
         if l == j:
-            addends.append((("P", i, k), 1, 1))
+            addends.append((("P", i, k), 1))
         if addends:
-            steps.append((_flat(n, (l, i, j, k)), addends))
-    return tuple(steps)
+            f = _flat(n, (l, i, j, k))
+            steps.append((f, [(f, m), *addends]))
+    return tuple(steps), frozenset(t for t, _ in steps if type(t) is int)
 
 
 def weyl3(c: Connection) -> Tensor:
     """Weyl projective tensor in any dimension n >= 3, in its TrR form.
 
     One pass: the unsettled R accumulators take in TrR and P, summed from them
-    by `_weyl_corrections`, and each W^l_{ijk} with i < j is settled once.
-    The Ricci-only form, with P = Ricci_sym/(n-1) + Ricci_alt/(n+1), agrees
-    identically, since TrR(X,Y) = Ricci(Y,X) - Ricci(X,Y); the test suite
-    recomputes it as a check on this one.  W = 0 is projective flatness for
-    n >= 3; in dimension 2 W vanishes identically, so n < 3 is refused.
+    by `_weyl_corrections` with int weights, and each W^l_{ijk} with i < j is
+    settled once.  The Ricci-only form, with P = Ricci_sym/(n-1) +
+    Ricci_alt/(n+1), agrees identically, since TrR(X,Y) = Ricci(Y,X) -
+    Ricci(X,Y); the test suite recomputes it as a check on this one.  W = 0 is
+    projective flatness for n >= 3; in dimension 2 W vanishes identically, so
+    n < 3 is refused.
     """
-    if c.dim < 3:
-        raise DimensionError(f"the projective Weyl tensor needs dimension n >= 3, got n = {c.dim}")
-    acc = _curvature_accumulators(c)
-    for target, addends in _weyl_corrections(c.dim):
-        terms = acc[target]
-        for source, num, den in addends:
-            if source in acc:
-                _accumulate_sum(terms, acc[source], num, den)
-    return _settled(c.dim, acc)
+    n = c.dim
+    if n < 3:
+        raise DimensionError(f"the projective Weyl tensor needs dimension n >= 3, got n = {n}")
+    D, acc = _curvature_accumulators(c)
+    steps, corrected = _weyl_corrections(n)
+    for target, addends in steps:
+        terms = {}
+        for source, weight in addends:
+            if src := acc.get(source):
+                _add_multiple(terms, src, weight)
+        acc[target] = terms
+    return _settled(n, acc, D * D, corrected, (n - 1) * (n + 1))
 
 
 def lie_derivative(c: Connection, field: Tensor) -> Tensor:

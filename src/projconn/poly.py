@@ -21,6 +21,11 @@ The ring knows formal partial derivatives: parameters are constants, a
 coordinate differentiates to 1 against itself, and function symbols pick up
 an entry in their derivative multi-index.  Division exists only by nonzero
 constants of Q(i); there is no rational-function field here.
+
+The kernels of `connection` and `projective` sum into accumulators instead
+of DiffPolys: dicts from packed monomial to an (a, b) pair of ints, a
+Gaussian integer a + b*i, over inputs scaled once to a common denominator D,
+so that every add is int arithmetic and each distinct sum is reduced once.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
+from math import gcd, lcm
 from operator import or_
 
 from .errors import DegreeError, EvalError, KindError, SubstError
@@ -41,16 +47,21 @@ _MASK = (1 << _WIDTH) - 1
 _SLOTS: dict[Symbol, int] = {}  # the intern table: Symbol -> slot
 _SYMBOLS: list[Symbol] = []  # slot -> Symbol
 _guard = 0  # the guard bit of every slot in use
+_coordinates = _functions = 0  # the fields of every coordinate and function slot
 
 
 def _unit(sym: Symbol) -> int:
     """The packed monomial sym**1; interns sym on its first use."""
-    global _guard
+    global _guard, _coordinates, _functions
     slot = _SLOTS.get(sym)
     if slot is None:
         slot = _SLOTS[sym] = len(_SYMBOLS)
         _SYMBOLS.append(sym)
         _guard |= (MAX_DEGREE + 1) << (slot * _WIDTH)
+        if sym.kind == COORDINATE:
+            _coordinates |= _MASK << (slot * _WIDTH)
+        elif sym.kind == FUNCTION:
+            _functions |= _MASK << (slot * _WIDTH)
     return 1 << (slot * _WIDTH)
 
 
@@ -435,64 +446,116 @@ def _checked(terms: dict) -> DiffPoly:
 # -- accumulators ---------------------------------------------------------------
 #
 # A kernel that sums many products into one output entry builds it in an
-# accumulator: a plain dict from packed monomial to an unreduced (a, b, d)
-# int triple, (a + b*i)/d with d > 0.  Adding a term is int arithmetic only,
-# with no gcd and no intermediate GaussianRational or DiffPoly.  A monomial
-# stays in the map once added, even where its sum cancels to zero, so the
-# guard-bit check of _settle covers every product monomial ever formed.
+# accumulator: a plain dict from packed monomial to a Gaussian integer, an
+# (a, b) pair of ints standing for a + b*i.  The kernel first scales its inputs
+# by D, the lcm of their coefficient denominators (_scaled, which also sums
+# them by key), so that every input is itself such a dict and no accumulator
+# holds a denominator: adding a term is int arithmetic only, with no gcd and
+# no intermediate GaussianRational or DiffPoly.  The kernel knows the power of
+# D, times any int weights, that its sums carry, and _quotient divides it out
+# once per entry.  A monomial stays in the map once added, even where its sum
+# cancels to zero, so a guard-bit check over the accumulators covers every
+# product monomial ever formed.
 
 
-def _add(acc: dict, mono: int, a: int, b: int, d: int) -> None:
-    """acc[mono] += (a + b*i)/d."""
-    cur = acc.get(mono)
-    if cur is None:
-        acc[mono] = (a, b, d)
-    elif cur[2] == d:
-        acc[mono] = (cur[0] + a, cur[1] + b, d)
-    else:
-        a0, b0, d0 = cur
-        acc[mono] = (a0 * d + a * d0, b0 * d + b * d0, d0 * d)
+def _scaled(items) -> tuple:
+    """(D, {key: D * the sum of k * p over the items with that key}) for items
+    (key, p, k), p a DiffPoly and k an int, D the lcm of every coefficient
+    denominator of the p's; each sum an accumulator."""
+    items = list(items)
+    D = lcm(*{c._d for _, p, _ in items for c in p._terms.values()})
+    sums = {}
+    for key, p, k in items:
+        acc = sums.setdefault(key, {})
+        for mono, c in p._terms.items():
+            f = k * (D // c._d)
+            cur = acc.get(mono)
+            if cur is None:
+                acc[mono] = (c._a * f, c._b * f)
+            else:
+                acc[mono] = (cur[0] + c._a * f, cur[1] + c._b * f)
+    return D, sums
 
 
-def _accumulate(acc: dict, p: DiffPoly, num: int = 1, den: int = 1) -> None:
-    """acc += p * num/den, for ints num and den > 0."""
-    for mono, c in p._terms.items():
-        _add(acc, mono, c._a * num, c._b * num, c._d * den)
+def _add_multiple(acc: dict, src: dict, k: int) -> None:
+    """acc += k * src, for accumulators acc and src and an int k."""
+    if not acc:
+        acc.update(src if k == 1 else {mono: (a * k, b * k) for mono, (a, b) in src.items()})
+        return
+    get = acc.get
+    for mono, (a, b) in src.items():
+        cur = get(mono)
+        if cur is None:
+            acc[mono] = (a * k, b * k)
+        else:
+            acc[mono] = (cur[0] + a * k, cur[1] + b * k)
 
 
-def _accumulate_sum(acc: dict, src: dict, num: int, den: int) -> None:
-    """acc += src * num/den, for an accumulator src and ints num and den > 0."""
-    for mono, (a, b, d) in src.items():
-        _add(acc, mono, a * num, b * num, d * den)
-
-
-def _accumulate_product(targets, g: DiffPoly, h: DiffPoly) -> None:
-    """acc += sign * g * h for each (acc, sign) in targets, sign = 1 or -1.
+def _add_product(targets, g: dict, h: dict) -> None:
+    """acc += sign * g * h for each (acc, sign) in targets, sign = 1 or -1, for
+    accumulators g and h.
 
     With no target the product lands nowhere, but its monomials are still
     held to MAX_DEGREE.
     """
     if not targets:
-        _check_degrees([ma + mb for ma in g._terms for mb in h._terms])
+        _check_degrees([ma + mb for ma in g for mb in h])
         return
-    hterms = [(mb, cb._a, cb._b, cb._d) for mb, cb in h._terms.items()]
-    for ma, ca in g._terms.items():
-        a1, b1, d1 = ca._a, ca._b, ca._d
-        for mb, a2, b2, d2 in hterms:
+    for ma, (a1, b1) in g.items():
+        for mb, (a2, b2) in h.items():
             mono = ma + mb
-            re, im, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
             for acc, sign in targets:
-                _add(acc, mono, re * sign, im * sign, d)
+                cur = acc.get(mono)
+                if sign > 0:
+                    acc[mono] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+                else:
+                    acc[mono] = (-re, -im) if cur is None else (cur[0] - re, cur[1] - im)
 
 
-def _settle(acc: dict):
-    """(p, -p) for the sum p in an accumulator: one gcd per surviving term."""
-    _check_degrees(acc)
+def _partials(p: DiffPoly, scaled: dict, D: int, coords: tuple) -> list:
+    """[(i, D * d_i(scaled))] over the coordinates coords[i] that p may depend on,
+    for scaled = D * p from _scaled, each D * d_i(scaled) an accumulator.
+
+    The OR of p's monomials has a nonzero field exactly for the symbols that
+    occur.  Without a formal function, d_i multiplies each coefficient by the
+    exponent of coords[i] and lowers that exponent by one; a formal function
+    takes the Leibniz rule of DiffPoly.diff.
+    """
+    present = reduce(or_, p._terms, 0)
+    if present & _functions:
+        return [(i, {m: (c._a * (D // c._d) * D, c._b * (D // c._d) * D)
+                     for m, c in d._terms.items()})
+                for i, x in enumerate(coords) if (d := p.diff(x))._terms]
+    out = []
+    if present & _coordinates:
+        for i, x in enumerate(coords):
+            unit = _unit(x)
+            shift = unit.bit_length() - 1
+            if present >> shift & _MASK:
+                out.append((i, {m - unit: (a * e * D, b * e * D) for m, (a, b) in scaled.items()
+                                if (e := m >> shift & _MASK)}))
+    return out
+
+
+def _quotient(acc: dict, den: int, memo: dict):
+    """(p, -p) for p = acc / den, den > 0, reducing each distinct (a, b) once.
+
+    memo maps (a, b) to the pair (c, -c) of canonical GaussianRationals for
+    (a + b*i)/den; it may be shared by every accumulator settled over den,
+    since a GaussianRational is immutable.  Checks no degree.
+    """
     pos, neg = {}, {}
-    for mono, (a, b, d) in acc.items():
-        if a or b:
-            pos[mono] = c = _reduced(a, b, d)
-            neg[mono] = _make(-c._a, -c._b, c._d)
+    for mono, ab in acc.items():
+        got = memo.get(ab)
+        if got is None:
+            a, b = ab
+            if not a and not b:
+                continue
+            g = gcd(a, b, den)
+            c = _make(a // g, b // g, den // g)
+            got = memo[ab] = (c, _make(-c._a, -c._b, c._d))
+        pos[mono], neg[mono] = got
     return _wrap(pos), _wrap(neg)
 
 

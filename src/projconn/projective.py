@@ -15,12 +15,11 @@ by `_trace` and `_shift` (T +- J(theta)), building only the `Tensor` returned.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from operator import add, sub
 
 from .connection import FIELD, Connection, weyl3
 from .errors import ShapeError
-from .poly import DiffPoly, ZERO_POLY, _accumulate, _settle
+from .poly import DiffPoly, ZERO_POLY, _quotient, _scaled
 from .tensor import DOWN, Tensor
 
 
@@ -42,13 +41,11 @@ def _entries(t: Tensor, variance, n) -> dict:
 def _trace(n, stored, num, den, minus=None) -> dict:
     """{j: num/den * theta_j} for the nonzero theta_j = sum_k (T - S)^k_{kj}, T and S
     the stored entries of n-dim fields (S empty if not given), settled once each."""
-    sums = defaultdict(dict)
-    for entries, sign in ((stored, num), (minus or {}, -num)):
-        for f, p in entries.items():
-            q, j = divmod(f, n)
-            if not q % (n + 1):  # f is the offset of (k, k, j)
-                _accumulate(sums[j], p, sign, den)
-    return {j: p for j, terms in sums.items() if (p := _settle(terms)[0])._terms}
+    # sums: j -> the accumulator of D * num * theta_j; f is the offset of (k, k, j)
+    D, sums = _scaled((f % n, p, sign) for entries, sign in ((stored, num), (minus or {}, -num))
+                      for f, p in entries.items() if not f // n % (n + 1))
+    memo = {}
+    return {j: p for j, acc in sums.items() if (p := _quotient(acc, D * den, memo)[0])._terms}
 
 
 def _shift(n, stored, theta, op) -> dict:

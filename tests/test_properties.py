@@ -2,28 +2,33 @@
 
 Generated input ends in a result or an input error, never in a traceback:
 expressions go into parse_expr, gamma sections into parse_spec and
-to_connection, and --set values into the CLI; each run must return, raise
-EngineError, or exit with 0, 1 or 2.
+to_connection, --set values into the CLI, and whole command lines, a
+subcommand with its flags on small random spec files, into cli.main; each
+run must return, raise EngineError, or exit with 0, 1 or 2.
 
 The exact kernel agrees with simple reference models: Q(i) arithmetic with a
 pair of Fractions, equal values with equal hashes and display, DiffPoly with
 the ring axioms and the Leibniz rule, parsing with display, and the sparse
 tensor kernels with their dense oracles; curvature, Ricci and the Weyl
 projective tensor agree with the sympy engine on small random tables,
-weyl3 with the settle-then-correct path of `helpers.trr_weyl` in dims 3-6, and
+weyl3 with the settle-then-correct path of `helpers.trr_weyl` in dims 3-6,
+also over denominators of hundreds of bits, with canonical coefficients, and
 the projective results with their composed forms in `helpers` in dims 3-6.
 """
 
 import contextlib
 import io
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
 from projconn.cli import main
-from projconn.connection import from_table, weyl3
+from projconn.connection import curvature, from_table, weyl3
 from projconn.errors import EngineError
 from projconn.parser import parse_expr
 from projconn.poly import DiffPoly, as_poly
@@ -45,6 +50,7 @@ from helpers import (
     dense_sub,
     dense_swap_slots,
     dense_symmetry_check,
+    naive_curvature,
     rand_one_form,
     rand_torsionfree,
     trr_weyl,
@@ -107,6 +113,75 @@ def test_cli_set_value_ends_in_exit_code(value):
         except SystemExit as exc:  # argparse rejected the command line
             code = exc.code
     assert code in (0, 1, 2)
+
+
+# gamma entries for the CLI runs: constants, which geodesic can integrate
+# once --at binds A, entries over the parameters, the coordinates and f, and
+# input errors
+CLI_CONSTANTS = ["1", "-2/3", "(1 + i)/7", "A"]
+CLI_ENTRIES = CLI_CONSTANTS + ["B^2 - 1/2", "(1 + i)/7 * f", "x0", "x1*x0 + A",
+                               "(1 + i)/7 * x1^2", "f*x0 - d(f, x0)"]
+CLI_ERRORS = ["x9", "1/0", "A +"]
+
+
+@st.composite
+def cli_spec(draw, n, constant):
+    """A spec file of dimension n with parameters A and B, a formal function
+    f(x0) and up to four gamma lines, one of them perhaps an input error."""
+    coords = [f"x{i}" for i in range(n)]
+    index = st.sampled_from(coords)
+    values = st.sampled_from(CLI_CONSTANTS if constant else CLI_ENTRIES)
+    lines = draw(st.lists(st.tuples(index, index, index, values), max_size=4,
+                          unique_by=lambda line: (line[0], *sorted(line[1:3]))))
+    error = draw(st.sampled_from([None] * 6 + CLI_ERRORS))
+    if error and not any(line[:3] == (coords[-1], coords[-1], coords[-1]) for line in lines):
+        lines.append((coords[-1], coords[-1], coords[-1], error))
+    gamma = "".join(f"{k}.{i}.{j} = {value}\n" for k, i, j, value in lines)
+    return (f"dim = {n}\ncoords = {', '.join(coords)}\nparams = A, B\n"
+            f"functions = f(x0)\n[gamma]\n{gamma}")
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand of the CLI on one or two spec files of dimension 2-4, with
+    its flags: the argv and the spec texts, named a.conn and b.conn in order."""
+    n = draw(st.integers(2, 4))
+    command = draw(st.sampled_from(["curvature", "ricci", "weyl", "flat", "normalize",
+                                    "conditions", "equiv", "geodesic"]))
+    spec = cli_spec(n, command == "geodesic")
+    specs = [draw(spec)]
+    argv = draw(st.sampled_from([[], ["--format", "json"], ["--strict"]])) + [command, "a.conn"]
+    if command == "equiv" or command == "geodesic" and draw(st.booleans()):
+        specs.append(draw(spec))
+        argv += ["b.conn"] if command == "equiv" else ["--compare", "b.conn", "--tol", "1e-3"]
+    if command == "geodesic":
+        argv += ["--at", draw(st.sampled_from(["", "A=1/2", "A=i,B=0"])),
+                 "--x0", ",".join(["0"] * n), "--v0", ",".join(["1"] * n),
+                 "--step", "0.01", "--count", "20"]
+    elif command != "equiv" and draw(st.booleans()):
+        argv += ["--set", draw(st.sampled_from(["A=1", "A=1/2,B=i", "B=2,f=3", "Q=1"]))]
+    if command == "conditions" and draw(st.booleans()):
+        argv += ["--sweep", "A=0:1"]
+    return argv, specs
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(cli_argv())
+def test_cli_ends_in_exit_code(run):
+    argv, specs = run
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp, name)) for name in ("a.conn", "b.conn")}
+        for path, text in zip(paths.values(), specs):
+            Path(path).write_text(text, encoding="utf-8")
+        argv = [paths.get(arg, arg) for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the command line
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # -- Q(i) against a Fraction-pair model --------------------------------------
@@ -321,6 +396,60 @@ def test_weyl_matches_settle_then_correct_path(n, seed, fill):
     coords, symbols = _weyl_chart(n)
     conn = rand_torsionfree(random.Random(seed), coords, symbols, fill=fill)
     assert weyl3(conn) == trr_weyl(conn)
+
+
+# -- Exactness of the curvature and Weyl kernels over large denominators ---------
+
+# primes near 2^31 and 2^61: the common denominator D of a table is the product
+# of those it draws, hundreds of bits, and weyl3 settles over (n-1)(n+1) D^2
+PRIMES = (2**31 - 19, 2**31 - 1, 2**31 + 11, 2**61 - 31, 2**61 - 1, 2**61 + 15)
+
+
+def _large_denominator_poly(rng, pool) -> DiffPoly:
+    """1-3 terms with Gaussian coefficients over primes from PRIMES, each term
+    a product of up to three factors from the pool, repeats allowed."""
+    total = as_poly(0)
+    for _ in range(rng.randint(1, 3)):
+        re = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**40), rng.choice(PRIMES))
+        im = Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) if rng.random() < 0.5 else 0
+        term = as_poly(GaussianRational(re, im))
+        for sym in rng.choices(pool, k=rng.randint(0, 3)):
+            term = term * as_poly(sym)
+        total = total + term
+    return total
+
+
+def _assert_canonical(t: Tensor) -> None:
+    for _, entry in t.items():
+        for c in entry.coefficients():
+            assert c._d > 0 and (c._a or c._b) and gcd(c._a, c._b, c._d) == 1
+
+
+@settings(max_examples=16, deadline=None, database=None, derandomize=True)
+@given(st.integers(3, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_kernels_exact_over_large_denominators(n, seed, flat):
+    # entries over coordinates and a parameter only, differentiated on their
+    # integer terms, mixed with entries that mention formal functions; with
+    # flat, the table is J(theta) = 0 + J(theta), projectively flat for every
+    # one-form theta, so W cancels to 0
+    rng = random.Random(seed)
+    coords, symbols = _weyl_chart(n)
+    plain = [*coords, symbols[n]]
+    if flat:
+        theta = OneForm(coords, [_large_denominator_poly(rng, rng.choice((plain, symbols)))
+                                 for _ in coords])
+        conn = with_one_form(from_table(coords, {}), theta)
+    else:
+        conn = from_table(coords, {
+            (k, i, j): _large_denominator_poly(rng, rng.choice((plain, symbols)))
+            for k in range(n) for i in range(n) for j in range(i, n) if rng.random() < 0.3})
+    R, W = curvature(conn), weyl3(conn)
+    assert R == naive_curvature(conn)
+    assert W == trr_weyl(conn)
+    if flat:
+        assert W.is_zero() and not R.is_zero()
+    _assert_canonical(R)
+    _assert_canonical(W)
 
 
 # -- Projective results against their composed forms ----------------------------

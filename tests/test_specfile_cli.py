@@ -15,7 +15,7 @@ import pytest
 
 import projconn
 from projconn import specfile
-from projconn.cli import _tensor_lines, main
+from projconn.cli import EXIT_CLOSED_STDOUT, _tensor_lines, main
 from projconn.connection import curvature, ricci
 from projconn.errors import SpecFileError
 from projconn.families import torus3
@@ -627,6 +627,27 @@ class TestCli:
         assert out == ""
         assert "nested deeper than" in err and "byte offset" in err
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_is_a_documented_exit(self, unbuffered):
+        # the read end is closed before the child starts, so the first write
+        # fails: unbuffered in print, buffered in the flush of the report
+        src = str(Path(projconn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", CLI, "curvature", "--family", "torus_n", "--n", "4"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60, text=True)
+        finally:
+            os.close(write)
+        assert done.returncode == EXIT_CLOSED_STDOUT == 141
+        assert "Traceback" not in done.stderr
+
     def test_import_leaves_numpy_out(self):
         src = str(Path(projconn.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -766,7 +787,7 @@ for sym in order:
     DiffPoly.of(sym)
 assert _SYMBOLS == order, _SYMBOLS
 
-from projconn.cli import _tensor_lines, main
+from projconn.cli import EXIT_CLOSED_STDOUT, _tensor_lines, main
 from projconn.connection import curvature, ricci
 from test_specfile_cli import readme_commands
 
@@ -788,7 +809,7 @@ sys.stdout.write("".join(corpus))
 NUMPY_FREE_CORPUS = r"""
 import contextlib, io, json, shlex, sys
 sys.modules["numpy"] = None
-from projconn.cli import _tensor_lines, main
+from projconn.cli import EXIT_CLOSED_STDOUT, _tensor_lines, main
 from projconn.connection import curvature, ricci
 
 corpus = []
