@@ -34,8 +34,8 @@ MAX_SWEEP_POINTS = 10_000
 EXIT_CLOSED_STDOUT = 141  # stdout was closed before the report was written; 128 + SIGPIPE
 
 
-def _parse_set(option: str | None) -> dict[str, GaussianRational]:
-    """--set NAME=expr,NAME=expr with exact constant expressions."""
+def _parse_set(option: str | None, flag: str) -> dict[str, GaussianRational]:
+    """The NAME=expr,NAME=expr of option flag: exact constants, each name once."""
     values: dict[str, GaussianRational] = {}
     if not option:
         return values
@@ -44,9 +44,12 @@ def _parse_set(option: str | None) -> dict[str, GaussianRational]:
         if not item:
             continue
         if "=" not in item:
-            raise EngineError(f"--set entry {item!r} must look like NAME=value")
+            raise EngineError(f"{flag} entry {item!r} must look like NAME=value")
         name, _, text = item.partition("=")
-        values[name.strip()] = parse_constant(text.strip())
+        name = name.strip()
+        if name in values:
+            raise EngineError(f"{flag} names {name!r} more than once")
+        values[name] = parse_constant(text.strip())
     return values
 
 
@@ -82,10 +85,10 @@ def _bound(conns, assignments):
     if not assignments:
         return conns
     bindings = _bindings(conns, assignments)
-    return [
-        Connection(conn.coords, conn.table.map(lambda e: e.subst(bindings)))
-        for conn in conns
-    ]
+    # Tensor drops the entries that the substitution makes zero
+    return [Connection(c.coords, Tensor(c.dim, c.table.variance,
+                                        {f: e.subst(bindings) for f, e in c.table._stored.items()}))
+            for c in conns]
 
 
 def _family(name, args):
@@ -112,7 +115,7 @@ def _load(args, *paths):
         for path in paths
     ]
     sources = [path or f"family:{family}" for path in paths]
-    return _bound(conns, _parse_set(getattr(args, "set", None))), sources
+    return _bound(conns, _parse_set(getattr(args, "set", None), "--set")), sources
 
 
 def _tensor_lines(t: Tensor, names, label: str) -> list[str]:
@@ -324,7 +327,7 @@ def _cmd_geodesic(args):
         )
     paths = (args.spec, args.compare) if args.compare else (args.spec,)
     conns, (source, *_) = _load(args, *paths)
-    conns = _bound(conns, _parse_set(args.at))
+    conns = _bound(conns, _parse_set(args.at, "--at"))
     missing = {sym.name for c in conns for sym in symbols_of(e for _, e in c.table.items())}
     if missing:
         raise EngineError(

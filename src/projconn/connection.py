@@ -68,7 +68,7 @@ class Connection:
             raise ConstructionError("Christoffel table must be an n-dim (up, down, down) Tensor")
         if table.dim > MAX_DIM:
             raise ConstructionError(f"a connection takes n <= {MAX_DIM}, got n = {table.dim}")
-        if not symmetry_check(table, (1, 2), "symmetric"):
+        if not symmetry_check(table, (1, 2)):
             raise ConstructionError(
                 "Christoffel table not symmetric in its lower indices"
             )
@@ -297,13 +297,12 @@ def lie_derivative(c: Connection, field: Tensor) -> Tensor:
         [field[m].diff(coords[i]) for m in range(n)] for i in range(n)
     ]  # dX[i][m] = d_i X^m
 
-    def entry(idx):
-        k, i, j = idx
+    entries = {}  # flat offset -> entry; Tensor drops the zero ones
+    for f, (k, i, j) in enumerate(product(range(n), repeat=3)):
         value = field[k].diff(coords[j]).diff(coords[i])
         for m in range(n):
             value = value + field[m] * g[k, i, j].diff(coords[m])
             value = value + g[k, m, j] * dX[i][m] + g[k, i, m] * dX[j][m]
             value = value - g[m, i, j] * dX[m][k]
-        return value
-
-    return Tensor.from_function(n, FIELD, entry)
+        entries[f] = value
+    return Tensor(n, FIELD, entries)

@@ -3,22 +3,22 @@
 A tensor stores only its nonzero entries, as a dict from flat row-major
 offset over index tuples in {0..n-1}^arity to a nonzero `DiffPoly`; reports
 and the JSON form use coordinate names instead of numbers.  Every kernel
-(`+`, `-`, `map`, `swap_slots`, `contract`, `symmetry_check`, the JSON form,
-and `curvature`, `weyl3`, the projective trace and shift) walks the stored
-entries only, so its cost follows the nonzeros and not n^arity.  Slot moves
-read where each offset goes from a map cached per (dim, arity, slots).
+(`contract`, `symmetry_check`, the JSON form, and `curvature`, `weyl3`, the
+projective trace and shift) walks the stored entries only, so its cost
+follows the nonzeros and not n^arity.  Slot swaps and traces read where each
+offset goes from a map cached per (dim, arity, slots).
 `Tensor.__init__` is the one way a tensor is built: it takes a dense sequence
 of entries or an offset -> entry dict, coerces entries outside the ring and
 drops empty ones, so equal tensors store equal dicts.  Readers outside the
-kernels walk `items()`, the nonzero entries by index tuple; the dense view
-`entries` is for tests, and nothing in `src/` but `Connection.gamma` reads it.
+kernels walk `items()`, the nonzero entries by index tuple.  The dense view
+`entries` and `indices()` stay because the benchmark harness reads them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, product
-from operator import add, attrgetter, sub
+from operator import attrgetter
 
 from .errors import ShapeError
 from .poly import DiffPoly, ZERO_POLY, as_poly
@@ -110,12 +110,6 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
-    @classmethod
-    def from_function(cls, dim, variance, fn) -> "Tensor":
-        variance = tuple(variance)
-        entries = [fn(idx) for idx in product(range(dim), repeat=len(variance))]
-        return cls(dim, variance, entries)
-
     @property
     def arity(self) -> int:
         return len(self.variance)
@@ -159,38 +153,6 @@ class Tensor:
     def is_zero(self) -> bool:
         return not self._stored
 
-    def map(self, fn) -> "Tensor":
-        size = self.dim ** self.arity
-        zero = fn(ZERO_POLY) if len(self._stored) < size else None  # what empty entries map to
-        out = [zero] * size if zero else {}
-        for f, p in self._stored.items():
-            out[f] = fn(p)
-        return Tensor(self.dim, self.variance, out)
-
-    def _zip(self, other, op) -> "Tensor":
-        if self.dim != other.dim or self.variance != other.variance:
-            raise ShapeError("tensor shape mismatch")
-        out = dict(self._stored)
-        for f, p in other._stored.items():
-            out[f] = op(out.get(f, ZERO_POLY), p)  # a cancelled entry is dropped on build
-        return Tensor(self.dim, self.variance, out)
-
-    def __add__(self, other):
-        return self._zip(other, add)
-
-    def __sub__(self, other):
-        return self._zip(other, sub)
-
-    def __mul__(self, scalar):
-        return self.map(lambda e: e * scalar)
-
-    __rmul__ = __mul__
-
-    def swap_slots(self, s1, s2) -> "Tensor":
-        """Transpose two index positions."""
-        moved = _swapped_offsets(self.dim, self.arity, s1, s2)
-        return Tensor(self.dim, self.variance, {moved[f]: p for f, p in self._stored.items()})
-
 
 def contract(t: Tensor, up: int, down: int) -> Tensor:
     """Trace one contravariant slot against one covariant slot."""
@@ -209,21 +171,15 @@ def contract(t: Tensor, up: int, down: int) -> Tensor:
     return Tensor(t.dim, [t.variance[s] for s in range(t.arity) if s not in (up, down)], out)
 
 
-def symmetry_check(t: Tensor, slots, mode: str) -> bool:
-    """True when swapping the two slots gives +t (symmetric) or -t."""
+def symmetry_check(t: Tensor, slots) -> bool:
+    """True when swapping the two slots gives t back."""
     s1, s2 = slots
     if t.variance[s1] != t.variance[s2]:
         raise ShapeError("symmetry slots must share variance")
-    if mode not in ("symmetric", "antisymmetric"):
-        raise ShapeError(f"unknown symmetry mode {mode!r}")
     moved = _swapped_offsets(t.dim, t.arity, s1, s2)
     stored = t._stored
-    if mode == "antisymmetric":
-        mirrored = {moved[f]: -p for f, p in stored.items()}
-    else:
-        mirrored = {moved[f]: p for f, p in stored.items()}
     # a dict comparison tries identity before DiffPoly.__eq__, entry by entry
-    return mirrored == stored
+    return {moved[f]: p for f, p in stored.items()} == stored
 
 
 def tensor_to_json(t: Tensor, coord_names) -> dict:

@@ -128,15 +128,13 @@ def naive_curvature(conn) -> Tensor:
     n = conn.dim
     g = conn.gamma
     coords = conn.coords
-
-    def entry(idx):
-        l, i, j, k = idx
+    entries = []
+    for l, i, j, k in product(range(n), repeat=4):
         value = g[l][j][k].diff(coords[i]) - g[l][i][k].diff(coords[j])
         for m in range(n):
             value = value + g[l][i][m] * g[m][j][k] - g[l][j][m] * g[m][i][k]
-        return value
-
-    return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+        entries.append(value)
+    return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
 def trr_weyl(conn) -> Tensor:
@@ -154,54 +152,54 @@ def trr_weyl(conn) -> Tensor:
     m = Fraction(1, (n - 1) * (n + 1))
     P = {(j, k): ric[j, k] * Fraction(1, n - 1) + trr[j, k] * m
          for j, k in product(range(n), repeat=2)}
-
-    def entry(idx):
-        l, i, j, k = idx
-        value = R[idx]
+    entries = []
+    for l, i, j, k in product(range(n), repeat=4):
+        value = R[l, i, j, k]
         if l == k:
             value = value - trr[i, j] * Fraction(1, n + 1)
         if l == i:
             value = value - P[j, k]
         if l == j:
             value = value + P[i, k]
-        return value
-
-    return Tensor.from_function(n, (UP, DOWN, DOWN, DOWN), entry)
+        entries.append(value)
+    return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
 # -- composed projective oracles ------------------------------------------------
 #
 # with_one_form, volume_normalize and projective_equiv as they were composed
 # from whole-tensor steps before each became one walk over stored entries:
-# J(theta) from its defining formula over all n^3 entries, div by contract, and
-# the sums, differences and scalings by the Tensor kernels.
+# J(theta) from its defining formula over all n^3 entries, div by the dense
+# contraction, and the sums, differences and scalings entry by entry over the
+# dense views.
 
 
 def composed_inject(theta) -> Tensor:
-    """J(theta)^k_{ij} = theta_i delta^k_j + theta_j delta^k_i, entry by entry."""
-
-    def entry(idx):
-        k, i, j = idx
-        return (theta[i] if k == j else ZERO_POLY) + (theta[j] if k == i else ZERO_POLY)
-
-    return Tensor.from_function(theta.dim, (UP, DOWN, DOWN), entry)
+    """J(theta)^k_{ij} = theta_i delta^k_j + theta_j delta^k_i, entry by entry,
+    from the components theta_0..theta_{n-1}."""
+    n = len(theta)
+    return Tensor(n, (UP, DOWN, DOWN), [
+        (theta[i] if k == j else ZERO_POLY) + (theta[j] if k == i else ZERO_POLY)
+        for k, i, j in product(range(n), repeat=3)])
 
 
 def composed_with_one_form(conn, theta) -> Tensor:
     """The table of conn + J(theta)."""
-    return conn.table + composed_inject(theta)
+    return Tensor(conn.dim, (UP, DOWN, DOWN), dense_add(conn.table, composed_inject(theta.entries)))
 
 
 def composed_volume_normalize(conn) -> Tensor:
     """The table of the volume-normalized connection, conn - J(div(conn)/(n+1))."""
-    return conn.table - composed_inject(contract(conn.table, 0, 1) * Fraction(1, conn.dim + 1))
+    theta = [e * Fraction(1, conn.dim + 1) for e in dense_contract(conn.table, 0, 1)]
+    return Tensor(conn.dim, (UP, DOWN, DOWN), dense_sub(conn.table, composed_inject(theta)))
 
 
 def composed_projective_equiv(c1, c2):
     """theta = div(c1 - c2)/(n+1) when c1 - c2 - J(theta) vanishes, else None."""
-    diff = c1.table - c2.table
-    theta = contract(diff, 0, 1) * Fraction(1, diff.dim + 1)
-    return theta if (diff - composed_inject(theta)).is_zero() else None
+    diff = Tensor(c1.dim, (UP, DOWN, DOWN), dense_sub(c1.table, c2.table))
+    theta = [e * Fraction(1, c1.dim + 1) for e in dense_contract(diff, 0, 1)]
+    rest = dense_sub(diff, composed_inject(theta))
+    return None if any(rest) else Tensor(c1.dim, (DOWN,), theta)
 
 
 # -- sympy engine -----------------------------------------------------------------
@@ -332,11 +330,8 @@ def dense_contract(t, up, down) -> tuple:
     return tuple(out)
 
 
-def dense_symmetry_check(t, slots, mode) -> bool:
-    mirrored = dense_swap_slots(t, *slots)
-    if mode == "antisymmetric":
-        mirrored = tuple(-x for x in mirrored)
-    return mirrored == t.entries
+def dense_symmetry_check(t, slots) -> bool:
+    return dense_swap_slots(t, *slots) == t.entries
 
 
 def dense_add(s, t) -> tuple:

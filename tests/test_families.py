@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -320,9 +321,8 @@ class TestInvariance:
     def test_unbindable_field_symbol_rejected(self, entry):
         a_sym = function("A", ("tau",))
         sym = parameter("P") if entry == "parameter" else a_sym.derivative("tau")
-        field = Tensor.from_function(
-            3, (UP, DOWN, DOWN), lambda idx: as_poly(a_sym) + sym if idx == (1, 0, 0) else 0
-        )
+        field = Tensor(3, (UP, DOWN, DOWN), [as_poly(a_sym) + sym if idx == (1, 0, 0) else 0
+                                             for idx in product(range(3), repeat=3)])
         tau = GaussianRational(0, 2)
         values = {"A": {tau: ONE, tau + ONE: ONE}}
         with pytest.raises(EvalError, match=re.escape(f"unbound symbol {sym} ")):
@@ -333,9 +333,8 @@ class TestInvariance:
         rng = random.Random(20240831)
         a_sym = function("A", ("tau",))
         # pretend A sits at G^z1_{z1 z1}
-        wrong = Tensor.from_function(
-            3, (UP, DOWN, DOWN), lambda idx: as_poly(a_sym if idx == (1, 1, 1) else 0)
-        )
+        wrong = Tensor(3, (UP, DOWN, DOWN),
+                       [a_sym if idx == (1, 1, 1) else 0 for idx in product(range(3), repeat=3)])
         g = GroupElement(0, -1, 1, 0)
         points = _random_points(rng, 4, g)
         base = {"A": {p[0]: GaussianRational(rand_fraction(rng, 3), 1) for p in points}}

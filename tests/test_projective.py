@@ -24,7 +24,8 @@ from projconn.projective import (
 from projconn.symbols import coordinate, function, parameter
 from projconn.tensor import UP, Tensor
 
-from helpers import coords_named, rand_one_form, rand_torsionfree, sympy_weyl, to_poly
+from helpers import (
+    coords_named, dense_add, dense_sub, rand_one_form, rand_torsionfree, sympy_weyl, to_poly)
 
 
 class TestDivergenceInjection:
@@ -34,7 +35,8 @@ class TestDivergenceInjection:
             coords = coords_named(*(f"x{i}" for i in range(n)))
             for _ in range(13):
                 theta = rand_one_form(rng, coords)
-                assert divergence(inject(theta)) == theta * (n + 1)
+                scaled = tuple(e * (n + 1) for e in theta.entries)
+                assert divergence(inject(theta)).entries == scaled
 
     def test_divergence_of_zero(self):
         coords = coords_named("x", "y")
@@ -81,8 +83,8 @@ class TestProjection:
         for _ in range(10):
             t = rand_torsionfree(rng, coords).table
             n = len(coords)
-            recomposed = trace_free_project(t) + inject(divergence(t)) * Fraction(1, n + 1)
-            assert recomposed == t
+            scaled = [e * Fraction(1, n + 1) for e in inject(divergence(t)).entries]
+            assert dense_add(trace_free_project(t), Tensor(n, t.variance, scaled)) == t.entries
 
     def test_fibered_family_projection_drops_trace(self):
         with_trace = kuga_shimura(True).table
@@ -112,7 +114,7 @@ class TestEquivalence:
         raw = torus3()
         E = as_poly(parameter("E"))
         phi = OneForm(raw.coords, [E / 2, 0, 0])
-        assert inject(phi) == raw.table - torus3(E=0).table
+        assert inject(phi).entries == dense_sub(raw.table, torus3(E=0).table)
 
     def test_inequivalent_pair(self):
         probe = torus3(A=0, B=0, C=1, D=0, E=0)
@@ -130,9 +132,9 @@ class TestEquivalence:
         w12 = projective_equiv(c1, base)
         assert w12 == t1
         back = projective_equiv(base, c1)
-        assert back == t1 * -1
+        assert back.entries == tuple(-e for e in t1.entries)
         total = projective_equiv(c2, base)
-        assert total == t1 + t2
+        assert total.entries == dense_add(t1, t2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -216,8 +218,7 @@ class TestFlatness:
         assert not weyl3(torus3(A=1, B=1, C=2, D=3, E=0)).is_zero()
         C, D = parameter("C"), parameter("D")
         W = weyl3(torus3())
-        substituted = W.map(lambda p: p.subst({C: as_poly(D)}))
-        assert substituted.is_zero()
+        assert all(p.subst({C: as_poly(D)}).is_zero() for p in W.entries)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):

@@ -617,6 +617,21 @@ class TestCli:
         assert out == ""
         assert "--sweep names 'C' more than once" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["flat", "--family", "torus3", "--set", "C=1,C=0,D=0"], "--set names 'C' more than once"),
+        (["family", "torus3", "--set", "E=0, E =1"], "--set names 'E' more than once"),
+        (["geodesic", "TORUS", "--at", "A=0,B=0,C=0,D=0,E=0,E=1"], "--at names 'E' more than once"),
+        (["geodesic", "TORUS", "--at", "C"], "--at entry 'C' must look like NAME=value"),
+    ], ids=["set", "set-spaced", "at", "at-malformed"])
+    def test_repeated_set_and_at_names_rejected(self, capsys, torus_file, argv, message):
+        argv = [torus_file if a == "TORUS" else a for a in argv]
+        if argv[0] == "geodesic":
+            argv += ["--x0", "0,0,0", "--v0", "1,1,1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_deep_nesting_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.conn"
         nested = "(" * 1500 + "x" + ")" * 1500

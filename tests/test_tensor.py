@@ -59,16 +59,13 @@ def naive_contract(t, up, down):
 
 
 def rand_tensor(rng, dim, variance, symbols):
-    return Tensor.from_function(
-        dim, variance, lambda idx: rand_poly(rng, symbols, max_terms=2)
-    )
+    return Tensor(dim, variance, [rand_poly(rng, symbols, max_terms=2)
+                                  for _ in product(range(dim), repeat=len(variance))])
 
 
 def test_identity_trace_is_dimension():
     for n in (0, 2, 3, 4):
-        ident = Tensor.from_function(
-            n, (UP, DOWN), lambda idx: as_poly(1 if idx[0] == idx[1] else 0)
-        )
+        ident = Tensor(n, (UP, DOWN), [int(i == j) for i, j in product(range(n), repeat=2)])
         scalar = contract(ident, 0, 1)
         assert scalar.arity == 0
         assert scalar[()] == as_poly(n)
@@ -91,9 +88,10 @@ def test_contract_linearity():
     for _ in range(10):
         s = rand_tensor(rng, 3, (UP, DOWN, DOWN), syms)
         t = rand_tensor(rng, 3, (UP, DOWN, DOWN), syms)
-        lhs = contract(s * 3 + t * -2, 0, 1)
-        rhs = contract(s, 0, 1) * 3 + contract(t, 0, 1) * -2
-        assert lhs == rhs
+        combined = Tensor(3, (UP, DOWN, DOWN),
+                          [a * 3 + b * -2 for a, b in zip(s.entries, t.entries)])
+        pairs = zip(contract(s, 0, 1).entries, contract(t, 0, 1).entries)
+        assert contract(combined, 0, 1).entries == tuple(a * 3 + b * -2 for a, b in pairs)
 
 
 def test_contract_variance_errors():
@@ -104,32 +102,21 @@ def test_contract_variance_errors():
         contract(t, 0, 0)
 
 
-def test_symmetry_check_modes():
-    A = parameter("A")
-    sym = Tensor.from_function(
-        2, (DOWN, DOWN), lambda idx: as_poly(A) if idx[0] != idx[1] else as_poly(1)
-    )
-    assert symmetry_check(sym, (0, 1), "symmetric")
-    anti = Tensor.from_function(
-        2,
-        (DOWN, DOWN),
-        lambda idx: as_poly(A) * (idx[1] - idx[0]),
-    )
-    assert symmetry_check(anti, (0, 1), "antisymmetric")
-    assert not symmetry_check(anti, (0, 1), "symmetric")
+def test_symmetry_check_tells_symmetric_from_antisymmetric():
+    A = as_poly(parameter("A"))
+    sym = Tensor(2, (DOWN, DOWN), [1, A, A, 1])
+    assert symmetry_check(sym, (0, 1))
+    anti = Tensor(2, (DOWN, DOWN), [0, A, -A, 0])
+    assert not symmetry_check(anti, (0, 1))
 
 
 def test_nonsymmetric_counterexample():
-    entries = {(0, 1): as_poly(1)}
-    t = Tensor.from_function(
-        2, (DOWN, DOWN), lambda idx: entries.get(idx, ZERO_POLY)
-    )
-    assert not symmetry_check(t, (0, 1), "symmetric")
-    assert not symmetry_check(t, (0, 1), "antisymmetric")
+    t = Tensor(2, (DOWN, DOWN), [0, 1, 0, 0])
+    assert not symmetry_check(t, (0, 1))
 
 
 def test_flat_kernels_match_index_oracles():
-    """contract, swap_slots and symmetry_check against their index definitions."""
+    """contract and symmetry_check against their index definitions."""
     rng = random.Random(20261018)
     syms = [parameter(n) for n in "AB"]
     for dim in (1, 2, 3):
@@ -139,31 +126,22 @@ def test_flat_kernels_match_index_oracles():
             assert got.variance == tuple(t.variance[s] for s in range(4) if s not in (up, down))
             assert {idx: got[idx] for idx in got.indices()} == naive_contract(t, up, down)
         for s1, s2 in ((0, 2), (1, 3), (3, 1)):
-            swapped = t.swap_slots(s1, s2)
+            swapped = []  # the entries of t with slots s1 and s2 swapped, in row-major order
             for idx in t.indices():
                 moved = list(idx)
                 moved[s1], moved[s2] = moved[s2], moved[s1]
-                assert swapped[idx] == t[tuple(moved)]
-            assert symmetry_check(t + swapped, (s1, s2), "symmetric")
-            assert symmetry_check(t - swapped, (s1, s2), "antisymmetric")
+                swapped.append(t[tuple(moved)])
+            sym = Tensor(dim, t.variance, [a + b for a, b in zip(t.entries, swapped)])
+            anti = Tensor(dim, t.variance, [a - b for a, b in zip(t.entries, swapped)])
+            assert symmetry_check(sym, (s1, s2))
+            assert symmetry_check(anti, (s1, s2)) == (dim == 1)
             if dim > 1:
-                assert not symmetry_check(t, (s1, s2), "symmetric")
-                assert not symmetry_check(t, (s1, s2), "antisymmetric")
-
-
-def test_double_swap_is_identity():
-    rng = random.Random(12)
-    syms = [parameter(n) for n in "AB"]
-    t = rand_tensor(rng, 3, (UP, DOWN, DOWN, DOWN), syms)
-    assert t.swap_slots(1, 2).swap_slots(1, 2) == t
+                assert not symmetry_check(t, (s1, s2))
 
 
 def test_is_zero():
     assert Tensor(3, (UP, DOWN), [0] * 3**2).is_zero()
-    t = Tensor.from_function(
-        2, (DOWN,), lambda idx: as_poly(1) if idx[0] == 0 else ZERO_POLY
-    )
-    assert not t.is_zero()
+    assert not Tensor(2, (DOWN,), [1, 0]).is_zero()
 
 
 def test_mixed_entries_are_coerced():
@@ -281,11 +259,8 @@ def test_json_round_trip_omits_zeros():
         table.coordinate(name)
     table.parameter("A")
     A = table.lookup("A")
-    t = Tensor.from_function(
-        2,
-        (UP, DOWN, DOWN),
-        lambda idx: as_poly(A) ** 2 if idx == (0, 0, 1) else ZERO_POLY,
-    )
+    t = Tensor(2, (UP, DOWN, DOWN),
+               [as_poly(A) ** 2 if idx == (0, 0, 1) else 0 for idx in product(range(2), repeat=3)])
     data = tensor_to_json(t, ["x", "y"])
     assert data["variance"] == ["up", "down", "down"]
     assert data["entries"] == {"x.x.y": "A^2"}
