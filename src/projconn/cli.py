@@ -62,10 +62,7 @@ def _bindings(conns, assignments) -> dict:
     are never bound: substituting one before differentiating would describe
     a different connection.
     """
-    known = {}
-    for conn in conns:
-        for _, value in conn.nonzero_entries():
-            known.update((sym.name, sym.base()) for sym in value.symbols())
+    known = {sym.name: sym.base() for c in conns for sym in symbols_of(c.table._stored.values())}
     known.update((c.name, c) for conn in conns for c in conn.coords)
     bindings = {}
     for name, value in assignments.items():
@@ -106,16 +103,23 @@ def _family(name, args):
     raise EngineError(f"unknown family {name!r}")
 
 
-def _load(args, *paths):
-    """The connections of the spec files at paths, a missing path standing
-    for --family, after the --set substitutions; plus their source labels."""
+def _load(args, *paths, sweep=()):
+    """The connections of the spec files at paths, a missing path standing for
+    --family, with --set and --at substituted; plus their source labels.  A
+    --set name may not reappear in --at or in sweep, the --sweep ranges."""
     family = getattr(args, "family", None) or getattr(args, "name", None)
     conns = [
         load_spec(path).to_connection(filename=path) if path else _family(family, args)
         for path in paths
     ]
     sources = [path or f"family:{family}" for path in paths]
-    return _bound(conns, _parse_set(getattr(args, "set", None), "--set")), sources
+    assignments = _parse_set(getattr(args, "set", None), "--set")
+    at = _parse_set(getattr(args, "at", None), "--at")
+    for flag, names in (("--at", at), ("--sweep", [name for name, _, _ in sweep])):
+        for name in names:
+            if name in assignments:
+                raise EngineError(f"{name!r} is given to both --set and {flag}")
+    return _bound(conns, assignments | at), sources
 
 
 def _tensor_lines(t: Tensor, names, label: str) -> list[str]:
@@ -225,7 +229,7 @@ def _parse_sweep(items):
 def _cmd_conditions(args):
     from . import projective
     ranges = _parse_sweep(args.sweep)
-    (conn,), (source,) = _load(args, args.spec)
+    (conn,), (source,) = _load(args, args.spec, sweep=ranges)
     # names checked once against the connection; the conditions may lack some
     symbols = {sym.name: sym for sym in _bindings([conn], {name: 0 for name, _, _ in ranges})}
     conditions = projective.flatness_conditions(conn)
@@ -327,7 +331,6 @@ def _cmd_geodesic(args):
         )
     paths = (args.spec, args.compare) if args.compare else (args.spec,)
     conns, (source, *_) = _load(args, *paths)
-    conns = _bound(conns, _parse_set(args.at, "--at"))
     missing = {sym.name for c in conns for sym in symbols_of(e for _, e in c.table.items())}
     if missing:
         raise EngineError(

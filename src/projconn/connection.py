@@ -101,12 +101,6 @@ class Connection:
     def __hash__(self):
         return hash((self.coords, self.table))
 
-    def nonzero_entries(self):
-        """Nonzero (k, i, j) entries with i <= j, in row-major order."""
-        for (k, i, j), g in self.table.items():
-            if i <= j:
-                yield (k, i, j), g
-
 
 def _check_chart(declared, polys) -> None:
     """Refuse a coordinate, or a function of a coordinate, outside declared."""

@@ -10,6 +10,9 @@ and a term lookup hashes an int.  Exponents are at most MAX_DEGREE =
 monomials never carries into the next field, and one test of the guard bits
 per polynomial product raises DegreeError on an exponent beyond the bound.
 Two polynomials are equal exactly when their term maps are identical.
+`_merge` is the one place a term map is built by summing: the constructor,
++, *, diff and subst all add (monomial, coefficient) pairs through it, and
+it deletes a monomial whose sum cancels; p - q is p + (-q).
 
 Outside this module a monomial is a tuple of (Symbol, exponent) pairs with
 positive exponents, sorted by Symbol.sort_key: the constructor takes such
@@ -114,16 +117,19 @@ def _term_key(term):
     return tuple((sym.sort_key, -exp) for sym, exp in term[0]) + (_LAST,)
 
 
-def _add_term(terms: dict, mono: int, coeff: GaussianRational) -> None:
-    cur = terms.get(mono)
-    if cur is None:
-        terms[mono] = coeff
-    else:
-        s = cur + coeff
-        if s.is_zero():
+def _merge(terms: dict, pairs) -> dict:
+    """terms, after adding each (packed monomial, coefficient) pair into it;
+    a monomial whose sum cancels is deleted."""
+    get = terms.get
+    for mono, coeff in pairs:
+        cur = get(mono)
+        if cur is None:
+            terms[mono] = coeff
+        elif (s := cur + coeff).is_zero():
             del terms[mono]
         else:
             terms[mono] = s
+    return terms
 
 
 class DiffPoly:
@@ -132,12 +138,8 @@ class DiffPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean: dict[int, GaussianRational] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = as_gaussian(coeff)
-                if not coeff.is_zero():
-                    _add_term(clean, _pack(mono), coeff)
+        coeffs = ((mono, as_gaussian(c)) for mono, c in (terms or {}).items())
+        clean = _merge({}, ((_pack(mono), c) for mono, c in coeffs if not c.is_zero()))
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
@@ -206,18 +208,7 @@ class DiffPoly:
             return other
         if not other._terms:
             return self
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            cur = terms.get(mono)
-            if cur is None:
-                terms[mono] = coeff
-            else:
-                s = cur + coeff
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-        return _wrap(terms)
+        return _wrap(_merge(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -225,25 +216,10 @@ class DiffPoly:
         return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not DiffPoly:
-            other = as_poly(other)
-        if not other._terms:
-            return self
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            cur = terms.get(mono)
-            if cur is None:
-                terms[mono] = -coeff
-            else:
-                s = cur - coeff
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-        return _wrap(terms)
+        return self + -as_poly(other)
 
     def __rsub__(self, other):
-        return as_poly(other) - self
+        return as_poly(other) + -self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -254,21 +230,8 @@ class DiffPoly:
         other = as_poly(other)
         if not self._terms or not other._terms:
             return ZERO_POLY
-        terms: dict[int, GaussianRational] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = ma + mb
-                c = ca * cb
-                cur = terms.get(mono)
-                if cur is None:
-                    terms[mono] = c
-                else:
-                    s = cur + c
-                    if s.is_zero():
-                        del terms[mono]
-                    else:
-                        terms[mono] = s
-        return _checked(terms)
+        return _checked(_merge({}, ((ma + mb, ca * cb) for ma, ca in self._terms.items()
+                                    for mb, cb in other._terms.items())))
 
     __rmul__ = __mul__
 
@@ -304,23 +267,20 @@ class DiffPoly:
         if x.kind != COORDINATE:
             raise KindError(f"cannot differentiate by non-coordinate {x!r}")
         x_slot = _SLOTS.get(x)
-        terms: dict[int, GaussianRational] = {}
-        for mono, coeff in self._terms.items():
-            for slot, exp in _fields(mono):
-                sym = _SYMBOLS[slot]
-                if sym.kind == COORDINATE:
-                    if slot != x_slot:
+
+        def pairs():
+            for mono, coeff in self._terms.items():
+                for slot, exp in _fields(mono):
+                    sym = _SYMBOLS[slot]
+                    if slot == x_slot:
+                        rest = mono - (1 << slot * _WIDTH)
+                    elif sym.kind == FUNCTION and (derived := sym.derivative(x.name)) is not None:
+                        rest = mono - (1 << slot * _WIDTH) + _unit(derived)
+                    else:  # a parameter, another coordinate, or a function not of x
                         continue
-                    rest = mono - (1 << slot * _WIDTH)
-                elif sym.kind == FUNCTION:
-                    derived = sym.derivative(x.name)
-                    if derived is None:
-                        continue
-                    rest = mono - (1 << slot * _WIDTH) + _unit(derived)
-                else:  # a parameter
-                    continue
-                _add_term(terms, rest, _reduced(coeff._a * exp, coeff._b * exp, coeff._d))
-        return _checked(terms)
+                    yield rest, _reduced(coeff._a * exp, coeff._b * exp, coeff._d)
+
+        return _checked(_merge({}, pairs()))
 
     def subst(self, bindings: dict) -> "DiffPoly":
         """Simultaneous substitution of symbols by polynomials.
@@ -367,14 +327,10 @@ class DiffPoly:
                     factors.append(repl**exp)
             if coeff.is_zero():
                 continue
-            if not factors:
-                _add_term(terms, kept, coeff)
-                continue
-            term = _wrap({kept: coeff})
-            for factor in factors:
-                term = term * factor
-            for m, c in term._terms.items():
-                _add_term(terms, m, c)
+            term = {kept: coeff}
+            if factors:
+                term = reduce(DiffPoly.__mul__, factors, _wrap(term))._terms
+            _merge(terms, term.items())
         return _wrap(terms)
 
     def evaluate(self, point: dict) -> GaussianRational:

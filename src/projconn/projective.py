@@ -10,12 +10,10 @@ membership reduces to one exact residual check.  Volume normalization
 picks, inside a projective class, the unique representative whose traces
 sum(GG^k_{ik}) all vanish; on the standard chart that is the connection
 making dz1 ^ ... ^ dzn parallel.  Each result is read off the stored entries
-by `_trace` and `_shift` (T +- J(theta)), building only the `Tensor` returned.
+by `_trace` and `_shift` (T + J(theta)), building only the `Tensor` returned.
 """
 
 from __future__ import annotations
-
-from operator import add, sub
 
 from .connection import FIELD, Connection, weyl3
 from .errors import ShapeError
@@ -48,15 +46,15 @@ def _trace(n, stored, num, den, minus=None) -> dict:
     return {j: p for j, acc in sums.items() if (p := _quotient(acc, D * den, memo)[0])._terms}
 
 
-def _shift(n, stored, theta, op) -> dict:
-    """T + J(theta) (op add) or T - J(theta) (op sub), T the stored entries of an
-    n-dim field and theta those of a one-form; entries that cancel are left out."""
+def _shift(n, stored, theta) -> dict:
+    """T + J(theta), T the stored entries of an n-dim field and theta those of a
+    one-form; entries that cancel are left out."""
     out = dict(stored)
     for m, t in theta.items():
         for k in range(n):
             # (k, m, k) and (k, k, m) take theta_m, so (m, m, m) takes it twice
             for f in ((k * n + m) * n + k, (k * n + k) * n + m):
-                if (s := op(out.get(f, ZERO_POLY), t))._terms:
+                if (s := out.get(f, ZERO_POLY) + t)._terms:
                     out[f] = s
                 else:
                     del out[f]
@@ -70,18 +68,18 @@ def divergence(t: Tensor) -> Tensor:
 
 def inject(f: Tensor) -> Tensor:
     """J(theta)^k_{ij} = theta_i delta^k_j + theta_j delta^k_i."""
-    return Tensor(f.dim, FIELD, _shift(f.dim, {}, _entries(f, (DOWN,), f.dim), add))
+    return Tensor(f.dim, FIELD, _shift(f.dim, {}, _entries(f, (DOWN,), f.dim)))
 
 
 def trace_free_project(t: Tensor) -> Tensor:
     """Projection onto kernel(div) along image(J); idempotent."""
     n, stored = t.dim, _entries(t, FIELD, t.dim)
-    return Tensor(n, FIELD, _shift(n, stored, _trace(n, stored, 1, n + 1), sub))
+    return Tensor(n, FIELD, _shift(n, stored, _trace(n, stored, -1, n + 1)))
 
 
 def with_one_form(c: Connection, f: Tensor) -> Connection:
     """The projectively equivalent connection c + J(theta)."""
-    shifted = _shift(c.dim, c.table._stored, _entries(f, (DOWN,), c.dim), add)
+    shifted = _shift(c.dim, c.table._stored, _entries(f, (DOWN,), c.dim))
     return Connection(c.coords, Tensor(c.dim, FIELD, shifted))
 
 
@@ -95,7 +93,8 @@ def projective_equiv(c1: Connection, c2: Connection):
         raise ShapeError("connections live on different coordinates")
     n, s1, s2 = c1.dim, c1.table._stored, c2.table._stored
     theta = _trace(n, s1, 1, n + 1, s2)
-    return Tensor(n, (DOWN,), theta) if _shift(n, s1, theta, sub) == s2 else None
+    minus = {j: -p for j, p in theta.items()}
+    return Tensor(n, (DOWN,), theta) if _shift(n, s1, minus) == s2 else None
 
 
 def volume_normalize(c: Connection) -> Connection:
@@ -106,7 +105,7 @@ def volume_normalize(c: Connection) -> Connection:
     twice it is the identity.
     """
     n, stored = c.dim, c.table._stored
-    shifted = _shift(n, stored, _trace(n, stored, -1, n + 1), add)
+    shifted = _shift(n, stored, _trace(n, stored, -1, n + 1))
     return Connection(c.coords, Tensor(n, FIELD, shifted))
 
 

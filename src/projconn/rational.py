@@ -77,21 +77,10 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            other = as_gaussian(other)
-        d, f = self._d, other._d
-        if d == f:
-            a, b = self._a - other._a, self._b - other._b
-            if d == 1:
-                return _make(a, b, 1)
-        else:
-            a = self._a * f - other._a * d
-            b = self._b * f - other._b * d
-            d *= f
-        return _reduced(a, b, d)
+        return self + -as_gaussian(other)
 
     def __rsub__(self, other):
-        return as_gaussian(other) - self
+        return as_gaussian(other) + -self
 
     def __neg__(self):
         return _make(-self._a, -self._b, self._d)

@@ -183,7 +183,9 @@ def spec_of_connection(conn: Connection, title="", tag="") -> ConnectionSpec:
     params = set()
     functions = {}
     gamma = {}
-    for (k, i, j), value in conn.nonzero_entries():
+    for (k, i, j), value in conn.table.items():
+        if i > j:
+            continue
         gamma[f"{names[k]}.{names[i]}.{names[j]}"] = str(value)
         for sym in value.symbols():
             if sym.kind == PARAMETER:

@@ -293,6 +293,12 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert p - p == as_poly(0)
+    assert (p - q) + q == p
+    assert p - q == -(q - p)
+    assert p - 3 == p + as_poly(-3)
+    assert 3 - p == -(p - 3)
+    assert not any(c.is_zero() for c in (p - q).coefficients())
+    assert not any(c.is_zero() for c in (p * q).coefficients())
 
 
 @RING_CHECKS

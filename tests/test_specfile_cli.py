@@ -622,7 +622,11 @@ class TestCli:
         (["family", "torus3", "--set", "E=0, E =1"], "--set names 'E' more than once"),
         (["geodesic", "TORUS", "--at", "A=0,B=0,C=0,D=0,E=0,E=1"], "--at names 'E' more than once"),
         (["geodesic", "TORUS", "--at", "C"], "--at entry 'C' must look like NAME=value"),
-    ], ids=["set", "set-spaced", "at", "at-malformed"])
+        (["geodesic", "TORUS", "--set", "A=1", "--at", "A=2,B=0,C=0,D=0,E=0"],
+         "'A' is given to both --set and --at"),
+        (["conditions", "TORUS", "--set", "C=1", "--sweep", "C=-1:1"],
+         "'C' is given to both --set and --sweep"),
+    ], ids=["set", "set-spaced", "at", "at-malformed", "set-and-at", "set-and-sweep"])
     def test_repeated_set_and_at_names_rejected(self, capsys, torus_file, argv, message):
         argv = [torus_file if a == "TORUS" else a for a in argv]
         if argv[0] == "geodesic":
