@@ -57,23 +57,26 @@ def _bindings(conns, assignments) -> dict:
     """Substitution bindings of the assigned names, checked against conns.
 
     Each name must be a parameter or function symbol of one of the
-    connections.  A derivative such as d(A, tau) binds through its base
-    symbol, so it takes the derivative of the assigned value.  Coordinates
-    are never bound: substituting one before differentiating would describe
-    a different connection.
+    connections, and it binds every symbol of that name in them, also where
+    two tables give it to different symbols.  A derivative such as d(A, tau)
+    binds through its base symbol, so it takes the derivative of the
+    assigned value.  Coordinates are never bound: substituting one before
+    differentiating would describe a different connection.
     """
-    known = {sym.name: sym.base() for c in conns for sym in symbols_of(c.table._stored.values())}
-    known.update((c.name, c) for conn in conns for c in conn.coords)
+    known = {}  # name -> its symbols: two tables may give one name to different ones
+    for conn in conns:
+        for sym in (*symbols_of(conn.table._stored.values()), *conn.coords):
+            known.setdefault(sym.name, set()).add(sym.base())
     bindings = {}
     for name, value in assignments.items():
-        sym = known.get(name)
-        if sym is None:
+        syms = known.get(name)
+        if syms is None:
             raise EngineError(
                 f"no parameter or function symbol named {name!r} occurs in the input"
             )
-        if sym.kind == COORDINATE:
+        if any(sym.kind == COORDINATE for sym in syms):
             raise EngineError(f"{name!r} is a coordinate and cannot be assigned")
-        bindings[sym] = as_poly(value)
+        bindings.update(dict.fromkeys(syms, as_poly(value)))
     return bindings
 
 

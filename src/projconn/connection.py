@@ -26,9 +26,11 @@ the Gaussian-integer accumulator (see `poly`) of R^l_{ijk} (with +) or of
 R^l_{jik} (with -), whichever has its first two lower indices ascending, by a
 plan of n^3 target lists cached per dimension; `curvature` settles each once
 into R^l_{ijk} and R^l_{jik} = -R^l_{ijk}.  `weyl3`, the Weyl projective
-tensor for any n >= 3 in its TrR form, never settles R: it sums TrR, P and
-each W^l_{ijk}, i < j, from the R accumulators with int weights and settles
-only W; the tests check it against the Ricci-only form.
+tensor for any n >= 3 in its TrR form, never settles R: TrR = d(tr G) comes
+with the R accumulators, from the derivative terms alone, since the products
+cancel from it; P and each W^l_{ijk}, i < j, are summed from them with int
+weights, P folded into the W sums where that is fewer addends (n = 3), and
+only W is settled; the tests check it against the Ricci-only form.
 Curvature, Ricci, Weyl and Lie derivatives are `Tensor`s, and a vector field
 is a `Tensor` of variance (up,).
 """
@@ -151,12 +153,14 @@ def _curvature_targets(n) -> tuple:
     return tuple(plan)
 
 
-def _curvature_accumulators(c: Connection) -> tuple:
+def _curvature_accumulators(c: Connection, trace=False) -> tuple:
     """(D, acc): D the lcm of the table's coefficient denominators, and acc a
     defaultdict from the offset of each R^l_{ijk}, i < j, to the accumulator of
-    D^2 R^l_{ijk}.  A derivative term of S is D d_i (D G), a product term (D G)(D G).
-    Every product monomial formed is held to MAX_DEGREE, also where it cancels or
-    lands on no entry."""
+    D^2 R^l_{ijk}, and, with trace, from ("T", i, j), i < j, to that of
+    D^2 TrR_{ij}.  A derivative term of S is D d_i (D G), a product term
+    (D G)(D G); TrR = d(tr G) takes the derivative terms alone, since the
+    products cancel from it identically.  Every product monomial formed is held
+    to MAX_DEGREE, also where it cancels or lands on no entry."""
     n = c.dim
     plan = _curvature_targets(n)
     stored = [(f, g) for f, g in c.table._stored.items() if f // n % n <= f % n]
@@ -172,6 +176,8 @@ def _curvature_accumulators(c: Connection) -> tuple:
             for i, d in _partials(g, dg, D, c.coords):
                 for r, sign in plan[(i * n + j) * n + k]:
                     _add_multiple(acc[base + r], d, sign)
+                    if trace and r % n == l:  # a term of TrR, which no product reaches
+                        _add_multiple(acc["T", r // (n * n), r // n % n], d, sign)
         for a, b, _, dg in row:
             for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
                 for j, k, _, dh in rows[m]:
@@ -222,17 +228,20 @@ def _weyl_corrections(n) -> tuple:
     those of m D^2 W, m = (n-1)(n+1), at the offsets in corrected, and of D^2 W
     elsewhere.  D^2 R^l_{ijk}, then W^l_{ijk}, sits at the flat offset of
     (l, i, j, k) with i < j, D^2 TrR_{ij} at ("T", i, j) with i < j, and
-    m D^2 P_{jk} = D^2 ((n+1) Ricci_{jk} + TrR_{jk}) at ("P", j, k)."""
+    m D^2 P_{jk} = D^2 ((n+1) Ricci_{jk} + TrR_{jk}) at ("P", j, k).  P is
+    summed once per (j, k), or substituted into each W target that reads it,
+    coincident sources merged, where that makes fewer addends (n = 3)."""
     m = (n - 1) * (n + 1)
     pairs = list(combinations(range(n), 2))
-    steps = [(("T", i, j), [(_flat(n, (k, i, j, k)), 1) for k in range(n)]) for i, j in pairs]
+    P = {}
     for j, k in product(range(n), repeat=2):
         # Ricci_{jk} = sum_i R^i_{ijk}, and R^i_{ijk} = -R^i_{jik}
         addends = [(_flat(n, (i, i, j, k)), n + 1) if i < j
                    else (_flat(n, (i, j, i, k)), -n - 1) for i in range(n) if i != j]
         if j != k:
             addends.append((("T", j, k), 1) if j < k else (("T", k, j), -1))
-        steps.append((("P", j, k), addends))
+        P["P", j, k] = addends
+    steps, folded = list(P.items()), []
     for l, k, (i, j) in product(range(n), range(n), pairs):
         # m W^l_{ijk} = m R^l_{ijk} - (n-1) d^l_k TrR_{ij} - d^l_i m P_{jk} + d^l_j m P_{ik}
         addends = [(("T", i, j), 1 - n)] if l == k else []
@@ -242,32 +251,41 @@ def _weyl_corrections(n) -> tuple:
             addends.append((("P", i, k), 1))
         if addends:
             f = _flat(n, (l, i, j, k))
-            steps.append((f, [(f, m), *addends]))
+            addends.insert(0, (f, m))
+            steps.append((f, addends))
+            weights = defaultdict(int)  # the addends, each P replaced by its own
+            for source, weight in addends:
+                for s, w in P.get(source, [(source, 1)]):
+                    weights[s] += weight * w
+            folded.append((f, list(weights.items())))
+    steps = min(steps, folded, key=lambda plan: sum(len(a) for _, a in plan))
     return tuple(steps), frozenset(t for t, _ in steps if type(t) is int)
 
 
 def weyl3(c: Connection) -> Tensor:
     """Weyl projective tensor in any dimension n >= 3, in its TrR form.
 
-    One pass: the unsettled R accumulators take in TrR and P, summed from them
-    by `_weyl_corrections` with int weights, and each W^l_{ijk} with i < j is
-    settled once.  The Ricci-only form, with P = Ricci_sym/(n-1) +
-    Ricci_alt/(n+1), agrees identically, since TrR(X,Y) = Ricci(Y,X) -
-    Ricci(X,Y); the test suite recomputes it as a check on this one.  W = 0 is
-    projective flatness for n >= 3; in dimension 2 W vanishes identically, so
-    n < 3 is refused.
+    One pass: TrR comes with the unsettled R accumulators, from the
+    derivative terms alone; P and each W^l_{ijk} with i < j are summed from
+    them by `_weyl_corrections` with int weights, and each W entry is settled
+    once.  The Ricci-only form, with P = Ricci_sym/(n-1) + Ricci_alt/(n+1),
+    agrees identically, since TrR(X,Y) = Ricci(Y,X) - Ricci(X,Y); the test
+    suite recomputes it as a check on this one.  W = 0 is projective flatness
+    for n >= 3; in dimension 2 W vanishes identically, so n < 3 is refused.
     """
     n = c.dim
     if n < 3:
         raise DimensionError(f"the projective Weyl tensor needs dimension n >= 3, got n = {n}")
-    D, acc = _curvature_accumulators(c)
+    D, acc = _curvature_accumulators(c, trace=True)
     steps, corrected = _weyl_corrections(n)
+    W = {}  # apart from acc: a folded W target reads R entries that others replace
     for target, addends in steps:
         terms = {}
         for source, weight in addends:
             if src := acc.get(source):
                 _add_multiple(terms, src, weight)
-        acc[target] = terms
+        (W if type(target) is int else acc)[target] = terms
+    acc.update(W)
     return _settled(n, acc, D * D, corrected, (n - 1) * (n + 1))
 
 

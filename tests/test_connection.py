@@ -11,6 +11,7 @@ from projconn.connection import (
     MAX_DIM,
     Connection,
     _curvature_targets,
+    _weyl_corrections,
     curvature,
     from_table,
     lie_derivative,
@@ -421,6 +422,16 @@ class TestCurvatureOracle:
         # cached for the life of the process, one plan per dimension: n^3 entries, not n^4
         plan = _curvature_targets(MAX_DIM)
         assert len(plan) <= MAX_DIM**3 and all(len(targets) <= 2 for targets in plan)
+
+    @pytest.mark.parametrize("n, addends", [(3, 54), (4, 192), (5, 400), (6, 720), (12, 6336)])
+    def test_weyl_plan_size(self, n, addends):
+        # P folded into the W sums at n = 3 (72 addends unfolded), summed once
+        # per (j, k) above it (n = 4 folded: 204, n = 12: 20,196); TrR comes
+        # from the derivative terms, never from R
+        steps, _ = _weyl_corrections(n)
+        assert sum(len(a) for _, a in steps) == addends
+        assert all(type(t) is int or t[0] == "P" for t, _ in steps)
+        assert any(type(t) is not int for t, _ in steps) == (n > 3)
 
 
 def _power_tables(exp, n=None):

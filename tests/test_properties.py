@@ -12,7 +12,8 @@ the ring axioms and the Leibniz rule, parsing with display, and the sparse
 tensor kernels with their dense oracles; curvature, Ricci and the Weyl
 projective tensor agree with the sympy engine on small random tables,
 weyl3 with the settle-then-correct path of `helpers.trr_weyl` in dims 3-6,
-also over denominators of hundreds of bits, with canonical coefficients, and
+also over denominators of hundreds of bits, with canonical coefficients,
+TrR with the exterior derivative of the trace of the table in dims 2-6, and
 the projective results with their composed forms in `helpers` in dims 3-6.
 """
 
@@ -28,11 +29,12 @@ from pathlib import Path
 from hypothesis import assume, given, settings, strategies as st
 
 from projconn.cli import main
-from projconn.connection import curvature, from_table, weyl3
+from projconn.connection import curvature, from_table, trace_r, weyl3
 from projconn.errors import EngineError
 from projconn.parser import parse_expr
 from projconn.poly import DiffPoly, as_poly
-from projconn.projective import OneForm, inject, projective_equiv, volume_normalize, with_one_form
+from projconn.projective import (
+    OneForm, divergence, inject, projective_equiv, volume_normalize, with_one_form)
 from projconn.rational import GaussianRational
 from projconn.specfile import parse_spec
 from projconn.symbols import SymbolTable
@@ -404,6 +406,24 @@ def test_weyl_matches_settle_then_correct_path(n, seed, fill):
     coords, symbols = _weyl_chart(n)
     conn = rand_torsionfree(random.Random(seed), coords, symbols, fill=fill)
     assert weyl3(conn) == trr_weyl(conn)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.sampled_from((0.2, 0.4)))
+def test_trace_r_is_the_derivative_of_the_trace(n, seed, fill):
+    # TrR_{ij} = d_i theta_j - d_j theta_i, theta_j = sum_k G^k_{kj}: the
+    # Christoffel products cancel from TrR, so weyl3 takes it from the
+    # derivative terms alone; here it is the settled curvature, contracted
+    coords, symbols = _weyl_chart(max(n, 3))
+    coords = coords[:n]
+    # at n = 2 there is no x2, so g(x1, x2) and d(g, x2) stay out
+    pool = symbols if n > 2 else [*coords, *symbols[3:5]]
+    conn = rand_torsionfree(random.Random(seed), coords, pool, fill=fill)
+    theta, trr = divergence(conn.table), trace_r(conn)
+    for i, j in combinations(range(n), 2):
+        d = theta[j].diff(coords[i]) - theta[i].diff(coords[j])
+        assert trr[i, j] == d and trr[j, i] == -d
+    assert all(trr[i, i].is_zero() for i in range(n))
 
 
 # -- Exactness of the curvature and Weyl kernels over large denominators ---------

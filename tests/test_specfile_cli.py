@@ -345,6 +345,25 @@ class TestCli:
         assert out == ""
         assert "'x' is a coordinate" in err
 
+    def test_at_binds_a_name_in_every_table(self, capsys, tmp_path):
+        # A is a parameter of one table and a function of x in the other, and
+        # x a coordinate of one table and a parameter of a third
+        paths = {}
+        for label, header, entry in (("p", "coords = x\nparams = A", "x.x.x = A"),
+                                     ("f", "coords = x\nfunctions = A(x)", "x.x.x = A"),
+                                     ("q", "coords = y\nparams = x", "y.y.y = x")):
+            path = paths[label] = tmp_path / f"{label}.conn"
+            path.write_text(f"dim = 1\n{header}\n[gamma]\n{entry}\n", encoding="utf-8")
+        argv = ["--format", "json", "geodesic", str(paths["p"]), "--x0", "0", "--v0", "1",
+                "--count", "10"]
+        code, out, err = run_cli(capsys, *argv, "--compare", str(paths["f"]), "--at", "A=1")
+        assert code == 0, err
+        assert json.loads(out)["result"]["deviation"] == "0.000000e+00"
+        code, out, err = run_cli(capsys, *argv, "--compare", str(paths["q"]), "--at", "A=1,x=1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 'x' is a coordinate and cannot be assigned\n"
+
     @pytest.mark.parametrize("source, assignments, name", [
         ("file", "c=5,d=5,A=1,B=2,E=0", "'c'"),
         ("family", "Q=1,C=5,D=5", "'Q'"),
