@@ -25,7 +25,7 @@ from .errors import EngineError
 from .parser import parse_constant
 from .poly import as_poly, symbols_of
 from .rational import GaussianRational
-from .specfile import load_spec, render_spec, spec_of_connection
+from .specfile import load_spec, read_spec_text, render_spec, spec_of_connection
 from .symbols import COORDINATE
 from .tensor import Tensor, tensor_to_json
 
@@ -289,18 +289,16 @@ def _cmd_pullback_check(args):
     g = families.GroupElement(*gamma, *lam)
     with_trace = not args.no_trace
     field = families.kuga_shimura(with_trace).table
-    weights = families.kuga_shimura_coefficients(with_trace)
     rng = random.Random(args.seed)
     points = families.orbit_safe_points(g, args.points, rng)
-    base = {
-        w.symbol.name: {
+    values = {
+        name: {
             p[0]: GaussianRational(families.random_rational(rng), families.random_rational(rng))
             for p in points
         }
-        for w in weights
+        for name in ("ABC" if with_trace else "AB")
     }
-    values = families.transported_values(g, points, base, weights)
-    ok = families.invariance_check(field, g, points, values, weights)
+    ok = families.invariance_check(field, g, points, values)
     result = {
         "gamma": [str(v) for v in gamma],
         "lambda": [str(v) for v in lam],
@@ -356,8 +354,11 @@ def _cmd_geodesic(args):
         f"integrated {args.count} steps of {args.step} (horizon {args.step * args.count:g})"
     ]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            geodesic.write_csv(fh, path, conn.coord_names())
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                geodesic.write_csv(fh, path, conn.coord_names())
+        except OSError as exc:
+            raise EngineError(str(exc)) from exc
         result["csv"] = args.csv
         lines.append(f"csv written to {args.csv}")
     negative = False
@@ -460,11 +461,7 @@ def _input_fingerprint(args) -> str:
     for key in ("spec", "spec_a", "spec_b", "compare"):
         path = getattr(args, key, None)
         if path:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    payload[f"file:{key}"] = fh.read()
-            except OSError as exc:
-                raise EngineError(str(exc)) from exc
+            payload[f"file:{key}"] = read_spec_text(path)
     blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 

@@ -57,7 +57,7 @@ class PoleError(EngineError):
 
 
 class ConsistencyError(EngineError):
-    """Supplied data violates a required relation (e.g. the weight rule)."""
+    """Supplied data is incomplete or inconsistent (e.g. a coefficient value is missing)."""
 
 
 class DivergenceError(EngineError):

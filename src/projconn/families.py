@@ -18,9 +18,11 @@ tau -> (a tau + b)/(c tau + d) with an automorphy factor fixed here as
 
     value(gamma tau) = (c tau + d)^(2w) * value(tau)
 
-with weight w = 3/2 for A and B and w = 1 for C.  The exponent convention
-(2w, not w) is pinned by the golden checks: the order-4 element (0,-1,1,0)
-leaves the family invariant exactly for the cube factor on A and B.
+with weight w = 3/2 for A and B and w = 1 for C (_KUGA_SHIMURA_WEIGHTS);
+invariance_check derives every value at an image point from this rule.
+The exponent convention (2w, not w) is pinned by the golden checks: the
+order-4 element (0,-1,1,0) leaves the family invariant exactly for the
+cube factor on A and B.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from .connection import MAX_DIM, Connection, _check_chart, from_table
 from .errors import ConsistencyError, ConstructionError, PoleError, ShapeError
 from .poly import as_poly
 from .rational import GaussianRational, ONE, ZERO, as_gaussian
-from .symbols import FUNCTION, Symbol, coordinate, function, parameter
+from .symbols import FUNCTION, coordinate, function, parameter
 from .tensor import Tensor
 
-_ALLOWED_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 _KUGA_SHIMURA_WEIGHTS = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
 
 
@@ -109,34 +110,6 @@ def kuga_shimura(with_trace: bool) -> Connection:
     return from_table(torus_coords(), entries)
 
 
-class WeightedCoefficient:
-    """A tau-dependent coefficient together with its modular weight."""
-
-    __slots__ = ("symbol", "weight")
-
-    def __init__(self, symbol: Symbol, weight):
-        weight = Fraction(weight)
-        if weight not in _ALLOWED_WEIGHTS:
-            raise ConstructionError(f"unsupported weight {weight}")
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "weight", weight)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedCoefficient is immutable")
-
-    def transport(self, den: GaussianRational, value) -> GaussianRational:
-        """The value at gamma tau: (c tau + d)^(2w) * value(tau)."""
-        return den ** int(self.weight * 2) * as_gaussian(value)
-
-
-def kuga_shimura_coefficients(with_trace: bool = True):
-    """The weighted coefficients of the fibered family."""
-    names = "ABC" if with_trace else "AB"
-    return tuple(
-        WeightedCoefficient(function(n, ("tau",)), _KUGA_SHIMURA_WEIGHTS[n]) for n in names
-    )
-
-
 class GroupElement:
     """Pair (gamma, lambda): gamma = (a b; c d) with ad - bc = 1 and a
     translation part lambda = (m, n, k, l), acting on points (tau, z1, z2) by
@@ -204,72 +177,52 @@ class GroupElement:
         return jac, jac_inv
 
 
-def _field_values(field: Tensor, coords, functions, point, coeff_values) -> dict:
-    """The field's nonzero values at one point (tau, z1, z2), keyed by index;
-    function symbols take their values at tau."""
-    tau = point[0]
-    bindings = dict(zip(coords, point))
-    for sym in functions:
-        values = coeff_values.get(sym.name)
-        if values is None or tau not in values:
-            raise ConsistencyError(f"no value supplied for {sym.name} at tau = {tau}")
-        bindings[sym] = as_gaussian(values[tau])
+def _field_values(field: Tensor, bindings) -> dict:
+    """The field's nonzero values under bindings, keyed by index."""
     found = {idx: entry.evaluate(bindings) for idx, entry in field.items()}
     return {idx: value for idx, value in found.items() if not value.is_zero()}
 
 
-def invariance_check(
-    field: Tensor,
-    g: GroupElement,
-    points,
-    coeff_values,
-    weights=None,
-) -> bool:
+def invariance_check(field: Tensor, g: GroupElement, points, coeff_values) -> bool:
     """Exact pointwise invariance of the field under one group element.
 
-    coeff_values maps a coefficient name to {tau value: coefficient value},
-    supplying each weighted coefficient at both tau and its image; the
-    weight rule value(gamma tau) = (c tau + d)^(2w) value(tau) is validated
-    first.  Returns True when the pullback of the field through the action
-    equals the field at every supplied point.
+    coeff_values maps a coefficient name to {tau value: coefficient value}
+    at the tau of each point; the value at the image gamma tau follows from
+    the weight rule value(gamma tau) = (c tau + d)^(2w) value(tau), with w
+    read from _KUGA_SHIMURA_WEIGHTS.  Returns True when the pullback of the
+    field through the action equals the field at every point.
     """
-    if weights is None:
-        weights = tuple(
-            w for w in kuga_shimura_coefficients() if w.symbol.name in coeff_values
-        )
     if field.dim != 3:
         raise ShapeError("the action is defined on three coordinates")
     coords = torus_coords()
-    functions = []  # bound at each point; evaluate refuses any other symbol
+    exponents = {}  # function symbol -> 2w; evaluate refuses any other symbol
     for _, entry in field.items():
         for sym in entry.symbols():
-            if sym.kind == FUNCTION and not sym.is_derived() and sym not in functions:
-                functions.append(sym)
+            if sym.kind == FUNCTION and not sym.is_derived() and sym not in exponents:
+                weight = _KUGA_SHIMURA_WEIGHTS.get(sym.name)
+                if weight is None:
+                    raise ConsistencyError(f"no weight declared for {sym.name}")
+                exponents[sym] = int(2 * weight)
     for point in points:
         point = tuple(as_gaussian(p) for p in point)
         tau = point[0]
-        den, image_tau = g.moebius(tau)
-        for coeff in weights:
-            name = coeff.symbol.name
-            values = coeff_values.get(name)
-            if values is None:
-                raise ConsistencyError(f"no values supplied for {name}")
-            if tau not in values or image_tau not in values:
-                raise ConsistencyError(
-                    f"{name} needs values at both tau = {tau} and its image"
-                )
-            if as_gaussian(values[image_tau]) != coeff.transport(den, values[tau]):
-                raise ConsistencyError(
-                    f"{name} violates the weight-{coeff.weight} rule at tau = {tau}"
-                )
+        den, _ = g.moebius(tau)
+        here = dict(zip(coords, point))
+        there = dict(zip(coords, g.apply(point)))
+        for sym, exponent in exponents.items():
+            value = coeff_values.get(sym.name, {}).get(tau)
+            if value is None:
+                raise ConsistencyError(f"no value supplied for {sym.name} at tau = {tau}")
+            here[sym] = as_gaussian(value)
+            there[sym] = den ** exponent * here[sym]
         jac, jac_inv = g.jacobian(point)
         # J and J^-1 are lower triangular: skip their zero factors
         inv_rows = [[(kp, a) for kp, a in enumerate(row) if not a.is_zero()] for row in jac_inv]
         jac_cols = [
             [(ip, row[i]) for ip, row in enumerate(jac) if not row[i].is_zero()] for i in range(3)
         ]
-        at_image = _field_values(field, coords, functions, g.apply(point), coeff_values)
-        at_point = _field_values(field, coords, functions, point, coeff_values)
+        at_image = _field_values(field, there)
+        at_point = _field_values(field, here)
         for k, i, j in field.indices():
             pulled = ZERO
             for kp, a in inv_rows[k]:
@@ -289,13 +242,13 @@ def random_rational(rng, span=6, max_den=4) -> Fraction:
 
 
 def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
-    """Random exact points whose tau values leave the weight rule free.
+    """count random exact points (tau, z1, z2) with distinct tau, none at a
+    pole of the action.
 
-    Skips poles, tau values fixed by the action with a nontrivial
-    automorphy factor, and tau values colliding with another sample's
-    image (both would constrain otherwise arbitrary coefficient values).
-    A rejected tau stays rejected, so once every candidate tau has been
-    drawn and fewer than count are accepted, ConsistencyError is raised.
+    The real and imaginary part of each coordinate is a random_rational.
+    Distinct tau give each point its own coefficient values.  A rejected
+    tau stays rejected, so once every candidate tau has been drawn and
+    fewer than count are accepted, ConsistencyError is raised.
     """
 
     def draw():
@@ -306,8 +259,6 @@ def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
     rationals = {Fraction(a, b) for a in range(-span, span + 1) for b in range(1, max_den + 1)}
     candidates = len(rationals) ** 2
     points = []
-    taus = set()
-    images = set()
     tried = set()
     while len(points) < count:
         if len(tried) == candidates:
@@ -316,46 +267,12 @@ def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
                 f"{candidates} candidate tau values has been tried"
             )
         tau = draw()
-        tried.add(tau)
-        if tau in taus:
+        if tau in tried:
             continue
+        tried.add(tau)
         try:
-            den, image = g.moebius(tau)
+            g.moebius(tau)
         except PoleError:
             continue
-        if image == tau and den != ONE:
-            continue
-        if image != tau and (image in taus or tau in images):
-            continue
-        images.add(image)
-        taus.add(tau)
         points.append((tau, draw(), draw()))
     return points
-
-
-def transported_values(g: GroupElement, points, base_values, weights=None):
-    """Build a coefficient assignment satisfying the weight rule.
-
-    base_values maps coefficient name -> {tau: value at tau}; the value at
-    each image point gamma(tau) is filled in by the transport rule."""
-    if weights is None:
-        weights = kuga_shimura_coefficients()
-    by_name = {w.symbol.name: w for w in weights}
-    out = {name: dict(vals) for name, vals in base_values.items()}
-    for point in points:
-        tau = as_gaussian(point[0])
-        den, image = g.moebius(tau)
-        for name, values in out.items():
-            if tau not in values:
-                raise ConsistencyError(f"missing base value of {name} at tau = {tau}")
-            coeff = by_name.get(name)
-            if coeff is None:
-                raise ConsistencyError(f"no weight declared for {name}")
-            transported = coeff.transport(den, values[tau])
-            existing = values.get(image)
-            if existing is not None and as_gaussian(existing) != transported:
-                raise ConsistencyError(
-                    f"conflicting value for {name} at tau = {image}"
-                )
-            values[image] = transported
-    return out

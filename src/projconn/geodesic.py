@@ -186,11 +186,7 @@ def _kernel(width: int):
 
     segment(a, b) is the tuple (a, b - a, |b - a|^2 or 1.0) for the segment
     from a to b; distance(p, segment) is the point-to-segment formula, with
-    numpy's operations in numpy's order.  distance hands its second half to
-    a function of its own: under tracemalloc, CPython looks up the source
-    line of every object created, at a cost that grows with the creating
-    instruction's offset in its function, and the split cuts the traced
-    match time by a third.
+    numpy's operations in numpy's order.
     """
     c = range(width)
 
@@ -212,9 +208,6 @@ def distance(p, segment):
         t = 0.0
     elif t > 1.0:
         t = 1.0
-    return to_nearest({names("p")} {names("s")} {names("d")} t)
-
-def to_nearest({names("p")} {names("s")} {names("d")} t):
     {names("e")} = {", ".join(f"p{i} - (s{i} + t * d{i})" for i in c)}
     return sqrt({_pairwise([f"e{i} * e{i}" for i in c])})
 """

@@ -167,13 +167,20 @@ def parse_spec(text: str, filename=None) -> ConnectionSpec:
     )
 
 
-def load_spec(path) -> ConnectionSpec:
+def read_spec_text(path) -> str:
+    """The text of the file at path, read as UTF-8; SpecFileError when it
+    cannot be opened or is not valid UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise SpecFileError(str(exc)) from exc
-    return parse_spec(text, filename=str(path))
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"not valid UTF-8: {exc.reason}", str(path)) from exc
+
+
+def load_spec(path) -> ConnectionSpec:
+    return parse_spec(read_spec_text(path), filename=str(path))
 
 
 def spec_of_connection(conn: Connection, title="", tag="") -> ConnectionSpec:

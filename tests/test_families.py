@@ -10,16 +10,14 @@ import pytest
 from projconn.connection import MAX_DIM, curvature, from_table, weyl3
 from projconn.errors import ConsistencyError, ConstructionError, EvalError, PoleError
 from projconn.families import (
+    _KUGA_SHIMURA_WEIGHTS,
     GroupElement,
-    WeightedCoefficient,
     invariance_check,
     kuga_shimura,
-    kuga_shimura_coefficients,
     orbit_safe_points,
     torus3,
     torus_n,
     torus_coords,
-    transported_values,
 )
 from projconn.cli import main
 from projconn.poly import DiffPoly, as_poly
@@ -152,19 +150,11 @@ class TestKugaShimura:
         assert theta[2].is_zero()
 
     def test_weights(self):
-        coeffs = {w.symbol.name: w.weight for w in kuga_shimura_coefficients(True)}
-        assert coeffs == {
+        assert _KUGA_SHIMURA_WEIGHTS == {
             "A": Fraction(3, 2),
             "B": Fraction(3, 2),
             "C": Fraction(1),
         }
-        for w in kuga_shimura_coefficients(True):
-            den = GaussianRational(Fraction(2, 3), 1)
-            assert w.transport(den, ONE) == den ** int(2 * w.weight)
-
-    def test_bad_weight_rejected(self):
-        with pytest.raises(ConstructionError):
-            WeightedCoefficient(function("A", ("tau",)), Fraction(2))
 
 
 class TestGroupElement:
@@ -249,11 +239,18 @@ def _random_points(rng, count, g):
     return orbit_safe_points(g, count, rng)
 
 
-def _random_base_values(rng, points, names=("A", "B", "C")):
+def _random_values(rng, points, names=("A", "B", "C")):
     return {
         name: {p[0]: GaussianRational(rand_fraction(rng), rand_fraction(rng)) for p in points}
         for name in names
     }
+
+
+def _wrong_slot_field():
+    """A moved to G^z1_{z1 z1}, a half-weight slot."""
+    a_sym = function("A", ("tau",))
+    return Tensor(3, (UP, DOWN, DOWN),
+                  [a_sym if idx == (1, 1, 1) else 0 for idx in product(range(3), repeat=3)])
 
 
 class TestInvariance:
@@ -262,8 +259,7 @@ class TestInvariance:
         g = GroupElement(0, -1, 1, 0, 1, 2, 3, 4)
         field = kuga_shimura(True).table
         points = _random_points(rng, 5, g)
-        base = {name: {p[0]: ZERO for p in points} for name in ("A", "B", "C")}
-        values = transported_values(g, points, base)
+        values = {name: {p[0]: ZERO for p in points} for name in ("A", "B", "C")}
         assert invariance_check(field, g, points, values)
 
     def test_lattice_part_any_values(self):
@@ -273,8 +269,7 @@ class TestInvariance:
             lam = [rand_fraction(rng) for _ in range(4)]
             g = GroupElement(1, 0, 0, 1, *lam)
             points = _random_points(rng, 6, g)
-            values = transported_values(g, points, _random_base_values(rng, points))
-            assert invariance_check(field, g, points, values)
+            assert invariance_check(field, g, points, _random_values(rng, points))
 
     def test_unipotent_any_values(self):
         rng = random.Random(20240829)
@@ -282,40 +277,56 @@ class TestInvariance:
         for _ in range(5):
             g = GroupElement(1, rand_fraction(rng), 0, 1)
             points = _random_points(rng, 6, g)
-            values = transported_values(g, points, _random_base_values(rng, points))
-            assert invariance_check(field, g, points, values)
+            assert invariance_check(field, g, points, _random_values(rng, points))
 
     def test_order_four_with_transported_values(self):
         rng = random.Random(20240830)
         field = kuga_shimura(True).table
         g = GroupElement(0, -1, 1, 0)
         points = _random_points(rng, 10, g)
-        values = transported_values(g, points, _random_base_values(rng, points))
-        assert invariance_check(field, g, points, values)
+        assert invariance_check(field, g, points, _random_values(rng, points))
 
     def test_hand_computed_cube_factor(self):
-        # value of A at tau = 2i must become (2i)^3 v at the image -1/(2i)
+        # A at tau = 2i becomes (2i)^3 v at the image -1/(2i); J^-1 and J
+        # scale G^z1_{tt} by (2i) (2i)^-4, which gives v back
         g = GroupElement(0, -1, 1, 0)
         tau = GaussianRational(0, 2)
         v = GaussianRational(Fraction(1, 3))
-        values = transported_values(g, [(tau, ZERO, ZERO)], {"A": {tau: v}, "B": {tau: ZERO}, "C": {tau: ZERO}})
-        image = (g.a * tau + g.b) / (g.c * tau + g.d)
-        assert values["A"][image] == (GaussianRational(0, 2) ** 3) * v
-        field = kuga_shimura(True).table
-        assert invariance_check(field, g, [(tau, ZERO, ZERO)], values)
+        values = {"A": {tau: v}, "B": {tau: ZERO}, "C": {tau: ZERO}}
+        assert invariance_check(kuga_shimura(True).table, g, [(tau, ZERO, ZERO)], values)
 
-    def test_inconsistent_values_rejected(self):
+    def test_fixed_point_and_colliding_pair_any_values(self):
+        # i is fixed by (0,-1,1,0) with factor c tau + d = i; 2i and i/2 swap
+        rng = random.Random(20240833)
+        g = GroupElement(0, -1, 1, 0)
+        field = kuga_shimura(True).table
+        points = [(tau, GaussianRational(1, -2), GaussianRational(Fraction(1, 3), 1))
+                  for tau in (I, GaussianRational(0, 2), GaussianRational(0, Fraction(1, 2)))]
+        values = _random_values(rng, points)
+        assert all(not v.is_zero() for by_tau in values.values() for v in by_tau.values())
+        assert invariance_check(field, g, points, values)
+
+    def test_wrong_slot_fails_at_a_fixed_point(self):
+        g = GroupElement(0, -1, 1, 0)
+        assert not invariance_check(_wrong_slot_field(), g, [(I, ONE, ZERO)], {"A": {I: ONE}})
+
+    def test_missing_value_rejected(self):
         g = GroupElement(0, -1, 1, 0)
         tau = GaussianRational(0, 2)
-        image = -ONE / tau
-        values = {
-            "A": {tau: ONE, image: ONE},  # violates the cube rule
-            "B": {tau: ZERO, image: ZERO},
-            "C": {tau: ZERO, image: ZERO},
-        }
-        field = kuga_shimura(True).table
-        with pytest.raises(ConsistencyError):
-            invariance_check(field, g, [(tau, ZERO, ZERO)], values)
+        values = {"A": {tau: ONE}, "B": {tau: ONE}, "C": {tau + ONE: ONE}}
+        with pytest.raises(ConsistencyError, match="no value supplied for C"):
+            invariance_check(kuga_shimura(True).table, g, [(tau, ZERO, ZERO)], values)
+        del values["C"]
+        with pytest.raises(ConsistencyError, match="no value supplied for C"):
+            invariance_check(kuga_shimura(True).table, g, [(tau, ZERO, ZERO)], values)
+
+    def test_undeclared_weight_rejected(self):
+        f_sym = function("F", ("tau",))
+        field = Tensor(3, (UP, DOWN, DOWN),
+                       [f_sym if idx == (1, 0, 0) else 0 for idx in product(range(3), repeat=3)])
+        tau = GaussianRational(0, 2)
+        with pytest.raises(ConsistencyError, match="no weight declared for F"):
+            invariance_check(field, GroupElement(1, 1, 0, 1), [(tau, ZERO, ZERO)], {"F": {tau: ONE}})
 
     @pytest.mark.parametrize("entry", ["parameter", "derivative"])
     def test_unbindable_field_symbol_rejected(self, entry):
@@ -331,16 +342,10 @@ class TestInvariance:
     def test_wrong_slot_not_invariant(self):
         """A coefficient moved to a half-weight slot fails under inversion."""
         rng = random.Random(20240831)
-        a_sym = function("A", ("tau",))
-        # pretend A sits at G^z1_{z1 z1}
-        wrong = Tensor(3, (UP, DOWN, DOWN),
-                       [a_sym if idx == (1, 1, 1) else 0 for idx in product(range(3), repeat=3)])
         g = GroupElement(0, -1, 1, 0)
         points = _random_points(rng, 4, g)
-        base = {"A": {p[0]: GaussianRational(rand_fraction(rng, 3), 1) for p in points}}
-        weights = (WeightedCoefficient(a_sym, Fraction(3, 2)),)
-        values = transported_values(g, points, base, weights)
-        assert not invariance_check(wrong, g, points, values, weights)
+        values = {"A": {p[0]: GaussianRational(rand_fraction(rng, 3), 1) for p in points}}
+        assert not invariance_check(_wrong_slot_field(), g, points, values)
 
     def test_field_symbols_collected_once_per_check(self, monkeypatch, capsys):
         calls = []

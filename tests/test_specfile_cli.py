@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -56,6 +57,8 @@ tau.tau.tau = E
 z1.z1.tau = E / 2
 z2.z2.tau = E / 2
 """
+
+NOT_UTF8_SPEC = b"dim = 1\ncoords = x\n[gamma]\nx.x.x = 1 # \xff\n"  # a Latin-1 comment
 
 
 class TestSpecFile:
@@ -121,6 +124,12 @@ class TestSpecFile:
     def test_missing_file(self):
         with pytest.raises(SpecFileError):
             load_spec("/nonexistent/path.conn")
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.conn"
+        path.write_bytes(NOT_UTF8_SPEC)
+        with pytest.raises(SpecFileError, match=f"^{re.escape(str(path))}: not valid UTF-8"):
+            load_spec(path)
 
     def test_programming_errors_are_not_relabelled(self, monkeypatch):
         def broken(coords, entries):
@@ -270,6 +279,23 @@ class TestCli:
         code, _, err = run_cli(capsys, "curvature", str(path))
         assert code == 2
         assert "byte offset" in err
+
+    @pytest.mark.parametrize("command", ["curvature", "equiv"])
+    def test_invalid_utf8_is_exit_2(self, capsys, tmp_path, torus_file, command):
+        path = tmp_path / "latin1.conn"
+        path.write_bytes(NOT_UTF8_SPEC)
+        files = (torus_file, str(path)) if command == "equiv" else (str(path),)
+        code, out, err = run_cli(capsys, command, *files)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not valid UTF-8: invalid start byte\n"
+
+    @pytest.mark.parametrize("target", ["missing/path.csv", "."])
+    def test_geodesic_csv_that_cannot_be_opened_is_exit_2(self, capsys, tmp_path, torus_file,
+                                                           target):
+        code, out, err = run_cli(capsys, "geodesic", torus_file, "--at", "A=1,B=0,C=0,D=0,E=0",
+                                 "--x0", "0,0,0", "--v0", "1,1,1", "--csv", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and str(tmp_path) in err
 
     def test_family_output_feeds_flat(self, capsys, tmp_path):
         code = main(["family", "kuga-shimura"])

@@ -17,7 +17,6 @@ from projconn.families import (
     orbit_safe_points,
     torus3,
     torus_n,
-    transported_values,
 )
 from projconn.geodesic import integrate
 from projconn.projective import (
@@ -249,8 +248,8 @@ def test_kernels_never_read_the_dense_view(monkeypatch, capsys):
 
     g = GroupElement(0, -1, 1, 0, 1, 2, 3, 4)
     points = orbit_safe_points(g, 3, random.Random(5))
-    base = {name: {p[0]: GaussianRational(1, 2) for p in points} for name in "ABC"}
-    assert invariance_check(kuga_shimura(True).table, g, points, transported_values(g, points, base))
+    values = {name: {p[0]: GaussianRational(1, 2) for p in points} for name in "ABC"}
+    assert invariance_check(kuga_shimura(True).table, g, points, values)
 
 
 def test_json_round_trip_omits_zeros():
