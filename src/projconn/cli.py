@@ -25,13 +25,14 @@ from .errors import EngineError
 from .parser import parse_constant
 from .poly import as_poly, symbols_of
 from .rational import GaussianRational
-from .specfile import load_spec, read_spec_text, render_spec, spec_of_connection
+from .specfile import parse_spec, read_spec_text, render_spec, spec_of_connection
 from .symbols import COORDINATE
 from .tensor import Tensor, tensor_to_json
 
 SCHEMA = 1
 MAX_SWEEP_POINTS = 10_000
 EXIT_CLOSED_STDOUT = 141  # stdout was closed before the report was written; 128 + SIGPIPE
+INPUT_FILES = ("spec", "spec_a", "spec_b", "compare")  # the options that name spec files
 
 
 def _parse_set(option: str | None, flag: str) -> dict[str, GaussianRational]:
@@ -106,15 +107,13 @@ def _family(name, args):
     raise EngineError(f"unknown family {name!r}")
 
 
-def _load(args, *paths, sweep=()):
-    """The connections of the spec files at paths, a missing path standing for
-    --family, with --set and --at substituted; plus their source labels.  A
-    --set name may not reappear in --at or in sweep, the --sweep ranges."""
+def _load(args, texts, *paths, sweep=()):
+    """The connections of the spec files at paths, parsed from texts (path ->
+    the file's text), a missing path standing for --family, with --set and
+    --at substituted; plus their source labels.  A --set name may not
+    reappear in --at or in sweep, the --sweep ranges."""
     family = getattr(args, "family", None) or getattr(args, "name", None)
-    conns = [
-        load_spec(path).to_connection(filename=path) if path else _family(family, args)
-        for path in paths
-    ]
+    conns = [parse_spec(texts[path], path) if path else _family(family, args) for path in paths]
     sources = [path or f"family:{family}" for path in paths]
     assignments = _parse_set(getattr(args, "set", None), "--set")
     at = _parse_set(getattr(args, "at", None), "--at")
@@ -148,8 +147,8 @@ def _tensor_lines(t: Tensor, names, label: str) -> list[str]:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_tensor(args):
-    (conn,), (source,) = _load(args, args.spec)
+def _cmd_tensor(args, texts):
+    (conn,), (source,) = _load(args, texts, args.spec)
     # looked up per call, so that wrappers installed around the engine see it
     compute, label = {
         "curvature": (curvature, "R"),
@@ -170,18 +169,18 @@ def _cmd_tensor(args):
     return result, lines, False
 
 
-def _cmd_flat(args):
+def _cmd_flat(args, texts):
     from . import projective
-    (conn,), (source,) = _load(args, args.spec)
+    (conn,), (source,) = _load(args, texts, args.spec)
     flat = projective.is_projectively_flat(conn)
     result = {"source": source, "projectively_flat": flat}
     lines = [f"projectively flat: {str(flat).lower()}"]
     return result, lines, not flat
 
 
-def _cmd_equiv(args):
+def _cmd_equiv(args, texts):
     from . import projective
-    (a, b), _ = _load(args, args.spec_a, args.spec_b)
+    (a, b), _ = _load(args, texts, args.spec_a, args.spec_b)
     theta = projective.projective_equiv(a, b)
     equivalent = theta is not None
     result = {"equivalent": equivalent}
@@ -193,9 +192,9 @@ def _cmd_equiv(args):
     return result, lines, not equivalent
 
 
-def _cmd_normalize(args):
+def _cmd_normalize(args, texts):
     from . import projective
-    (conn,), (source,) = _load(args, args.spec)
+    (conn,), (source,) = _load(args, texts, args.spec)
     normalized = projective.volume_normalize(conn)
     theta = projective.projective_equiv(conn, normalized)
     witness = {name: str(theta[i]) for i, name in enumerate(conn.coord_names())}
@@ -229,10 +228,10 @@ def _parse_sweep(items):
     return ranges
 
 
-def _cmd_conditions(args):
+def _cmd_conditions(args, texts):
     from . import projective
     ranges = _parse_sweep(args.sweep)
-    (conn,), (source,) = _load(args, args.spec, sweep=ranges)
+    (conn,), (source,) = _load(args, texts, args.spec, sweep=ranges)
     # names checked once against the connection; the conditions may lack some
     symbols = {sym.name: sym for sym in _bindings([conn], {name: 0 for name, _, _ in ranges})}
     conditions = projective.flatness_conditions(conn)
@@ -259,8 +258,8 @@ def _cmd_conditions(args):
     return result, lines, False
 
 
-def _cmd_family(args):
-    (conn,), _ = _load(args, None)
+def _cmd_family(args, texts):
+    (conn,), _ = _load(args, texts, None)
     if args.name == "kuga-shimura":
         title = "fibered family with tau-dependent coefficients"
     else:
@@ -278,7 +277,7 @@ def _parse_tuple(option: str, count: int, label: str):
     return [parse_constant(p) for p in parts]
 
 
-def _cmd_pullback_check(args):
+def _cmd_pullback_check(args, texts):
     import random
 
     from . import families
@@ -315,7 +314,7 @@ def _cmd_pullback_check(args):
     return result, lines, not ok
 
 
-def _cmd_geodesic(args):
+def _cmd_geodesic(args, texts):
     from . import geodesic
 
     if args.tol is not None and not args.tol >= 0:
@@ -331,7 +330,10 @@ def _cmd_geodesic(args):
             f"count must not exceed {geodesic.MAX_STEPS // 2}"
         )
     paths = (args.spec, args.compare) if args.compare else (args.spec,)
-    conns, (source, *_) = _load(args, *paths)
+    for path in paths:
+        if path and args.csv and os.path.exists(args.csv) and os.path.samefile(args.csv, path):
+            raise EngineError(f"--csv {args.csv} is the input file {path}")
+    conns, (source, *_) = _load(args, texts, *paths)
     missing = {sym.name for c in conns for sym in symbols_of(e for _, e in c.table.items())}
     if missing:
         raise EngineError(
@@ -452,16 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_fingerprint(args) -> str:
+def _input_fingerprint(args, texts) -> str:
     payload = {"command": args.command}
     for key, value in sorted(vars(args).items()):
         if key in ("format", "strict", "csv", "run"):
             continue  # execution and output knobs are not inputs
         payload[key] = value
-    for key in ("spec", "spec_a", "spec_b", "compare"):
+    for key in INPUT_FILES:
         path = getattr(args, key, None)
         if path:
-            payload[f"file:{key}"] = read_spec_text(path)
+            payload[f"file:{key}"] = texts[path]
     blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -471,8 +473,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        digest = _input_fingerprint(args)
-        result, lines, negative = args.run(args)
+        paths = dict.fromkeys(getattr(args, key, None) for key in INPUT_FILES)
+        texts = {path: read_spec_text(path) for path in paths if path}  # one read per file
+        digest = _input_fingerprint(args, texts)
+        result, lines, negative = args.run(args, texts)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,14 @@
 A spec is a header of `key = value` lines followed by a `[gamma]` section of
 `k.i.j = expression` lines, where k, i, j are coordinate names and the
 expression grammar is the one of the parser module.  Blank lines and
-`#` comments are skipped.  `to_connection` resolves each key to indices
-and parses its expression, where an error names the entry's line, and
-builds the connection with `from_table`.  Example:
+`#` comments are skipped.  `parse_spec` reads the file once: at `[gamma]`
+(or at the end of a file without one) it checks the header and declares its
+symbols, then resolves each gamma key to indices and parses its expression
+on its own line, so an error names that line and a file with several errors
+reports the first one in file order.  The connection is built by
+`from_table`, whose checks (conflicting symmetric entries, a coordinate
+declared twice) see the whole table and so come last.  `ConnectionSpec` is
+the record `spec_of_connection` fills and `render_spec` prints.  Example:
 
     title = constant family
     dim = 3
@@ -21,64 +26,20 @@ from __future__ import annotations
 from .connection import Connection, from_table
 from .errors import EngineError, ParseError, SpecFileError
 from .parser import parse_expr
-from .poly import DiffPoly
 from .symbols import FUNCTION, PARAMETER, SymbolTable
 
 
 class ConnectionSpec:
-    """Parsed spec: declarations, raw gamma expressions, metadata."""
+    """A connection as spec text: declarations, gamma expressions, metadata."""
 
-    def __init__(self, dim, coords, params=(), functions=(), gamma=None,
-                 title="", tag="", gamma_lines=None):
+    def __init__(self, dim, coords, params, functions, gamma, title="", tag=""):
         self.dim = dim
-        self.coords = list(coords)
-        self.params = list(params)
-        self.functions = [(name, tuple(deps)) for name, deps in functions]
-        self.gamma = dict(gamma or {})
+        self.coords = coords
+        self.params = params
+        self.functions = functions
+        self.gamma = gamma
         self.title = title
         self.tag = tag
-        self.gamma_lines = dict(gamma_lines or {})
-
-    # -- symbol resolution -----------------------------------------------------
-
-    def symbol_table(self) -> SymbolTable:
-        table = SymbolTable()
-        for name in self.coords:
-            table.coordinate(name)
-        for name in self.params:
-            table.parameter(name)
-        for name, deps in self.functions:
-            table.function(name, deps)
-        return table
-
-    def to_connection(self, filename=None) -> Connection:
-        if self.dim != len(self.coords):
-            raise SpecFileError(
-                f"dim = {self.dim} but {len(self.coords)} coordinates declared",
-                filename,
-            )
-        index = {name: pos for pos, name in enumerate(self.coords)}
-        entries: dict[tuple, DiffPoly] = {}
-        try:
-            table = self.symbol_table()
-            coords = [table.lookup(name) for name in self.coords]
-            for key, text in self.gamma.items():
-                indices = tuple(index.get(name) for name in key.split("."))
-                if None in indices:
-                    raise SpecFileError(f"unknown coordinate in gamma key {key!r}",
-                                        filename, self.gamma_lines.get(key))
-                entries[indices] = parse_expr(text, table)
-            return from_table(coords, entries)
-        except SpecFileError:
-            raise
-        except ParseError as exc:  # raised only by parse_expr, so key names the entry
-            raise SpecFileError(
-                f"in gamma entry {key!r}: {exc}",
-                filename,
-                self.gamma_lines.get(key),
-            ) from exc
-        except EngineError as exc:
-            raise SpecFileError(str(exc), filename) from exc
 
 
 def _split_names(value: str):
@@ -102,39 +63,65 @@ def _parse_function_decl(text: str, filename, line_no):
     return name, tuple(deps)
 
 
-def parse_spec(text: str, filename=None) -> ConnectionSpec:
+def _declared(header, functions, filename):
+    """The coordinate symbols and the symbol table of a complete header."""
+    for key in ("dim", "coords"):
+        if key not in header:
+            raise SpecFileError(f"missing required header key {key!r}", filename)
+    try:
+        dim = int(header["dim"])
+    except ValueError:
+        raise SpecFileError(f"dim must be an integer, got {header['dim']!r}", filename) from None
+    names = _split_names(header["coords"])
+    if dim != len(names):
+        raise SpecFileError(f"dim = {dim} but {len(names)} coordinates declared", filename)
+    table = SymbolTable()
+    coords = [table.coordinate(name) for name in names]
+    for name in _split_names(header.get("params", "")):
+        table.parameter(name)
+    for name, deps in functions:
+        table.function(name, deps)
+    return coords, table
+
+
+def parse_spec(text: str, filename=None) -> Connection:
+    """The connection the spec text describes; a SpecFileError names filename
+    and, where the error has one, its line."""
     header: dict[str, str] = {}
     functions = []
-    gamma: dict[str, str] = {}
-    gamma_lines: dict[str, int] = {}
-    in_gamma = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[gamma]":
-            if in_gamma:
-                raise SpecFileError("duplicate [gamma] section", filename, line_no)
-            in_gamma = True
-            continue
-        if line.startswith("["):
-            raise SpecFileError(f"unknown section {line!r}", filename, line_no)
-        if "=" not in line:
-            raise SpecFileError(f"expected 'key = value', got {line!r}", filename, line_no)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if in_gamma:
-            if key.count(".") != 2:
-                raise SpecFileError(
-                    f"gamma key {key!r} must look like k.i.j", filename, line_no
-                )
-            if key in gamma:
-                raise SpecFileError(f"duplicate gamma key {key!r}", filename, line_no)
-            gamma[key] = value
-            gamma_lines[key] = line_no
-        else:
-            if key == "functions":
+    entries = {}  # (k, i, j) -> its parsed expression
+    table = None  # the symbol table, declared at [gamma]
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line == "[gamma]":
+                if table is not None:
+                    raise SpecFileError("duplicate [gamma] section", filename, line_no)
+                coords, table = _declared(header, functions, filename)
+                index = {c.name: pos for pos, c in enumerate(coords)}
+                continue
+            if line.startswith("["):
+                raise SpecFileError(f"unknown section {line!r}", filename, line_no)
+            if "=" not in line:
+                raise SpecFileError(f"expected 'key = value', got {line!r}", filename, line_no)
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if table is not None:
+                if key.count(".") != 2:
+                    raise SpecFileError(
+                        f"gamma key {key!r} must look like k.i.j", filename, line_no
+                    )
+                indices = tuple(index.get(name) for name in key.split("."))
+                if None in indices:
+                    raise SpecFileError(f"unknown coordinate in gamma key {key!r}",
+                                        filename, line_no)
+                if indices in entries:
+                    raise SpecFileError(f"duplicate gamma key {key!r}", filename, line_no)
+                entries[indices] = parse_expr(value, table)
+            elif key == "functions":
                 for decl in value.split(","):
                     decl = decl.strip()
                     if decl:
@@ -145,26 +132,15 @@ def parse_spec(text: str, filename=None) -> ConnectionSpec:
                 header[key] = value
             else:
                 raise SpecFileError(f"unknown header key {key!r}", filename, line_no)
-    if "dim" not in header:
-        raise SpecFileError("missing required header key 'dim'", filename)
-    if "coords" not in header:
-        raise SpecFileError("missing required header key 'coords'", filename)
-    try:
-        dim = int(header["dim"])
-    except ValueError:
-        raise SpecFileError(f"dim must be an integer, got {header['dim']!r}", filename) from None
-    coords = _split_names(header["coords"])
-    params = _split_names(header.get("params", ""))
-    return ConnectionSpec(
-        dim=dim,
-        coords=coords,
-        params=params,
-        functions=functions,
-        gamma=gamma,
-        title=header.get("title", ""),
-        tag=header.get("tag", ""),
-        gamma_lines=gamma_lines,
-    )
+        if table is None:
+            coords, _ = _declared(header, functions, filename)
+        return from_table(coords, entries)
+    except SpecFileError:
+        raise
+    except ParseError as exc:  # raised only by parse_expr, so key names the entry
+        raise SpecFileError(f"in gamma entry {key!r}: {exc}", filename, line_no) from exc
+    except EngineError as exc:  # a declaration the symbol table refuses, or from_table
+        raise SpecFileError(str(exc), filename) from exc
 
 
 def read_spec_text(path) -> str:
@@ -179,7 +155,7 @@ def read_spec_text(path) -> str:
         raise SpecFileError(f"not valid UTF-8: {exc.reason}", str(path)) from exc
 
 
-def load_spec(path) -> ConnectionSpec:
+def load_spec(path) -> Connection:
     return parse_spec(read_spec_text(path), filename=str(path))
 
 
@@ -199,15 +175,8 @@ def spec_of_connection(conn: Connection, title="", tag="") -> ConnectionSpec:
                 params.add(sym.name)
             elif sym.kind == FUNCTION:
                 functions[sym.name] = sym.depends_on
-    return ConnectionSpec(
-        dim=conn.dim,
-        coords=names,
-        params=sorted(params),
-        functions=sorted(functions.items()),
-        gamma=gamma,
-        title=title,
-        tag=tag,
-    )
+    return ConnectionSpec(conn.dim, names, sorted(params), sorted(functions.items()), gamma,
+                          title, tag)
 
 
 def render_spec(spec: ConnectionSpec) -> str:

@@ -152,7 +152,7 @@ def test_criterion_07_fibered_family_flatness():
     # no derivative of A or B may survive in any component; the tensor is
     # zero, and the derivative part of each component cancels symbol-wise
     for l, i, j, k in product(range(3), repeat=4):
-        part = conn.gamma[l][j][k].diff(conn.coords[i]) - conn.gamma[l][i][k].diff(
+        part = conn.table[l, j, k].diff(conn.coords[i]) - conn.table[l, i, k].diff(
             conn.coords[j]
         )
         for sym in part.symbols():
@@ -201,7 +201,7 @@ def test_criterion_09_trace_elimination():
     for i in range(3):
         total = as_poly(0)
         for k in range(3):
-            total = total + normalized.gamma[k][i][k]
+            total = total + normalized.table[k, i, k]
         ok = ok and total.is_zero()
     report(9, ok, "trace elimination witness E/2 via equivalence and normalization")
 
@@ -209,11 +209,11 @@ def test_criterion_09_trace_elimination():
 def naive_curvature_value(conn, point, l, i, j, k):
     """Independent index-loop evaluator, no tensor machinery involved."""
     coords = conn.coords
-    value = conn.gamma[l][j][k].diff(coords[i]).evaluate(point)
-    value = value - conn.gamma[l][i][k].diff(coords[j]).evaluate(point)
+    value = conn.table[l, j, k].diff(coords[i]).evaluate(point)
+    value = value - conn.table[l, i, k].diff(coords[j]).evaluate(point)
     for m in range(conn.dim):
-        value = value + conn.gamma[l][i][m].evaluate(point) * conn.gamma[m][j][k].evaluate(point)
-        value = value - conn.gamma[l][j][m].evaluate(point) * conn.gamma[m][i][k].evaluate(point)
+        value = value + conn.table[l, i, m].evaluate(point) * conn.table[m, j, k].evaluate(point)
+        value = value - conn.table[l, j, m].evaluate(point) * conn.table[m, i, k].evaluate(point)
     return value
 
 

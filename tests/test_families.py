@@ -44,8 +44,8 @@ class TestTorus3:
     def test_half_coefficient_slots(self):
         conn = torus3()
         C = as_poly(parameter("C"))
-        assert conn.gamma[0][0][1] == C / 2  # G^tau_{tau z1}
-        assert conn.gamma[0][1][0] == C / 2
+        assert conn.table[0, 0, 1] == C / 2  # G^tau_{tau z1}
+        assert conn.table[0, 1, 0] == C / 2
 
     def test_exact_nonzero_pattern(self):
         conn = torus3()
@@ -130,9 +130,8 @@ class TestKugaShimura:
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
-                        part = conn.gamma[l][j][k].diff(conn.coords[i]) - conn.gamma[
-                            l
-                        ][i][k].diff(conn.coords[j])
+                        part = (conn.table[l, j, k].diff(conn.coords[i])
+                                - conn.table[l, i, k].diff(conn.coords[j]))
                         for sym in part.symbols():
                             assert not sym.is_derived()
 

@@ -173,12 +173,12 @@ class TestVolumeNormalize:
         n = raw.dim
         # raw tau-trace is 2E, normalized traces vanish for every direction
         E = as_poly(parameter("E"))
-        raw_trace = sum((raw.gamma[k][0][k] for k in range(n)), as_poly(0))
+        raw_trace = sum((raw.table[k, 0, k] for k in range(n)), as_poly(0))
         assert raw_trace == 2 * E
         for i in range(n):
             total = as_poly(0)
             for k in range(n):
-                total = total + normalized.gamma[k][i][k]
+                total = total + normalized.table[k, i, k]
             assert total.is_zero()
 
     def test_witness_tau_component_is_half_E(self):

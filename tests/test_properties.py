@@ -1,10 +1,10 @@
 """Properties checked on generated input.
 
 Generated input ends in a result or an input error, never in a traceback:
-expressions go into parse_expr, gamma sections into parse_spec and
-to_connection, --set values into the CLI, and whole command lines, a
-subcommand with its flags on small random spec files, into cli.main; each
-run must return, raise EngineError, or exit with 0, 1 or 2.
+expressions go into parse_expr, gamma sections into parse_spec, --set
+values into the CLI, and whole command lines, a subcommand with its flags
+on small random spec files, into cli.main; each run must return, raise
+EngineError, or exit with 0, 1 or 2.
 
 The exact kernel agrees with simple reference models: Q(i) arithmetic with a
 pair of Fractions, equal values with equal hashes and display, DiffPoly with
@@ -95,7 +95,7 @@ def test_parse_expr_ends_in_result_or_engine_error(text):
 @given(gamma_lines | st.text(max_size=60))
 def test_spec_gamma_ends_in_result_or_engine_error(text):
     try:
-        parse_spec(HEADER + text).to_connection()
+        parse_spec(HEADER + text)
     except EngineError:
         pass
 

@@ -59,39 +59,78 @@ z2.z2.tau = E / 2
 """
 
 NOT_UTF8_SPEC = b"dim = 1\ncoords = x\n[gamma]\nx.x.x = 1 # \xff\n"  # a Latin-1 comment
+PLANE = "dim = 2\ncoords = x, y\n"  # the header of a two-coordinate spec
+
+# one error each: the text of a spec file f.conn and its exact diagnostic
+SINGLE_ERRORS = {
+    "missing-dim": ("coords = x, y\n[gamma]\n",
+        "f.conn: missing required header key 'dim'"),
+    "missing-coords": ("dim = 2\n[gamma]\n",
+        "f.conn: missing required header key 'coords'"),
+    "dim-not-integer": ("dim = two\ncoords = x, y\n",
+        "f.conn: dim must be an integer, got 'two'"),
+    "dim-mismatch": ("dim = 3\ncoords = x, y\n[gamma]\n",
+        "f.conn: dim = 3 but 2 coordinates declared"),
+    "dim-mismatch-no-gamma": ("dim = 3\ncoords = x, y\n",
+        "f.conn: dim = 3 but 2 coordinates declared"),
+    "unknown-header-key": (PLANE + "bogus = 1\n",
+        "f.conn:3: unknown header key 'bogus'"),
+    "duplicate-header-key": ("dim = 2\ndim = 2\ncoords = x, y\n",
+        "f.conn:2: duplicate header key 'dim'"),
+    "function-shape": (PLANE + "functions = f\n",
+        "f.conn:3: function declaration 'f' must look like name(coord, ...)"),
+    "function-empty": (PLANE + "functions = f()\n",
+        "f.conn:3: bad function declaration 'f()'"),
+    "reserved-name": (PLANE + "params = i\n",
+        "f.conn: 'i' is reserved for the imaginary unit"),
+    "coordinate-as-param": (PLANE + "params = x\n",
+        "f.conn: identifier 'x' redeclared with a different role"),
+    "function-on-undeclared-coordinate": (PLANE + "functions = f(w)\n[gamma]\n",
+        "f.conn: function 'f' depends on undeclared coordinate 'w'"),
+    "unknown-section": (PLANE + "[other]\n",
+        "f.conn:3: unknown section '[other]'"),
+    "header-line-without-equals": (PLANE + "foo\n",
+        "f.conn:3: expected 'key = value', got 'foo'"),
+    "duplicate-gamma-section": (PLANE + "[gamma]\n[gamma]\n",
+        "f.conn:4: duplicate [gamma] section"),
+    "gamma-line-without-equals": (PLANE + "[gamma]\nfoo\n",
+        "f.conn:4: expected 'key = value', got 'foo'"),
+    "gamma-key-shape": (PLANE + "[gamma]\nx.y = 1\n",
+        "f.conn:4: gamma key 'x.y' must look like k.i.j"),
+    "duplicate-gamma-key": (PLANE + "[gamma]\nx.x.y = 1\nx.x.y = 2\n",
+        "f.conn:5: duplicate gamma key 'x.x.y'"),
+    "unknown-coordinate-in-key": (PLANE + "[gamma]\nx.q.y = 1\n",
+        "f.conn:4: unknown coordinate in gamma key 'x.q.y'"),
+    "undeclared-identifier": (PLANE + "[gamma]\nx.x.x = Q\n",
+        "f.conn:4: in gamma entry 'x.x.x': undeclared identifier 'Q' (byte offset 0)"),
+    "expression-syntax": (PLANE + "[gamma]\nx.x.x = 1 +\n",
+        "f.conn:4: in gamma entry 'x.x.x': expected a number, identifier or "
+        "parenthesized expression (byte offset 3)"),
+    "conflicting-symmetric-entries": (PLANE + "[gamma]\nx.x.y = 1\nx.y.x = 2\n",
+        "f.conn: conflicting symmetric entries for (0, 1, 0)"),
+    "coordinate-declared-twice": ("dim = 2\ncoords = x, x\n[gamma]\n",
+        "f.conn: coordinate 'x' is declared twice"),
+}
 
 
 class TestSpecFile:
     def test_parse_builds_the_family(self):
-        spec = parse_spec(TORUS_SPEC)
-        conn = spec.to_connection()
-        assert conn == torus3()
+        assert parse_spec(TORUS_SPEC) == torus3()
 
     def test_round_trip(self):
         spec = spec_of_connection(torus3(), title="demo")
         text = render_spec(spec)
-        again = parse_spec(text)
-        assert again.to_connection() == torus3()
-
-    def test_missing_dim(self):
-        with pytest.raises(SpecFileError):
-            parse_spec("coords = x, y\n[gamma]\n")
+        assert parse_spec(text) == torus3()
 
     def test_unknown_header_key_with_line(self):
         with pytest.raises(SpecFileError) as err:
             parse_spec("dim = 2\ncoords = x, y\nbogus = 1\n")
         assert err.value.line == 3
 
-    def test_undeclared_identifier_in_gamma(self):
-        text = "dim = 2\ncoords = x, y\n[gamma]\nx.x.x = Q\n"
-        with pytest.raises(SpecFileError) as err:
-            parse_spec(text).to_connection()
-        assert "Q" in str(err.value)
-
     def test_gamma_parse_error_carries_line_and_offset(self):
         text = "dim = 2\ncoords = x, y\n[gamma]\nx.x.y = 1\ny.x.x = 1 +\n"
         with pytest.raises(SpecFileError) as err:
-            parse_spec(text, filename="bad.conn").to_connection(filename="bad.conn")
+            parse_spec(text, filename="bad.conn")
         assert err.value.line == 5
         assert "byte offset" in str(err.value)
         assert "bad.conn" in str(err.value)
@@ -99,27 +138,33 @@ class TestSpecFile:
     def test_unknown_coordinate_in_key_names_its_line_once(self):
         text = "dim = 2\ncoords = x, y\n[gamma]\nx.x.y = 1\nx.q.y = 1\n"
         with pytest.raises(SpecFileError) as err:
-            parse_spec(text, filename="bad.conn").to_connection(filename="bad.conn")
+            parse_spec(text, filename="bad.conn")
         assert err.value.line == 5
         assert str(err.value) == "bad.conn:5: unknown coordinate in gamma key 'x.q.y'"
-
-    def test_conflicting_symmetric_entries(self):
-        text = "dim = 2\ncoords = x, y\n[gamma]\nx.x.y = 1\nx.y.x = 2\n"
-        with pytest.raises(SpecFileError):
-            parse_spec(text).to_connection()
-
-    def test_dim_coord_mismatch(self):
-        text = "dim = 3\ncoords = x, y\n[gamma]\n"
-        with pytest.raises(SpecFileError):
-            parse_spec(text).to_connection()
 
     def test_function_declaration(self):
         text = (
             "dim = 2\ncoords = tau, z\nfunctions = f(tau)\n"
             "[gamma]\nz.tau.tau = d(f, tau)\n"
         )
-        conn = parse_spec(text).to_connection()
-        assert not conn.gamma[1][0][0].is_zero()
+        conn = parse_spec(text)
+        assert not conn.table[1, 0, 0].is_zero()
+
+    @pytest.mark.parametrize("text, message", SINGLE_ERRORS.values(), ids=SINGLE_ERRORS)
+    def test_single_error_message(self, text, message):
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(text, filename="f.conn")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("dim = 3\ncoords = x, y\n[gamma]\nfoo\n", "f.conn: dim = 3 but 2 coordinates declared"),
+        (PLANE + "[gamma]\nx.x.x = Q\nx.y = 1\n",
+         "f.conn:4: in gamma entry 'x.x.x': undeclared identifier 'Q' (byte offset 0)"),
+    ], ids=["header-before-gamma-line", "gamma-lines-in-order"])
+    def test_several_errors_report_the_first_in_file_order(self, text, message):
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(text, filename="f.conn")
+        assert str(err.value) == message
 
     def test_missing_file(self):
         with pytest.raises(SpecFileError):
@@ -137,7 +182,7 @@ class TestSpecFile:
 
         monkeypatch.setattr(specfile, "from_table", broken)
         with pytest.raises(TypeError):
-            parse_spec(TORUS_SPEC).to_connection()
+            parse_spec(TORUS_SPEC)
 
 
 def run_cli(capsys, *argv):
@@ -185,7 +230,6 @@ def control_and_flat(tmp_path, capsys):
     return paths
 
 
-PLANE = "dim = 2\ncoords = x, y\n"  # the header of a two-coordinate spec
 F_ENTRY = PLANE + "functions = f(x)\n[gamma]\nx.x.x = "  # line 5 is the entry
 AT_5 = "{spec}:5: in gamma entry 'x.x.x': "
 
@@ -296,6 +340,49 @@ class TestCli:
                                  "--x0", "0,0,0", "--v0", "1,1,1", "--csv", str(tmp_path / target))
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("alias", ["same", "dotted", "symlink"])
+    @pytest.mark.parametrize("slot", ["spec", "compare"])
+    def test_geodesic_csv_naming_an_input_is_exit_2(self, capsys, tmp_path, monkeypatch,
+                                                     torus_file, slot, alias):
+        monkeypatch.chdir(tmp_path)
+        before = Path(torus_file).read_bytes()
+        target = {"same": torus_file, "dotted": "./torus.conn", "symlink": "link.conn"}[alias]
+        if alias == "symlink":
+            os.symlink(torus_file, target)
+        other = tmp_path / "other.conn"
+        other.write_bytes(before)
+        files = [str(other), "--compare", torus_file] if slot == "compare" else [torus_file]
+        code, out, err = run_cli(capsys, "geodesic", *files, "--at", "A=1,B=0,C=0,D=0,E=0",
+                                 "--x0", "0,0,0", "--v0", "1,1,1", "--count", "3", "--csv", target)
+        assert (code, out) == (2, "")
+        assert err == f"error: --csv {target} is the input file {torus_file}\n"
+        assert Path(torus_file).read_bytes() == before
+
+    @pytest.mark.parametrize("command", [
+        ["curvature", "A"],
+        ["equiv", "A", "A"],
+        ["equiv", "A", "B"],
+        ["geodesic", "A", "--compare", "B", "--at", "A=1,B=0,C=0,D=0,E=0",
+         "--x0", "0,0,0", "--v0", "1,1,1", "--count", "3"],
+    ], ids=["curvature", "equiv-same-file", "equiv", "geodesic-compare"])
+    def test_each_spec_file_is_opened_once(self, tmp_path, command):
+        code = (
+            "import collections, sys\n"
+            "from projconn.cli import main\n"
+            "opened = collections.Counter()\n"
+            "def hook(event, args):\n"
+            "    if event == 'open' and args[0] in ('A', 'B'):\n"
+            "        opened[args[0]] += 1\n"
+            "sys.addaudithook(hook)\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, dict(opened), file=sys.stderr)\n"
+        )
+        for name in ("A", "B"):
+            (tmp_path / name).write_text(TORUS_SPEC, encoding="utf-8")
+        done = run_python(code, *command, timeout=60, cwd=tmp_path)
+        expected = {name: 1 for name in ("A", "B") if name in command}
+        assert done.stderr.splitlines()[-1] == f"0 {expected}"
 
     def test_family_output_feeds_flat(self, capsys, tmp_path):
         code = main(["family", "kuga-shimura"])
