@@ -8,13 +8,15 @@ Grammar (UTF-8 input, identifiers ASCII):
     atom   := integer | 'i' | ident | deriv | '(' expr ')'
     deriv  := ('d'|'d2'|'d3'|...) '(' ident (',' coord)+ ')'
 
-Integers are decimal digit runs; rationals arise from '/' which divides by a
-positive integer only.  'i' is the imaginary unit and cannot be declared.
-'d' and 'dN' directly followed by '(' are derivative markers; 'dN' requires
-exactly N coordinate arguments.  Every other identifier must be declared in
-the supplied symbol table.  Parentheses nest at most MAX_DEPTH levels deep,
-which keeps the descent well inside Python's recursion limit, and exponents
-are at most MAX_EXPONENT.
+One regular expression splits the text into tokens at Unicode whitespace;
+any character that starts no token is an error.  Integers are decimal digit
+runs; rationals arise from '/' which divides by a positive integer only.
+'i' is the imaginary unit and cannot be declared.  'd' and 'dN' directly
+followed by '(' are derivative markers; 'dN' requires exactly N coordinate
+arguments.  Every other identifier must be declared in the supplied symbol
+table.  Parentheses nest at most MAX_DEPTH levels deep, which keeps the
+descent well inside Python's recursion limit, and exponents are at most
+MAX_EXPONENT.
 
 The size of what an expression builds is bounded while it expands.  Before
 each product (a '*' or a step of the square-and-multiply behind '^') the
@@ -32,14 +34,17 @@ into the input.
 
 from __future__ import annotations
 
+import collections
 import re as _re
 
 from .errors import DegreeError, ParseError
 from .poly import ONE_POLY, DiffPoly
 from .rational import GaussianRational, _power
-from .symbols import COORDINATE, FUNCTION, Symbol, SymbolTable
+from .symbols import COORDINATE, FUNCTION, SymbolTable
 
-_TOKEN = _re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,]))")
+# whitespace is what no group matches; group 4 is any other character, an error
+_TOKEN = _re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^,])|(\S)")
+_KINDS = {1: "int", 2: "ident", 3: "op"}
 
 _DERIV_MARKER = _re.compile(r"^d([0-9]*)$")
 
@@ -52,13 +57,8 @@ MAX_COEFF_BITS = 1024
 _MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind  # "int" | "ident" | "op" | "end"
-        self.text = text
-        self.pos = pos  # character index into the source
+# kind: "int" | "ident" | "op" | "end"; pos: the character index into the source
+_Token = collections.namedtuple("_Token", "kind text pos")
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -67,24 +67,10 @@ def _byte_offset(text: str, pos: int) -> int:
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            raise ParseError(
-                f"unexpected character {stripped[0]!r}", _byte_offset(text, bad_pos)
-            )
-        if m.group(1) is not None:
-            tokens.append(_Token("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(_Token("ident", m.group(2), m.start(2)))
-        else:
-            tokens.append(_Token("op", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m[4]:
+            raise ParseError(f"unexpected character {m[4]!r}", _byte_offset(text, m.start()))
+        tokens.append(_Token(_KINDS[m.lastindex], m[0], m.start()))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
@@ -251,7 +237,7 @@ class _Parser:
             self.error(f"undeclared identifier {name_tok.text!r}", name_tok)
         if base.kind != FUNCTION:
             self.error(f"{name_tok.text!r} is not a function symbol", name_tok)
-        coords = []
+        derived, order = base, 0
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text == ",":
@@ -269,23 +255,20 @@ class _Parser:
                     self.error(
                         f"{base.name!r} does not depend on {coord.name!r}", coord_tok
                     )
-                coords.append(coord.name)
+                derived = derived.derivative(coord.name)
+                order += 1
             elif tok.kind == "op" and tok.text == ")":
                 self.advance()
                 break
             else:
                 self.error("expected ',' or ')'")
-        if not coords:
+        if not order:
             self.error("derivative needs at least one coordinate", head)
-        if declared_order is not None and declared_order != len(coords):
+        if declared_order is not None and declared_order != order:
             self.error(
-                f"marker {head.text!r} expects {declared_order} coordinates, got {len(coords)}",
+                f"marker {head.text!r} expects {declared_order} coordinates, got {order}",
                 head,
             )
-        index: dict[str, int] = {}
-        for c in coords:
-            index[c] = index.get(c, 0) + 1
-        derived = Symbol(base.name, base.kind, base.depends_on, tuple(index.items()))
         return DiffPoly.of(derived)
 
 

@@ -2,26 +2,32 @@
 
 A spec is a header of `key = value` lines followed by a `[gamma]` section of
 `k.i.j = expression` lines, where k, i, j are coordinate names and the
-expression grammar is the one of the parser module.  Blank lines and
-`#` comments are skipped.  `parse_spec` reads the file once: at `[gamma]`
-(or at the end of a file without one) it checks the header and declares its
-symbols, then resolves each gamma key to indices and parses its expression
-on its own line, so an error names that line and a file with several errors
-reports the first one in file order.  The connection is built by
-`from_table`, whose checks (conflicting symmetric entries, a coordinate
-declared twice) see the whole table and so come last.  `ConnectionSpec` is
-the record `spec_of_connection` fills and `render_spec` prints.  Example:
+expression grammar is the one of the parser module.  Blank lines, `#`
+comments and a leading byte-order mark are skipped.  `functions` lists
+`name(coord, ...)` declarations, split at the commas outside parentheses.
+`parse_spec` reads the file once: at `[gamma]` (or at the end of a file
+without one) it checks the header and declares its symbols, then resolves
+each gamma key to indices and parses its expression on its own line, so an
+error names that line and a file with several errors reports the first one
+in file order.  The connection is built by `from_table`, whose checks
+(conflicting symmetric entries, a coordinate declared twice) see the whole
+table and so come last.  `ConnectionSpec` is the named tuple
+`spec_of_connection` fills and `render_spec` prints.  Example:
 
-    title = constant family
+    title = fibered family
     dim = 3
     coords = tau, z1, z2
-    params = A, B, C, D, E
+    params = C
+    functions = A(tau), g(z1, z2)
     [gamma]
     z1.tau.tau = A
-    tau.tau.z1 = C / 2
+    tau.tau.z1 = C / 2 + d(g, z1)
 """
 
 from __future__ import annotations
+
+import collections
+import re
 
 from .connection import Connection, from_table
 from .errors import EngineError, ParseError, SpecFileError
@@ -29,35 +35,25 @@ from .parser import parse_expr
 from .symbols import FUNCTION, PARAMETER, SymbolTable
 
 
-class ConnectionSpec:
-    """A connection as spec text: declarations, gamma expressions, metadata."""
-
-    def __init__(self, dim, coords, params, functions, gamma, title="", tag=""):
-        self.dim = dim
-        self.coords = coords
-        self.params = params
-        self.functions = functions
-        self.gamma = gamma
-        self.title = title
-        self.tag = tag
+# a connection as spec text: declarations, gamma expressions, metadata
+ConnectionSpec = collections.namedtuple(
+    "ConnectionSpec", "dim coords params functions gamma title tag", defaults=("", ""))
 
 
 def _split_names(value: str):
-    parts = [p.strip() for p in value.replace(",", " ").split()]
-    return [p for p in parts if p]
+    return value.replace(",", " ").split()
 
 
 def _parse_function_decl(text: str, filename, line_no):
     text = text.strip()
-    if "(" not in text or not text.endswith(")"):
+    m = re.fullmatch(r"([^(]*)\((.*)\)", text)
+    if m is None:
         raise SpecFileError(
             f"function declaration {text!r} must look like name(coord, ...)",
             filename,
             line_no,
         )
-    name, _, rest = text.partition("(")
-    deps = _split_names(rest[:-1])
-    name = name.strip()
+    name, deps = m[1].strip(), _split_names(m[2])
     if not name or not deps:
         raise SpecFileError(f"bad function declaration {text!r}", filename, line_no)
     return name, tuple(deps)
@@ -122,9 +118,8 @@ def parse_spec(text: str, filename=None) -> Connection:
                     raise SpecFileError(f"duplicate gamma key {key!r}", filename, line_no)
                 entries[indices] = parse_expr(value, table)
             elif key == "functions":
-                for decl in value.split(","):
-                    decl = decl.strip()
-                    if decl:
+                for decl in re.split(r",(?![^(]*\))", value):  # commas outside parentheses
+                    if decl.strip():
                         functions.append(_parse_function_decl(decl, filename, line_no))
             elif key in ("title", "tag", "dim", "coords", "params"):
                 if key in header:
@@ -144,11 +139,12 @@ def parse_spec(text: str, filename=None) -> Connection:
 
 
 def read_spec_text(path) -> str:
-    """The text of the file at path, read as UTF-8; SpecFileError when it
-    cannot be opened or is not valid UTF-8."""
+    """The text of the file at path, read as UTF-8 without a leading
+    byte-order mark; SpecFileError when it cannot be opened or is not valid
+    UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")  # what "utf-8-sig" drops, without its codec
     except OSError as exc:
         raise SpecFileError(str(exc)) from exc
     except UnicodeDecodeError as exc:

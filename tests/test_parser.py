@@ -99,6 +99,23 @@ class TestErrors:
             parse_expr("C + é", table)
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("text, offset", [
+        ("$C", 0),  # the first character
+        ("C   $", 4),  # after trailing spaces
+        ("C *\u00a0$", 5),  # after a no-break space, two bytes of whitespace
+    ], ids=["first", "after-spaces", "after-no-break-space"])
+    def test_unexpected_character_offsets(self, table, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, table)
+        assert str(err.value) == f"unexpected character '$' (byte offset {offset})"
+
+    def test_whitespace_only_input_fails_at_its_end(self, table):
+        text = " \t "
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, table)
+        assert err.value.offset == len(text)
+        assert "expected a number, identifier or parenthesized expression" in str(err.value)
+
     def test_division_by_zero(self, table):
         with pytest.raises(ParseError):
             parse_expr("C / 0", table)

@@ -8,13 +8,14 @@ EngineError, or exit with 0, 1 or 2.
 
 The exact kernel agrees with simple reference models: Q(i) arithmetic with a
 pair of Fractions, equal values with equal hashes and display, DiffPoly with
-the ring axioms and the Leibniz rule, parsing with display, and the sparse
-tensor kernels with their dense oracles; curvature, Ricci and the Weyl
-projective tensor agree with the sympy engine on small random tables,
-weyl3 with the settle-then-correct path of `helpers.trr_weyl` in dims 3-6,
-also over denominators of hundreds of bits, with canonical coefficients,
-TrR with the exterior derivative of the trace of the table in dims 2-6, and
-the projective results with their composed forms in `helpers` in dims 3-6.
+the ring axioms and the Leibniz rule, parsing with display, spec files with
+their rendering, and the sparse tensor kernels with their dense oracles;
+curvature, Ricci and the Weyl projective tensor agree with the sympy engine
+on small random tables, weyl3 with the settle-then-correct path of
+`helpers.trr_weyl` in dims 3-6, also over denominators of hundreds of bits,
+with canonical coefficients, TrR with the exterior derivative of the trace
+of the table in dims 2-6, and the projective results with their composed
+forms in `helpers` in dims 3-6.
 """
 
 import contextlib
@@ -36,7 +37,7 @@ from projconn.poly import DiffPoly, as_poly
 from projconn.projective import (
     OneForm, divergence, inject, projective_equiv, volume_normalize, with_one_form)
 from projconn.rational import GaussianRational
-from projconn.specfile import parse_spec
+from projconn.specfile import parse_spec, render_spec, spec_of_connection
 from projconn.symbols import SymbolTable
 from projconn.tensor import DOWN, UP, Tensor, contract, symmetry_check
 
@@ -98,6 +99,21 @@ def test_spec_gamma_ends_in_result_or_engine_error(text):
         parse_spec(HEADER + text)
     except EngineError:
         pass
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_spec_round_trip(n, seed):
+    rng = random.Random(seed)
+    table = SymbolTable()
+    coords = tuple(table.coordinate(name) for name in "xyzw"[:n])
+    pool = [*coords, table.parameter("A"), table.parameter("B")]
+    for name in "fgh":  # formal functions of 1 to 3 coordinates, and their derivatives
+        deps = rng.sample([c.name for c in coords], rng.randint(1, min(3, n)))
+        f = table.function(name, deps)
+        pool += [f, f.derivative(deps[0]), f.derivative(deps[0]).derivative(deps[-1])]
+    conn = rand_torsionfree(rng, coords, symbols=pool)
+    assert parse_spec(render_spec(spec_of_connection(conn))) == conn
 
 
 set_values = st.lists(

@@ -21,12 +21,14 @@ from projconn.connection import curvature, ricci
 from projconn.errors import SpecFileError
 from projconn.families import torus3
 from projconn.geodesic import write_csv
+from projconn.poly import as_poly
 from projconn.specfile import (
     load_spec,
     parse_spec,
     render_spec,
     spec_of_connection,
 )
+from projconn.symbols import function
 
 from helpers import (
     coords_named,
@@ -81,6 +83,10 @@ SINGLE_ERRORS = {
         "f.conn:3: function declaration 'f' must look like name(coord, ...)"),
     "function-empty": (PLANE + "functions = f()\n",
         "f.conn:3: bad function declaration 'f()'"),
+    "function-unclosed": (PLANE + "functions = f(x, y\n",
+        "f.conn:3: function declaration 'f(x' must look like name(coord, ...)"),
+    "function-without-parentheses": (PLANE + "functions = f x\n",
+        "f.conn:3: function declaration 'f x' must look like name(coord, ...)"),
     "reserved-name": (PLANE + "params = i\n",
         "f.conn: 'i' is reserved for the imaginary unit"),
     "coordinate-as-param": (PLANE + "params = x\n",
@@ -149,6 +155,19 @@ class TestSpecFile:
         )
         conn = parse_spec(text)
         assert not conn.table[1, 0, 0].is_zero()
+
+    def test_functions_of_several_coordinates(self):
+        text = (
+            "dim = 3\ncoords = x, y, z\nfunctions = f(x, y), g(z),h(x y z)\n"
+            "[gamma]\nx.x.y = f + d(h, z)\nz.z.z = d2(f, x, y) * g\n"
+        )
+        conn = parse_spec(text)
+        f, g, h = function("f", "xy"), function("g", "z"), function("h", "xyz")
+        assert conn.table[0, 0, 1] == as_poly(f) + as_poly(h.derivative("z"))
+        assert conn.table[2, 2, 2] == as_poly(f.derivative("x").derivative("y")) * as_poly(g)
+        rendered = render_spec(spec_of_connection(conn))
+        assert "functions = f(x, y), g(z), h(x, y, z)\n" in rendered
+        assert parse_spec(rendered) == conn
 
     @pytest.mark.parametrize("text, message", SINGLE_ERRORS.values(), ids=SINGLE_ERRORS)
     def test_single_error_message(self, text, message):
@@ -402,6 +421,30 @@ class TestCli:
         normalized.write_text(out, encoding="utf-8")
         code, out2, _ = run_cli(capsys, "flat", str(normalized))
         assert code == 0
+
+    def test_normalize_output_with_a_function_of_two_coordinates_reads_back(
+            self, capsys, tmp_path):
+        path = tmp_path / "f2.conn"
+        path.write_text("dim = 2\ncoords = x, y\nfunctions = f(x, y)\n[gamma]\nx.x.y = f\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "normalize", str(path))
+        assert code == 0, err
+        assert "functions = f(x, y)\n" in out
+        normalized = tmp_path / "normalized.conn"
+        normalized.write_text(out, encoding="utf-8")
+        code, _, err = run_cli(capsys, "curvature", str(normalized))
+        assert code == 0, err
+
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, monkeypatch):
+        outs = []
+        for name, prefix in (("bom", b"\xef\xbb\xbf"), ("plain", b"")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "s.conn").write_bytes(prefix + TORUS_SPEC.encode("utf-8"))
+            monkeypatch.chdir(tmp_path / name)  # the same path text, so the same digest
+            code, out, err = run_cli(capsys, "curvature", "s.conn")
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_conditions_list(self, capsys, torus_file):
         code, out, _ = run_cli(capsys, "conditions", torus_file)
