@@ -102,8 +102,6 @@ def _family(name, args):
         return families.torus_n(args.n)
     if name == "kuga-shimura":
         return families.kuga_shimura(with_trace=not args.no_trace)
-    if name is None:
-        raise EngineError("give a spec file or --family")
     raise EngineError(f"unknown family {name!r}")
 
 
@@ -111,8 +109,17 @@ def _load(args, texts, *paths, sweep=()):
     """The connections of the spec files at paths, parsed from texts (path ->
     the file's text), a missing path standing for --family, with --set and
     --at substituted; plus their source labels.  A --set name may not
-    reappear in --at or in sweep, the --sweep ranges."""
+    reappear in --at or in sweep, the --sweep ranges; --n and --no-trace only
+    go with the family they shape."""
     family = getattr(args, "family", None) or getattr(args, "name", None)
+    if not (family or paths[0]):
+        raise EngineError("give a spec file or --family")
+    if family and paths[0]:
+        raise EngineError("give a spec file or --family, not both")
+    if getattr(args, "n", None) is not None and family != "torus_n":
+        raise EngineError("--n applies only to the torus_n family")
+    if getattr(args, "no_trace", False) and family != "kuga-shimura":
+        raise EngineError("--no-trace applies only to the kuga-shimura family")
     conns = [parse_spec(texts[path], path) if path else _family(family, args) for path in paths]
     sources = [path or f"family:{family}" for path in paths]
     assignments = _parse_set(getattr(args, "set", None), "--set")

@@ -25,12 +25,13 @@ D^2 S, D the lcm of the table's coefficient denominators, goes straight into
 the Gaussian-integer accumulator (see `poly`) of R^l_{ijk} (with +) or of
 R^l_{jik} (with -), whichever has its first two lower indices ascending, by a
 plan of n^3 target lists cached per dimension; `curvature` settles each once
-into R^l_{ijk} and R^l_{jik} = -R^l_{ijk}.  `weyl3`, the Weyl projective
-tensor for any n >= 3 in its TrR form, never settles R: TrR = d(tr G) comes
-with the R accumulators, from the derivative terms alone, since the products
-cancel from it; P and each W^l_{ijk}, i < j, are summed from them with int
-weights, P folded into the W sums where that is fewer addends (n = 3), and
-only W is settled; the tests check it against the Ricci-only form.
+into R^l_{ijk} and R^l_{jik} = -R^l_{ijk}.  TrR = d(tr G) comes with the R
+accumulators, from the derivative terms alone, since the products cancel
+from it.  Neither `trace_r`, which settles those sums, nor `weyl3`, the Weyl
+projective tensor for any n >= 3 in its TrR form, settles R: each W^l_{ijk},
+i < j, is summed from the accumulators by one int-weighted plan per
+dimension, P written out into every target, and only W is settled; the
+tests check it against the Ricci-only form.
 Curvature, Ricci, Weyl and Lie derivatives are `Tensor`s, and a vector field
 is a `Tensor` of variance (up,).
 """
@@ -216,77 +217,79 @@ def ricci(c: Connection) -> Tensor:
 
 
 def trace_r(c: Connection) -> Tensor:
-    """TrR_{ij}: trace of xi -> R(eta, nu) xi."""
-    return contract(curvature(c), 0, 3)
+    """TrR_{ij}: trace of xi -> R(eta, nu) xi, settled from the D^2 TrR sums
+    that come with the R accumulators, TrR_{ji} = -TrR_{ij}."""
+    n = c.dim
+    D, acc = _curvature_accumulators(c, trace=True)
+    memo, entries = {}, {}  # entries: flat offset -> entry; Tensor drops the zero ones
+    for i, j in combinations(range(n), 2):
+        if terms := acc.get(("T", i, j)):
+            entries[i * n + j], entries[j * n + i] = _quotient(terms, D * D, memo)
+    return Tensor(n, (DOWN, DOWN), entries)
 
 
 @lru_cache(maxsize=MAX_DIM)  # one plan per dimension
 def _weyl_corrections(n) -> tuple:
-    """(steps, corrected): steps (target, addends) over accumulator keys, each
-    setting the target to the sum of weight times source over its addends
-    (source, weight), int weights, that turn the accumulators of D^2 R into
-    those of m D^2 W, m = (n-1)(n+1), at the offsets in corrected, and of D^2 W
-    elsewhere.  D^2 R^l_{ijk}, then W^l_{ijk}, sits at the flat offset of
-    (l, i, j, k) with i < j, D^2 TrR_{ij} at ("T", i, j) with i < j, and
-    m D^2 P_{jk} = D^2 ((n+1) Ricci_{jk} + TrR_{jk}) at ("P", j, k).  P is
-    summed once per (j, k), or substituted into each W target that reads it,
-    coincident sources merged, where that makes fewer addends (n = 3)."""
+    """((target, addends), ...): for each W^l_{ijk} with i < j and l in {i, j, k},
+    the flat offset of (l, i, j, k) and the (source, weight) pairs, int
+    weights, whose weighted sum over the accumulators is m D^2 W^l_{ijk},
+    m = (n-1)(n+1).  A source is the offset of D^2 R^l_{ijk}, i < j, or
+    ("T", i, j), i < j, for D^2 TrR_{ij}; m P_{jk} = (n+1) Ricci_{jk} + TrR_{jk}
+    is written out into each target that reads it, coincident sources merged.
+    Every other W^l_{ijk} is R^l_{ijk}."""
     m = (n - 1) * (n + 1)
     pairs = list(combinations(range(n), 2))
-    P = {}
+    P = {}  # (j, k) -> the addends of m P_{jk}
     for j, k in product(range(n), repeat=2):
         # Ricci_{jk} = sum_i R^i_{ijk}, and R^i_{ijk} = -R^i_{jik}
         addends = [(_flat(n, (i, i, j, k)), n + 1) if i < j
                    else (_flat(n, (i, j, i, k)), -n - 1) for i in range(n) if i != j]
         if j != k:
             addends.append((("T", j, k), 1) if j < k else (("T", k, j), -1))
-        P["P", j, k] = addends
-    steps, folded = list(P.items()), []
+        P[j, k] = addends
+    steps = []
     for l, k, (i, j) in product(range(n), range(n), pairs):
         # m W^l_{ijk} = m R^l_{ijk} - (n-1) d^l_k TrR_{ij} - d^l_i m P_{jk} + d^l_j m P_{ik}
-        addends = [(("T", i, j), 1 - n)] if l == k else []
+        if l not in (i, j, k):
+            continue
+        f = _flat(n, (l, i, j, k))
+        weights = defaultdict(int, {f: m})  # source -> weight
+        if l == k:
+            weights["T", i, j] = 1 - n
         if l == i:
-            addends.append((("P", j, k), -1))
+            for source, w in P[j, k]:
+                weights[source] -= w
         if l == j:
-            addends.append((("P", i, k), 1))
-        if addends:
-            f = _flat(n, (l, i, j, k))
-            addends.insert(0, (f, m))
-            steps.append((f, addends))
-            weights = defaultdict(int)  # the addends, each P replaced by its own
-            for source, weight in addends:
-                for s, w in P.get(source, [(source, 1)]):
-                    weights[s] += weight * w
-            folded.append((f, list(weights.items())))
-    steps = min(steps, folded, key=lambda plan: sum(len(a) for _, a in plan))
-    return tuple(steps), frozenset(t for t, _ in steps if type(t) is int)
+            for source, w in P[i, k]:
+                weights[source] += w
+        steps.append((f, list(weights.items())))
+    return tuple(steps)
 
 
 def weyl3(c: Connection) -> Tensor:
     """Weyl projective tensor in any dimension n >= 3, in its TrR form.
 
     One pass: TrR comes with the unsettled R accumulators, from the
-    derivative terms alone; P and each W^l_{ijk} with i < j are summed from
-    them by `_weyl_corrections` with int weights, and each W entry is settled
-    once.  The Ricci-only form, with P = Ricci_sym/(n-1) + Ricci_alt/(n+1),
-    agrees identically, since TrR(X,Y) = Ricci(Y,X) - Ricci(X,Y); the test
-    suite recomputes it as a check on this one.  W = 0 is projective flatness
-    for n >= 3; in dimension 2 W vanishes identically, so n < 3 is refused.
+    derivative terms alone; each W^l_{ijk} with i < j that differs from
+    R^l_{ijk} is summed from them by `_weyl_corrections` with int weights, P
+    written out, and each W entry is settled once.  The Ricci-only form, with
+    P = Ricci_sym/(n-1) + Ricci_alt/(n+1), agrees identically, since
+    TrR(X,Y) = Ricci(Y,X) - Ricci(X,Y); the test suite recomputes it as a
+    check on this one.  W = 0 is projective flatness for n >= 3; in dimension
+    2 W vanishes identically, so n < 3 is refused.
     """
     n = c.dim
     if n < 3:
         raise DimensionError(f"the projective Weyl tensor needs dimension n >= 3, got n = {n}")
     D, acc = _curvature_accumulators(c, trace=True)
-    steps, corrected = _weyl_corrections(n)
-    W = {}  # apart from acc: a folded W target reads R entries that others replace
-    for target, addends in steps:
-        terms = {}
+    W = {}  # apart from acc: a target reads R entries that other targets replace
+    for target, addends in _weyl_corrections(n):
+        terms = W[target] = {}
         for source, weight in addends:
             if src := acc.get(source):
                 _add_multiple(terms, src, weight)
-        (W if type(target) is int else acc)[target] = terms
     acc.update(W)
-    return _settled(n, acc, D * D, corrected, (n - 1) * (n + 1))
+    return _settled(n, acc, D * D, W, (n - 1) * (n + 1))
 
 
 def lie_derivative(c: Connection, field: Tensor) -> Tensor:

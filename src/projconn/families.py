@@ -38,6 +38,7 @@ from .symbols import FUNCTION, coordinate, function, parameter
 from .tensor import Tensor
 
 _KUGA_SHIMURA_WEIGHTS = {"A": Fraction(3, 2), "B": Fraction(3, 2), "C": Fraction(1)}
+SPAN, MAX_DEN = 6, 4  # the sample lattice of random_rational: 33 values, 1,089 candidate tau
 
 
 @lru_cache(maxsize=1)
@@ -236,12 +237,12 @@ def invariance_check(field: Tensor, g: GroupElement, points, coeff_values) -> bo
     return True
 
 
-def random_rational(rng, span=6, max_den=4) -> Fraction:
-    """A random rational num/den with |num| <= span and 1 <= den <= max_den."""
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def random_rational(rng) -> Fraction:
+    """A random rational num/den with |num| <= SPAN and 1 <= den <= MAX_DEN."""
+    return Fraction(rng.randint(-SPAN, SPAN), rng.randint(1, MAX_DEN))
 
 
-def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
+def orbit_safe_points(g: GroupElement, count: int, rng):
     """count random exact points (tau, z1, z2) with distinct tau, none at a
     pole of the action.
 
@@ -252,11 +253,9 @@ def orbit_safe_points(g: GroupElement, count: int, rng, span=6, max_den=4):
     """
 
     def draw():
-        return GaussianRational(
-            random_rational(rng, span, max_den), random_rational(rng, span, max_den)
-        )
+        return GaussianRational(random_rational(rng), random_rational(rng))
 
-    rationals = {Fraction(a, b) for a in range(-span, span + 1) for b in range(1, max_den + 1)}
+    rationals = {Fraction(a, b) for a in range(-SPAN, SPAN + 1) for b in range(1, MAX_DEN + 1)}
     candidates = len(rationals) ** 2
     points = []
     tried = set()

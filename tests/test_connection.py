@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import golden
+from projconn import connection
 from projconn.connection import (
     MAX_DIM,
     Connection,
@@ -19,7 +20,7 @@ from projconn.connection import (
     trace_r,
     weyl3,
 )
-from projconn.errors import ConstructionError, DegreeError, DimensionError
+from projconn.errors import ConstructionError, DegreeError, DimensionError, ShapeError
 from projconn.families import kuga_shimura, torus3, torus_n
 from projconn.projective import with_one_form
 from projconn.specfile import parse_spec
@@ -31,6 +32,7 @@ from helpers import (
     assert_matches_sympy,
     bianchi_holds,
     coords_named,
+    dense_contract,
     dense_swap_slots,
     naive_curvature,
     rand_deg2_table,
@@ -408,6 +410,24 @@ class TestCurvatureOracle:
     def test_families(self, case):
         assert_matches_dense_oracle(ORACLE_FAMILIES[case]())
 
+    def test_trace_r_is_settled_from_its_own_sums(self, monkeypatch):
+        # TrR comes from the derivative terms alone: no curvature is settled
+        # and nothing is contracted
+        def refuse(*args):
+            raise AssertionError("trace_r settled or contracted R")
+
+        rng = random.Random(20261020)
+        conns = [kuga_shimura(with_trace=True), kuga_shimura(with_trace=False)]
+        for dim, fill in product((2, 3, 4, 5), (0.3, 1.0)):
+            coords = coords_named(*(f"x{i}" for i in range(dim)))
+            conns.append(rand_torsionfree(rng, coords, [*coords, parameter("A")], fill=fill))
+        expected = [dense_contract(naive_curvature(conn), 0, 3) for conn in conns]
+        monkeypatch.setattr(connection, "curvature", refuse)
+        monkeypatch.setattr(connection, "contract", refuse)
+        for conn, dense in zip(conns, expected):
+            assert trace_r(conn).entries == dense
+        assert any(not e.is_zero() for dense in expected for e in dense)
+
     def test_sparse_table_at_max_dim(self):
         # the largest target plan: curvature against the dense formula and
         # weyl3 against the settle-then-correct path, with Gaussian coefficients
@@ -423,15 +443,15 @@ class TestCurvatureOracle:
         plan = _curvature_targets(MAX_DIM)
         assert len(plan) <= MAX_DIM**3 and all(len(targets) <= 2 for targets in plan)
 
-    @pytest.mark.parametrize("n, addends", [(3, 54), (4, 192), (5, 400), (6, 720), (12, 6336)])
+    @pytest.mark.parametrize("n, addends", [(3, 54), (4, 204), (5, 540), (6, 1170), (12, 20196)])
     def test_weyl_plan_size(self, n, addends):
-        # P folded into the W sums at n = 3 (72 addends unfolded), summed once
-        # per (j, k) above it (n = 4 folded: 204, n = 12: 20,196); TrR comes
-        # from the derivative terms, never from R
-        steps, _ = _weyl_corrections(n)
+        # one plan at every n: a step per W^l_{ijk}, i < j, l in {i, j, k}, that
+        # is 3n - 2 per pair (21, 60, 130, 240, 2,244 steps), with P written into
+        # it; TrR comes from the derivative terms, never from R
+        steps = _weyl_corrections(n)
+        assert len(steps) == n * (n - 1) // 2 * (3 * n - 2)
         assert sum(len(a) for _, a in steps) == addends
-        assert all(type(t) is int or t[0] == "P" for t, _ in steps)
-        assert any(type(t) is not int for t, _ in steps) == (n > 3)
+        assert all(type(t) is int for t, _ in steps)
 
 
 def _power_tables(exp, n=None):
@@ -486,15 +506,16 @@ class TestDegreeBound:
     @pytest.mark.parametrize("case", list(_power_tables(1)))
     @pytest.mark.parametrize("exp", [MAX_DEGREE // 2 + 1, MAX_DEGREE // 2])
     def test_weyl_refuses_exactly_where_curvature_does(self, case, exp):
-        # weyl3 never settles R, so its W accumulators must still hold every
-        # monomial of the R accumulators up to the guard-bit check
+        # weyl3 and trace_r never settle R, so their accumulators must still
+        # hold every monomial of the R accumulators up to the guard-bit check
         conn = _power_tables(exp, n=3)[case]
         refused = exp > MAX_DEGREE // 2
         assert (_outcome(curvature, conn) is DegreeError) == refused
-        W = _outcome(weyl3, conn)
-        assert (W is DegreeError) == refused
+        W, TrR = _outcome(weyl3, conn), _outcome(trace_r, conn)
+        assert (W is DegreeError) == (TrR is DegreeError) == refused
         if not refused:
             assert W == trr_weyl(conn)
+            assert TrR == contract(curvature(conn), 0, 3)
 
 
 class TestBianchi:
@@ -530,6 +551,11 @@ class TestLieDerivative:
         conn = from_table(coords, {})
         X = Tensor(2, (UP,), [as_poly(x), 0])
         assert lie_derivative(conn, X).is_zero()
+
+    def test_field_must_be_a_vector_field_on_the_chart(self, family):
+        for field in (Tensor(3, (DOWN,), [0, 1, 0]), Tensor(2, (UP,), [0, 1])):
+            with pytest.raises(ShapeError, match="^vector field shape mismatch$"):
+                lie_derivative(family, field)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_linear_fields_on_constant_tables(self, n):

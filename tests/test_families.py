@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from projconn.connection import MAX_DIM, curvature, from_table, weyl3
-from projconn.errors import ConsistencyError, ConstructionError, EvalError, PoleError
+from projconn.errors import ConsistencyError, ConstructionError, EvalError, PoleError, ShapeError
 from projconn.families import (
     _KUGA_SHIMURA_WEIGHTS,
     GroupElement,
@@ -216,22 +216,19 @@ class TestOrbitSafePoints:
         ]
 
     def test_exhausted_candidates_raise(self):
-        # span 1, denominator 1: tau ranges over the 9 values a + b*i, |a|, |b| <= 1;
-        # a fresh interpreter with a timeout, since a missing check loops forever
-        code = (
-            "import random\n"
-            "from projconn.errors import ConsistencyError\n"
-            "from projconn.families import GroupElement, orbit_safe_points\n"
-            "g = GroupElement(1, 0, 0, 1)\n"
-            "assert len(orbit_safe_points(g, 9, random.Random(3), span=1, max_den=1)) == 9\n"
-            "try:\n"
-            "    orbit_safe_points(g, 10, random.Random(3), span=1, max_den=1)\n"
-            "except ConsistencyError as exc:\n"
-            "    print(exc)\n"
-        )
-        done = run_python(code, timeout=30)
+        # the identity has no pole, so every one of the 33^2 candidate tau is
+        # accepted and one more point exhausts them; a fresh interpreter with a
+        # timeout, since a missing check loops forever
+        cli = "import sys; from projconn.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["pullback-check", "--gamma", "1,0,0,1", "--points"]
+        done = run_python(cli, *argv, "1089", timeout=30)
         assert done.returncode == 0, done.stderr
-        assert "9 candidate tau values" in done.stdout
+        assert "checked 1089 exact rational points" in done.stdout
+        done = run_python(cli, *argv, "1090", timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert ("error: only 1089 of 1090 points: every one of the 1089 candidate tau values "
+                "has been tried\n") in done.stderr
 
 
 def _random_points(rng, count, g):
@@ -260,6 +257,11 @@ class TestInvariance:
         points = _random_points(rng, 5, g)
         values = {name: {p[0]: ZERO for p in points} for name in ("A", "B", "C")}
         assert invariance_check(field, g, points, values)
+
+    def test_field_must_live_on_three_coordinates(self):
+        g = GroupElement(0, -1, 1, 0)
+        with pytest.raises(ShapeError, match="^the action is defined on three coordinates$"):
+            invariance_check(torus_n(4).table, g, [], {})
 
     def test_lattice_part_any_values(self):
         rng = random.Random(20240828)

@@ -190,6 +190,12 @@ class TestMatch:
         with pytest.raises(ShapeError):
             unparametrized_match(p, empty)
 
+    def test_paths_of_different_dimensions_rejected(self):
+        p = integrate(exact_connection(np.zeros((2, 2, 2))), np.zeros(2), np.ones(2), 1e-2, 10)
+        q = integrate(exact_connection(np.zeros((3, 3, 3))), np.zeros(3), np.ones(3), 1e-2, 10)
+        with pytest.raises(ShapeError, match="^paths live in different dimensions$"):
+            unparametrized_match(p, q)
+
 
 class TestCsv:
     def test_dump_columns_and_rows(self):
@@ -203,3 +209,8 @@ class TestCsv:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == 0.0
+
+    def test_one_name_per_coordinate(self):
+        path = integrate(torus3(**SAMPLE), np.zeros(3), np.ones(3), 1e-2, 5)
+        with pytest.raises(ShapeError, match="^coordinate names must match the dimension$"):
+            write_csv(io.StringIO(), path, ["tau", "z1"])

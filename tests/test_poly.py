@@ -61,6 +61,10 @@ class TestArithmetic:
         expected = (Fraction(2) ** 2 + Fraction(2) ** 2) / 4
         assert p.evaluate({C: 2, D: 2}) == GaussianRational(expected)
 
+    def test_division_by_a_non_constant_is_refused(self):
+        with pytest.raises(TypeError, match=r"^division only by constants of Q\(i\)$"):
+            P(C) / (P(C) + P(D))
+
     def test_zero_annihilates(self):
         p = rand_poly(random.Random(3), [A, B, TAU])
         assert (p * 0).is_zero()

@@ -42,6 +42,10 @@ class TestDivergenceInjection:
         coords = coords_named("x", "y")
         assert divergence(inject(OneForm(coords, [0, 0]))).is_zero()
 
+    def test_one_form_component_count_is_checked(self):
+        with pytest.raises(ShapeError, match="^one-form component count mismatch$"):
+            OneForm(coords_named("x", "y"), [0, 0, 0])
+
     def test_fibered_family_divergence(self):
         field = kuga_shimura(with_trace=True).table
         div = divergence(field)

@@ -112,6 +112,8 @@ SINGLE_ERRORS = {
     "expression-syntax": (PLANE + "[gamma]\nx.x.x = 1 +\n",
         "f.conn:4: in gamma entry 'x.x.x': expected a number, identifier or "
         "parenthesized expression (byte offset 3)"),
+    "derivative-by-a-number": (PLANE + "functions = A(x)\n[gamma]\nx.x.x = d(A, 1)\n",
+        "f.conn:5: in gamma entry 'x.x.x': expected a coordinate name (byte offset 5)"),
     "conflicting-symmetric-entries": (PLANE + "[gamma]\nx.x.y = 1\nx.y.x = 2\n",
         "f.conn: conflicting symmetric entries for (0, 1, 0)"),
     "coordinate-declared-twice": ("dim = 2\ncoords = x, x\n[gamma]\n",
@@ -531,6 +533,16 @@ class TestCli:
         assert out == ""
         assert f"no parameter or function symbol named {name}" in err
 
+    def test_empty_set_entries_are_skipped(self, capsys):
+        # the same report; only the input digest in the header, which hashes
+        # the option text, differs
+        reports = []
+        for assignments in ("A=1,B=2", "A=1,,B=2", ",A=1,B=2,"):
+            code, out, err = run_cli(capsys, "flat", "--family", "torus3", "--set", assignments)
+            assert code == 0, err
+            reports.append(out.splitlines()[1:])
+        assert reports[0] and reports[1] == reports[0] == reports[2]
+
     def test_sweep_names_checked_against_the_connection(self, capsys, torus_file):
         # E occurs in the table but in no flatness condition
         code, out, _ = run_cli(capsys, "conditions", torus_file, "--set", "A=1,B=2",
@@ -556,6 +568,17 @@ class TestCli:
          "--set entry 'C' must look like NAME=value"),
         (["geodesic", "FLAT", "--x0", "0,0", "--v0", "1,1,1"], "--x0 needs 3 comma-separated values"),
         (["pullback-check", "--gamma", "1,0,0"], "--gamma needs 4 comma-separated values"),
+        (["geodesic", "FLAT", "--x0", "0,0,0", "--v0", "1,1,1", "--count", "0"],
+         "count must be a positive integer"),
+        (["curvature", "FLAT", "--family", "torus_n", "--n", "4"],
+         "give a spec file or --family, not both"),
+        (["geodesic", "FLAT", "--family", "torus3", "--x0", "0,0,0", "--v0", "1,1,1"],
+         "give a spec file or --family, not both"),
+        (["curvature", "--family", "torus3", "--n", "7"], "--n applies only to the torus_n family"),
+        (["family", "kuga-shimura", "--n", "4"], "--n applies only to the torus_n family"),
+        (["weyl", "FLAT", "--n", "4"], "--n applies only to the torus_n family"),
+        (["family", "torus3", "--no-trace"], "--no-trace applies only to the kuga-shimura family"),
+        (["flat", "FLAT", "--no-trace"], "--no-trace applies only to the kuga-shimura family"),
     ])
     def test_malformed_options_are_exit_2(self, capsys, control_and_flat, argv, message):
         argv = [control_and_flat[1] if a == "FLAT" else a for a in argv]

@@ -201,6 +201,17 @@ def test_non_int_single_index_rejected(idx):
         Tensor(2, (DOWN,), [1, 2])[idx]
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Tensor(2, (UP, "sideways"), [0] * 4), "bad variance slot 'sideways'"),
+    (lambda: Tensor(2, (UP, DOWN), [0] * 3), "expected 4 entries, got 3"),
+    (lambda: torus3().table[0, 0], "expected 3 indices, got 2"),
+], ids=["variance-slot", "dense-entry-count", "index-arity"])
+def test_shape_is_checked(build, message):
+    with pytest.raises(ShapeError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_offset_map_is_checked():
     assert Tensor(2, (DOWN,), {1: 2, 0: ZERO_POLY}) == Tensor(2, (DOWN,), [0, 2])
     for bad in ({2: 1}, {-1: 1}, {1.0: 1}, {True: 1}):
