@@ -154,14 +154,14 @@ def _curvature_targets(n) -> tuple:
     return tuple(plan)
 
 
-def _curvature_accumulators(c: Connection, trace=False) -> tuple:
+def _curvature_accumulators(c: Connection) -> tuple:
     """(D, acc): D the lcm of the table's coefficient denominators, and acc a
     defaultdict from the offset of each R^l_{ijk}, i < j, to the accumulator of
-    D^2 R^l_{ijk}, and, with trace, from ("T", i, j), i < j, to that of
-    D^2 TrR_{ij}.  A derivative term of S is D d_i (D G), a product term
-    (D G)(D G); TrR = d(tr G) takes the derivative terms alone, since the
-    products cancel from it identically.  Every product monomial formed is held
-    to MAX_DEGREE, also where it cancels or lands on no entry."""
+    D^2 R^l_{ijk}, and from ("T", i, j), i < j, to that of D^2 TrR_{ij}.  A
+    derivative term of S is D d_i (D G), a product term (D G)(D G); TrR =
+    d(tr G) takes the derivative terms alone, since the products cancel from it
+    identically, so a constant table builds no TrR sum.  Every product monomial
+    formed is held to MAX_DEGREE, also where it cancels or lands on no entry."""
     n = c.dim
     plan = _curvature_targets(n)
     stored = [(f, g) for f, g in c.table._stored.items() if f // n % n <= f % n]
@@ -177,7 +177,7 @@ def _curvature_accumulators(c: Connection, trace=False) -> tuple:
             for i, d in _partials(g, dg, D, c.coords):
                 for r, sign in plan[(i * n + j) * n + k]:
                     _add_multiple(acc[base + r], d, sign)
-                    if trace and r % n == l:  # a term of TrR, which no product reaches
+                    if r % n == l:  # a term of TrR, which no product reaches
                         _add_multiple(acc["T", r // (n * n), r // n % n], d, sign)
         for a, b, _, dg in row:
             for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
@@ -220,7 +220,7 @@ def trace_r(c: Connection) -> Tensor:
     """TrR_{ij}: trace of xi -> R(eta, nu) xi, settled from the D^2 TrR sums
     that come with the R accumulators, TrR_{ji} = -TrR_{ij}."""
     n = c.dim
-    D, acc = _curvature_accumulators(c, trace=True)
+    D, acc = _curvature_accumulators(c)
     memo, entries = {}, {}  # entries: flat offset -> entry; Tensor drops the zero ones
     for i, j in combinations(range(n), 2):
         if terms := acc.get(("T", i, j)):
@@ -281,7 +281,7 @@ def weyl3(c: Connection) -> Tensor:
     n = c.dim
     if n < 3:
         raise DimensionError(f"the projective Weyl tensor needs dimension n >= 3, got n = {n}")
-    D, acc = _curvature_accumulators(c, trace=True)
+    D, acc = _curvature_accumulators(c)
     W = {}  # apart from acc: a target reads R entries that other targets replace
     for target, addends in _weyl_corrections(n):
         terms = W[target] = {}

@@ -27,6 +27,7 @@ cube factor on A and B.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -111,7 +112,7 @@ def kuga_shimura(with_trace: bool) -> Connection:
     return from_table(torus_coords(), entries)
 
 
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "a b c d m n k l")):
     """Pair (gamma, lambda): gamma = (a b; c d) with ad - bc = 1 and a
     translation part lambda = (m, n, k, l), acting on points (tau, z1, z2) by
 
@@ -120,18 +121,14 @@ class GroupElement:
                           (z2 + k tau + l)/(c tau + d))
     """
 
-    __slots__ = ("a", "b", "c", "d", "m", "n", "k", "l")
+    __slots__ = ()
 
-    def __init__(self, a, b, c, d, m=0, n=0, k=0, l=0):
+    def __new__(cls, a, b, c, d, m=0, n=0, k=0, l=0):
         values = [as_gaussian(v) for v in (a, b, c, d, m, n, k, l)]
         a, b, c, d = values[:4]
         if a * d - b * c != ONE:
             raise ConstructionError("determinant ad - bc must equal 1")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
+        return super().__new__(cls, *values)
 
     def __repr__(self):
         return (

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm
-from operator import or_
+from operator import attrgetter, or_
 
 from .errors import DegreeError, EvalError, KindError, SubstError
 from .rational import GaussianRational, ZERO, ONE, _make, _power, _reduced, as_gaussian
@@ -133,17 +133,14 @@ def _merge(terms: dict, pairs) -> dict:
 
 
 class DiffPoly:
-    """Immutable canonical-form polynomial."""
+    """Immutable canonical-form polynomial: like GaussianRational, it keeps its
+    term map in a private slot that nothing rebinds after construction."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         coeffs = ((mono, as_gaussian(c)) for mono, c in (terms or {}).items())
-        clean = _merge({}, ((_pack(mono), c) for mono, c in coeffs if not c.is_zero()))
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffPoly is immutable")
+        self._terms = _merge({}, ((_pack(mono), c) for mono, c in coeffs if not c.is_zero()))
 
     # -- constructors ---------------------------------------------------------
 
@@ -376,14 +373,13 @@ class DiffPoly:
 
 
 _new = object.__new__
-_get_terms = DiffPoly._terms.__get__
-_set_terms = DiffPoly._terms.__set__
+_get_terms = attrgetter("_terms")  # the term map; its emptiness without a __bool__ call
 
 
 def _wrap(terms: dict) -> DiffPoly:
     """A DiffPoly owning a canonical packed term map."""
     out = _new(DiffPoly)
-    _set_terms(out, terms)
+    out._terms = terms
     return out
 
 

@@ -120,9 +120,4 @@ def flatness_conditions(c: Connection) -> list[DiffPoly]:
     Each survivor is normalized monic; the connection is projectively flat
     exactly when every listed polynomial vanishes.
     """
-    seen = []
-    for _, entry in weyl3(c).items():
-        normalized = entry.monic()
-        if normalized not in seen:
-            seen.append(normalized)
-    return seen
+    return list(dict.fromkeys(entry.monic() for _, entry in weyl3(c).items()))

@@ -6,7 +6,8 @@ triples is field equality.  Every field operation is int arithmetic plus
 one three-argument gcd, and its result is built without __init__ and its
 coercion.  The real and imaginary parts are exposed as Fractions (.re, .im)
 for display and export.  Like Fraction, the class keeps its state in private
-slots that nothing rebinds after construction.
+slots that nothing rebinds after construction; `DiffPoly` keeps its term map
+the same way.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 
 Three kinds exist: parameters (constants under every derivative),
 coordinates, and formal function symbols carrying a dependency list and a
-derivative multi-index.  Symbols are immutable and compare structurally, so
-independently constructed tables interoperate as long as names agree.
+derivative multi-index.  Symbols are named tuples, so they are immutable and
+compare structurally: independently constructed tables interoperate as long
+as names agree.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .errors import ConstructionError, KindError
 
@@ -19,8 +22,8 @@ _KIND_RANK = {PARAMETER: 0, FUNCTION: 1, COORDINATE: 2}
 RESERVED_NAMES = frozenset({"i"})
 
 
-class Symbol:
-    """One symbol: (name, kind, depends_on, deriv).
+class Symbol(namedtuple("Symbol", "name kind depends_on deriv")):
+    """One symbol: (name, kind, depends_on, deriv), a named tuple.
 
     ``deriv`` is a multi-index over coordinate names, stored as a sorted
     tuple of (coordinate, order) pairs; it is empty except on derived
@@ -28,15 +31,20 @@ class Symbol:
     canonical form of a derivative.
     """
 
-    __slots__ = ("name", "kind", "depends_on", "deriv", "_key", "_hash")
+    __slots__ = ()
 
-    def __init__(self, name, kind, depends_on=(), deriv=()):
+    def __new__(cls, name, kind, depends_on=(), deriv=()):
         if kind not in _KIND_RANK:
             raise KindError(f"unknown symbol kind {kind!r}")
         if name in RESERVED_NAMES:
             raise ConstructionError(f"{name!r} is reserved for the imaginary unit")
         depends_on = tuple(sorted(set(depends_on)))
-        deriv = tuple(sorted((c, int(o)) for c, o in dict(deriv).items() if o))
+        deriv = dict(deriv)
+        for c, o in deriv.items():
+            if not isinstance(o, int) or o < 0:
+                raise KindError(f"order {o!r} of the derivative of {name!r} in {c!r} "
+                                "is not a non-negative int")
+        deriv = tuple(sorted((c, o) for c, o in deriv.items() if o))
         if kind != FUNCTION:
             if depends_on:
                 raise KindError(f"{kind} symbol {name!r} cannot carry dependencies")
@@ -50,19 +58,11 @@ class Symbol:
                 raise KindError(
                     f"derivative of {name!r} in {bad[0]!r} outside its dependencies"
                 )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "depends_on", depends_on)
-        object.__setattr__(self, "deriv", deriv)
-        object.__setattr__(self, "_key", (_KIND_RANK[kind], name, deriv))
-        object.__setattr__(self, "_hash", hash((name, kind, depends_on, deriv)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Symbol is immutable")
+        return super().__new__(cls, name, kind, depends_on, deriv)
 
     @property
     def sort_key(self):
-        return self._key
+        return _KIND_RANK[self.kind], self.name, self.deriv
 
     def is_derived(self) -> bool:
         return bool(self.deriv)
@@ -84,19 +84,6 @@ class Symbol:
         index = dict(self.deriv)
         index[coord_name] = index.get(coord_name, 0) + 1
         return Symbol(self.name, self.kind, self.depends_on, tuple(index.items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.kind == other.kind
-            and self.depends_on == other.depends_on
-            and self.deriv == other.deriv
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         if not self.deriv:

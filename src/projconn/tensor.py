@@ -11,17 +11,18 @@ offset goes from a map cached per (dim, arity, slots).
 of entries or an offset -> entry dict, coerces entries outside the ring and
 drops empty ones, so equal tensors store equal dicts.  Readers outside the
 kernels walk `items()`, the nonzero entries by index tuple.  The dense view
-`entries` and `indices()` stay because the benchmark harness reads them.
+`entries` and `indices()` stay: `Connection.gamma` reads `entries`,
+`families.invariance_check` reads `indices()`, and the benchmark harness
+reads both.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, product
-from operator import attrgetter
 
 from .errors import ShapeError
-from .poly import DiffPoly, ZERO_POLY, as_poly
+from .poly import DiffPoly, ZERO_POLY, _get_terms, as_poly
 
 UP = "up"
 DOWN = "down"
@@ -70,9 +71,6 @@ def _diagonal_targets(dim, arity, up, down) -> dict:
     return {f: pos // dim for pos, f in enumerate(diagonal)}
 
 
-_terms_of = attrgetter("_terms")  # emptiness without a DiffPoly.__bool__ call per entry
-
-
 class Tensor:
     """Immutable sparse tensor; variance lists one 'up'/'down' per slot."""
 
@@ -99,10 +97,10 @@ class Tensor:
         if not {DiffPoly}.issuperset(map(type, values)):
             entries = {f: e if type(e) is DiffPoly else as_poly(e) for f, e in entries.items()}
             values = entries.values()
-        if all(map(_terms_of, values)):  # the usual kernel output: a plain copy
+        if all(map(_get_terms, values)):  # the usual kernel output: a plain copy
             stored = dict(entries)
         else:
-            stored = dict(compress(entries.items(), map(_terms_of, values)))
+            stored = dict(compress(entries.items(), map(_get_terms, values)))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "_stored", stored)
