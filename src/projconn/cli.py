@@ -377,7 +377,7 @@ def _cmd_geodesic(args, texts):
         result["deviation"] = f"{deviation:.6e}"
         lines.append(f"unparametrized deviation vs {args.compare}: {deviation:.6e}")
         if args.tol is not None:
-            within = deviation < args.tol
+            within = deviation <= args.tol
             result["within_tol"] = within
             lines.append(f"within tolerance {args.tol:g}: {str(within).lower()}")
             negative = not within

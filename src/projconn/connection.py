@@ -24,14 +24,14 @@ every product is formed once and an empty entry costs nothing.  Each term of
 D^2 S, D the lcm of the table's coefficient denominators, goes straight into
 the Gaussian-integer accumulator (see `poly`) of R^l_{ijk} (with +) or of
 R^l_{jik} (with -), whichever has its first two lower indices ascending, by a
-plan of n^3 target lists cached per dimension; `curvature` settles each once
-into R^l_{ijk} and R^l_{jik} = -R^l_{ijk}.  TrR = d(tr G) comes with the R
-accumulators, from the derivative terms alone, since the products cancel
-from it.  Neither `trace_r`, which settles those sums, nor `weyl3`, the Weyl
-projective tensor for any n >= 3 in its TrR form, settles R: each W^l_{ijk},
-i < j, is summed from the accumulators by one int-weighted plan per
-dimension, P written out into every target, and only W is settled; the
-tests check it against the Ricci-only form.
+plan of n^3 target lists cached per dimension; TrR = d(tr G) gets sums of its
+own, from the derivative terms alone, since the products cancel from it.
+`poly._settled` settles each sum once, with its antisymmetric mirror:
+R^l_{ijk} and R^l_{jik} = -R^l_{ijk} in `curvature`, TrR in `trace_r`.
+`ricci` sums Ricci from the nonzero R sums, and `weyl3`, the Weyl projective
+tensor for any n >= 3 in its TrR form, each W^l_{ijk}, i < j, by one
+int-weighted plan per dimension, P written out into every target; neither
+settles R, and the tests check W against the Ricci-only form.
 Curvature, Ricci, Weyl and Lie derivatives are `Tensor`s, and a vector field
 is a `Tensor` of variance (up,).
 """
@@ -44,13 +44,13 @@ from itertools import chain, combinations, product
 
 from .errors import ConstructionError, DimensionError, ShapeError
 from .poly import (
-    _add_multiple, _add_product, _check_degrees, _partials, _quotient, _scaled, as_poly, symbols_of)
+    _add_multiple, _add_product, _check_degrees, _partials, _scaled, _settled, as_poly, symbols_of)
 from .symbols import COORDINATE, FUNCTION
-from .tensor import DOWN, Tensor, UP, _flat, contract, symmetry_check
+from .tensor import DOWN, Tensor, UP, _flat, _swapped_offsets, symmetry_check
 
 
 FIELD = (UP, DOWN, DOWN)
-MAX_DIM = 12  # the offset maps cached by contract and symmetry_check hold up to n^4 entries
+MAX_DIM = 12  # the offset maps cached by the tensor kernels hold up to n^4 entries
 
 
 class Connection:
@@ -90,7 +90,7 @@ class Connection:
     def gamma(self):
         """Read-only nested view of the table: gamma[k][i][j] is G^k_{ij}."""
         n, e = self.dim, self.table.entries
-        rows = [e[r:r + n] for r in range(0, n**3, n)]
+        rows = [e[r * n:r * n + n] for r in range(n * n)]
         return tuple(tuple(rows[k * n:(k + 1) * n]) for k in range(n))
 
     def coord_names(self):
@@ -155,13 +155,14 @@ def _curvature_targets(n) -> tuple:
 
 
 def _curvature_accumulators(c: Connection) -> tuple:
-    """(D, acc): D the lcm of the table's coefficient denominators, and acc a
+    """(D, acc, tr): D the lcm of the table's coefficient denominators, acc a
     defaultdict from the offset of each R^l_{ijk}, i < j, to the accumulator of
-    D^2 R^l_{ijk}, and from ("T", i, j), i < j, to that of D^2 TrR_{ij}.  A
-    derivative term of S is D d_i (D G), a product term (D G)(D G); TrR =
-    d(tr G) takes the derivative terms alone, since the products cancel from it
-    identically, so a constant table builds no TrR sum.  Every product monomial
-    formed is held to MAX_DEGREE, also where it cancels or lands on no entry."""
+    D^2 R^l_{ijk}, and tr one from the offset of each TrR_{ij}, i < j, to that
+    of D^2 TrR_{ij}.  A derivative term of S is D d_i (D G), a product term
+    (D G)(D G); TrR = d(tr G) takes the derivative terms alone, since the
+    products cancel from it identically, so a constant table builds no TrR sum.
+    Every product monomial formed is held to MAX_DEGREE, also where it cancels
+    or lands on no entry."""
     n = c.dim
     plan = _curvature_targets(n)
     stored = [(f, g) for f, g in c.table._stored.items() if f // n % n <= f % n]
@@ -170,7 +171,7 @@ def _curvature_accumulators(c: Connection) -> tuple:
     rows = [[] for _ in range(n)]
     for f, g in stored:
         rows[f // (n * n)].append((f // n % n, f % n, g, scaled[f]))
-    acc = defaultdict(dict)
+    acc, tr = defaultdict(dict), defaultdict(dict)
     for l, row in enumerate(rows):
         base, lists = l * n**3, {}  # lists: f -> the accumulators, with signs, of plan[f]
         for j, k, g, dg in row:
@@ -178,7 +179,7 @@ def _curvature_accumulators(c: Connection) -> tuple:
                 for r, sign in plan[(i * n + j) * n + k]:
                     _add_multiple(acc[base + r], d, sign)
                     if r % n == l:  # a term of TrR, which no product reaches
-                        _add_multiple(acc["T", r // (n * n), r // n % n], d, sign)
+                        _add_multiple(tr[r // n], d, sign)
         for a, b, _, dg in row:
             for i, m in ((a, b), (b, a)) if a != b else ((a, b),):
                 for j, k, _, dh in rows[m]:
@@ -188,44 +189,37 @@ def _curvature_accumulators(c: Connection) -> tuple:
                         targets = lists[f] = [(acc[base + r], sign) for r, sign in plan[f]]
                     _add_product(targets, dg, dh)
     _check_degrees(chain.from_iterable(acc.values()))
-    return D, acc
-
-
-def _settled(n, acc, den, corrected=frozenset(), m=1) -> Tensor:
-    """The tensor with entry (l, i, j, k), i < j, settled from acc at its flat offset
-    over den, or over m * den for an offset in corrected, and entry (l, j, i, k) its
-    negation; keys that are not ints are skipped."""
-    memo, memo_m = {}, {}  # one per denominator, shared by every entry
-    entries = {}  # flat offset -> entry; Tensor drops the zero ones
-    for f, terms in acc.items():
-        if terms and type(f) is int:
-            i, j = f // (n * n) % n, f // n % n
-            entries[f], entries[f + (j - i) * (n * n - n)] = (
-                _quotient(terms, m * den, memo_m) if f in corrected else _quotient(terms, den, memo))
-    return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
+    return D, acc, tr
 
 
 def curvature(c: Connection) -> Tensor:
     """Curvature tensor R^l_{ijk}, antisymmetric in (i, j)."""
-    D, acc = _curvature_accumulators(c)
-    return _settled(c.dim, acc, D * D)
+    n = c.dim
+    D, acc, _ = _curvature_accumulators(c)
+    return Tensor(n, (UP, DOWN, DOWN, DOWN), _settled(acc, D * D, _swapped_offsets(n, 4, 1, 2)))
 
 
 def ricci(c: Connection) -> Tensor:
-    """Ricci_{jk}: trace of xi -> R(xi, eta) nu."""
-    return contract(curvature(c), 0, 1)
+    """Ricci_{jk}: trace of xi -> R(xi, eta) nu, summed from the R accumulators:
+    R^i_{ijk}, i < j, adds to Ricci_{jk}, and R^j_{ijk} = -R^j_{jik} subtracts
+    from Ricci_{ik}."""
+    n = c.dim
+    D, acc, _ = _curvature_accumulators(c)
+    sums = defaultdict(dict)  # offset of Ricci_{jk} -> the accumulator of D^2 Ricci_{jk}
+    for f, terms in acc.items():
+        l, i, j = f // n**3, f // (n * n) % n, f // n % n
+        if l == i:
+            _add_multiple(sums[f % (n * n)], terms, 1)
+        elif l == j:
+            _add_multiple(sums[i * n + f % n], terms, -1)
+    return Tensor(n, (DOWN, DOWN), _settled(sums, D * D))
 
 
 def trace_r(c: Connection) -> Tensor:
     """TrR_{ij}: trace of xi -> R(eta, nu) xi, settled from the D^2 TrR sums
     that come with the R accumulators, TrR_{ji} = -TrR_{ij}."""
-    n = c.dim
-    D, acc = _curvature_accumulators(c)
-    memo, entries = {}, {}  # entries: flat offset -> entry; Tensor drops the zero ones
-    for i, j in combinations(range(n), 2):
-        if terms := acc.get(("T", i, j)):
-            entries[i * n + j], entries[j * n + i] = _quotient(terms, D * D, memo)
-    return Tensor(n, (DOWN, DOWN), entries)
+    D, _, tr = _curvature_accumulators(c)
+    return Tensor(c.dim, (DOWN, DOWN), _settled(tr, D * D, _swapped_offsets(c.dim, 2, 0, 1)))
 
 
 @lru_cache(maxsize=MAX_DIM)  # one plan per dimension
@@ -233,8 +227,8 @@ def _weyl_corrections(n) -> tuple:
     """((target, addends), ...): for each W^l_{ijk} with i < j and l in {i, j, k},
     the flat offset of (l, i, j, k) and the (source, weight) pairs, int
     weights, whose weighted sum over the accumulators is m D^2 W^l_{ijk},
-    m = (n-1)(n+1).  A source is the offset of D^2 R^l_{ijk}, i < j, or
-    ("T", i, j), i < j, for D^2 TrR_{ij}; m P_{jk} = (n+1) Ricci_{jk} + TrR_{jk}
+    m = (n-1)(n+1).  A source is the offset of D^2 R^l_{ijk}, i < j, or n^4
+    plus that of D^2 TrR_{ij}, i < j; m P_{jk} = (n+1) Ricci_{jk} + TrR_{jk}
     is written out into each target that reads it, coincident sources merged.
     Every other W^l_{ijk} is R^l_{ijk}."""
     m = (n - 1) * (n + 1)
@@ -245,7 +239,7 @@ def _weyl_corrections(n) -> tuple:
         addends = [(_flat(n, (i, i, j, k)), n + 1) if i < j
                    else (_flat(n, (i, j, i, k)), -n - 1) for i in range(n) if i != j]
         if j != k:
-            addends.append((("T", j, k), 1) if j < k else (("T", k, j), -1))
+            addends.append((n**4 + j * n + k, 1) if j < k else (n**4 + k * n + j, -1))
         P[j, k] = addends
     steps = []
     for l, k, (i, j) in product(range(n), range(n), pairs):
@@ -255,7 +249,7 @@ def _weyl_corrections(n) -> tuple:
         f = _flat(n, (l, i, j, k))
         weights = defaultdict(int, {f: m})  # source -> weight
         if l == k:
-            weights["T", i, j] = 1 - n
+            weights[n**4 + i * n + j] = 1 - n
         if l == i:
             for source, w in P[j, k]:
                 weights[source] -= w
@@ -281,15 +275,17 @@ def weyl3(c: Connection) -> Tensor:
     n = c.dim
     if n < 3:
         raise DimensionError(f"the projective Weyl tensor needs dimension n >= 3, got n = {n}")
-    D, acc = _curvature_accumulators(c)
+    D, acc, tr = _curvature_accumulators(c)
+    sources = {**acc, **{n**4 + g: s for g, s in tr.items()}}  # keyed as the plan's sources
     W = {}  # apart from acc: a target reads R entries that other targets replace
     for target, addends in _weyl_corrections(n):
         terms = W[target] = {}
         for source, weight in addends:
-            if src := acc.get(source):
+            if src := sources.get(source):
                 _add_multiple(terms, src, weight)
     acc.update(W)
-    return _settled(n, acc, D * D, W, (n - 1) * (n + 1))
+    entries = _settled(acc, D * D, _swapped_offsets(n, 4, 1, 2), W, (n - 1) * (n + 1))
+    return Tensor(n, (UP, DOWN, DOWN, DOWN), entries)
 
 
 def lie_derivative(c: Connection, field: Tensor) -> Tensor:

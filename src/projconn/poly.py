@@ -404,10 +404,10 @@ def _checked(terms: dict) -> DiffPoly:
 # them by key), so that every input is itself such a dict and no accumulator
 # holds a denominator: adding a term is int arithmetic only, with no gcd and
 # no intermediate GaussianRational or DiffPoly.  The kernel knows the power of
-# D, times any int weights, that its sums carry, and _quotient divides it out
-# once per entry.  A monomial stays in the map once added, even where its sum
-# cancels to zero, so a guard-bit check over the accumulators covers every
-# product monomial ever formed.
+# D, times any int weights, that its sums carry, and _settled alone turns sums
+# into DiffPolys, dividing that out once per entry.  A monomial stays in the
+# map once added, even where its sum cancels to zero, so a guard-bit check
+# over the accumulators covers every product monomial ever formed.
 
 
 def _scaled(items) -> tuple:
@@ -490,25 +490,30 @@ def _partials(p: DiffPoly, scaled: dict, D: int, coords: tuple) -> list:
     return out
 
 
-def _quotient(acc: dict, den: int, memo: dict):
-    """(p, -p) for p = acc / den, den > 0, reducing each distinct (a, b) once.
-
-    memo maps (a, b) to the pair (c, -c) of canonical GaussianRationals for
-    (a + b*i)/den; it may be shared by every accumulator settled over den,
-    since a GaussianRational is immutable.  Checks no degree.
-    """
-    pos, neg = {}, {}
-    for mono, ab in acc.items():
-        got = memo.get(ab)
-        if got is None:
-            a, b = ab
-            if not a and not b:
-                continue
-            g = gcd(a, b, den)
-            c = _make(a // g, b // g, den // g)
-            got = memo[ab] = (c, _make(-c._a, -c._b, c._d))
-        pos[mono], neg[mono] = got
-    return _wrap(pos), _wrap(neg)
+def _settled(sums: dict, den: int, mirror=(), corrected=frozenset(), m=1) -> dict:
+    """{key: p} for each accumulator of sums that does not settle to zero, p its
+    quotient by den > 0, or by m * den for a key in corrected, and -p at
+    mirror[key] too when a mirror is given.  Checks no degree."""
+    memos = {den: {}, m * den: {}}  # one per denominator: (a, b) -> (c, -c), each reduced once
+    out = {}
+    for key, acc in sums.items():
+        d = m * den if key in corrected else den
+        memo, pos, neg = memos[d], {}, {}
+        for mono, ab in acc.items():
+            got = memo.get(ab)
+            if got is None:
+                a, b = ab
+                if not a and not b:
+                    continue
+                g = gcd(a, b, d)
+                c = _make(a // g, b // g, d // g)
+                got = memo[ab] = (c, _make(-c._a, -c._b, c._d))
+            pos[mono], neg[mono] = got
+        if pos:
+            out[key] = _wrap(pos)
+            if mirror:
+                out[mirror[key]] = _wrap(neg)
+    return out
 
 
 def symbols_of(polys) -> list:

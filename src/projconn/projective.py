@@ -9,15 +9,16 @@ J, and the only candidate witness is theta = div(difference) / (n+1), so
 membership reduces to one exact residual check.  Volume normalization
 picks, inside a projective class, the unique representative whose traces
 sum(GG^k_{ik}) all vanish; on the standard chart that is the connection
-making dz1 ^ ... ^ dzn parallel.  Each result is read off the stored entries
-by `_trace` and `_shift` (T + J(theta)), building only the `Tensor` returned.
+making dz1 ^ ... ^ dzn parallel: the trace-free projection of the table.
+`_trace` (summed, then settled by `poly._settled`) and `_shift` (T + J(theta))
+read each result off the stored entries, building only the `Tensor` returned.
 """
 
 from __future__ import annotations
 
 from .connection import FIELD, Connection, weyl3
 from .errors import ShapeError
-from .poly import DiffPoly, ZERO_POLY, _quotient, _scaled
+from .poly import DiffPoly, ZERO_POLY, _scaled, _settled
 from .tensor import DOWN, Tensor
 
 
@@ -42,8 +43,7 @@ def _trace(n, stored, num, den, minus=None) -> dict:
     # sums: j -> the accumulator of D * num * theta_j; f is the offset of (k, k, j)
     D, sums = _scaled((f % n, p, sign) for entries, sign in ((stored, num), (minus or {}, -num))
                       for f, p in entries.items() if not f // n % (n + 1))
-    memo = {}
-    return {j: p for j, acc in sums.items() if (p := _quotient(acc, D * den, memo)[0])._terms}
+    return _settled(sums, D * den)
 
 
 def _shift(n, stored, theta) -> dict:
@@ -104,9 +104,7 @@ def volume_normalize(c: Connection) -> Connection:
     standard chart says the coordinate volume form is parallel; applied
     twice it is the identity.
     """
-    n, stored = c.dim, c.table._stored
-    shifted = _shift(n, stored, _trace(n, stored, -1, n + 1))
-    return Connection(c.coords, Tensor(n, FIELD, shifted))
+    return Connection(c.coords, trace_free_project(c.table))
 
 
 def is_projectively_flat(c: Connection) -> bool:

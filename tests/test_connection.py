@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import golden
-from projconn import connection
+from projconn import connection, tensor
 from projconn.connection import (
     MAX_DIM,
     Connection,
@@ -94,6 +94,15 @@ class TestConstruction:
         conn = from_table(coords, {})
         assert conn == Connection(coords, Tensor(3, (UP, DOWN, DOWN), [0] * 27))
         assert curvature(conn).is_zero()
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_gamma_is_the_nested_table(self, n):
+        # dimension 0 included: its view is the empty tuple
+        coords = coords_named(*(f"x{i}" for i in range(n)))
+        conn = rand_torsionfree(random.Random(n), coords, fill=1.0)
+        span = range(n)
+        assert conn.gamma == tuple(tuple(tuple(conn.table[k, i, j] for j in span) for i in span)
+                                   for k in span)
 
     def test_symmetry_completion(self):
         coords = coords_named("x", "y")
@@ -423,10 +432,29 @@ class TestCurvatureOracle:
             conns.append(rand_torsionfree(rng, coords, [*coords, parameter("A")], fill=fill))
         expected = [dense_contract(naive_curvature(conn), 0, 3) for conn in conns]
         monkeypatch.setattr(connection, "curvature", refuse)
-        monkeypatch.setattr(connection, "contract", refuse)
+        monkeypatch.setattr(tensor, "contract", refuse)
         for conn, dense in zip(conns, expected):
             assert trace_r(conn).entries == dense
         assert any(not e.is_zero() for dense in expected for e in dense)
+
+    def test_ricci_is_summed_from_the_curvature_accumulators(self, monkeypatch):
+        # R^i_{ijk} adds to Ricci_{jk} and R^j_{ijk} subtracts from Ricci_{ik}
+        # before anything is settled: no curvature, no contraction
+        def refuse(*args):
+            raise AssertionError("ricci settled or contracted R")
+
+        rng = random.Random(20261022)
+        conns = [torus3(), *(torus_n(n) for n in range(4, MAX_DIM + 1)),
+                 kuga_shimura(with_trace=True), kuga_shimura(with_trace=False)]
+        for dim, fill in product(range(7), (0.3, 1.0)):
+            coords = coords_named(*(f"x{i}" for i in range(dim)))
+            conns.append(rand_torsionfree(rng, coords, [*coords, parameter("A")], fill=fill))
+        expected = [dense_contract(naive_curvature(conn), 0, 1) for conn in conns]
+        monkeypatch.setattr(connection, "curvature", refuse)
+        monkeypatch.setattr(tensor, "contract", refuse)
+        for conn, dense in zip(conns, expected):
+            assert ricci(conn).entries == dense
+        assert sum(not e.is_zero() for dense in expected for e in dense) > len(conns)
 
     def test_sparse_table_at_max_dim(self):
         # the largest target plan: curvature against the dense formula and
@@ -506,16 +534,17 @@ class TestDegreeBound:
     @pytest.mark.parametrize("case", list(_power_tables(1)))
     @pytest.mark.parametrize("exp", [MAX_DEGREE // 2 + 1, MAX_DEGREE // 2])
     def test_weyl_refuses_exactly_where_curvature_does(self, case, exp):
-        # weyl3 and trace_r never settle R, so their accumulators must still
-        # hold every monomial of the R accumulators up to the guard-bit check
+        # weyl3, trace_r and ricci never settle R, so their accumulators must
+        # still hold every monomial of the R accumulators up to the guard-bit check
         conn = _power_tables(exp, n=3)[case]
         refused = exp > MAX_DEGREE // 2
         assert (_outcome(curvature, conn) is DegreeError) == refused
-        W, TrR = _outcome(weyl3, conn), _outcome(trace_r, conn)
-        assert (W is DegreeError) == (TrR is DegreeError) == refused
+        W, TrR, Ric = _outcome(weyl3, conn), _outcome(trace_r, conn), _outcome(ricci, conn)
+        assert (W is DegreeError) == (TrR is DegreeError) == (Ric is DegreeError) == refused
         if not refused:
             assert W == trr_weyl(conn)
             assert TrR == contract(curvature(conn), 0, 3)
+            assert Ric == contract(curvature(conn), 0, 1)
 
 
 class TestBianchi:

@@ -736,6 +736,16 @@ class TestCli:
         assert out == ""
         assert "--tol must be a non-negative number" in err
 
+    def test_geodesic_within_zero_tolerance_of_itself(self, capsys, control_and_flat):
+        # within means deviation <= tol, so a trace matches itself at --tol 0
+        flat = control_and_flat[1]
+        argv = ["geodesic", flat, "--x0", "0,0,0", "--v0", "1,1,1", "--compare", flat, "--tol", "0"]
+        for strict in ([], ["--strict"]):
+            code, out, err = run_cli(capsys, *strict, *argv)
+            assert code == 0, err
+            assert "deviation vs" in out and ": 0.000000e+00\n" in out
+            assert "within tolerance 0: true" in out
+
     def test_geodesic_nan_step_is_exit_2(self, capsys, torus_file):
         code, out, err = run_cli(capsys, "geodesic", torus_file,
                                  "--at", "A=1/2,B=-1/3,C=1/4,D=-1/5,E=1/2", "--x0", "0,0,0",
